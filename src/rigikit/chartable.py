@@ -11,22 +11,20 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .cyclo import (
     Cyclotomic,
     cyc,
     format_value,
-    lcm,
     parse_value,
-    prime_factors,
     raw_conjugate,
     raw_embed,
     raw_equals_rational,
     raw_mul,
-    raw_to_cyclotomic,
 )
+from .modp import prime_factors
 
 
 class CTBSyntaxError(ValueError):
@@ -254,17 +252,6 @@ def build_table_mapped(
     return table, list(class_order), list(row_order)
 
 
-def build_table(
-    name: str,
-    order: int,
-    exponent: int,
-    class_infos: Sequence[Tuple[int, int, Dict[int, int]]],
-    rows: Sequence[Sequence[Cyclotomic]],
-) -> CharacterTable:
-    """Assemble a canonical table (see build_table_mapped)."""
-    return build_table_mapped(name, order, exponent, class_infos, rows)[0]
-
-
 def same_character_data(a: CharacterTable, b: CharacterTable) -> bool:
     """Value identity of two tables, ignoring the group name string."""
     return (
@@ -472,26 +459,6 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-def _row_raw(table: CharacterTable, r: int, m: int) -> List[dict]:
-    return [raw_embed(v, m) for v in table.rows[r]]
-
-
-def row_inner_product(table: CharacterTable, r1: int, r2: int) -> Cyclotomic:
-    """Sum over classes of size * chi_r1 * conj(chi_r2), exactly."""
-    m = 1
-    for v in table.rows[r1]:
-        m = lcm(m, v.conductor)
-    for v in table.rows[r2]:
-        m = lcm(m, v.conductor)
-    acc: dict = {}
-    for j, c in enumerate(table.classes):
-        a = raw_embed(table.rows[r1][j], m)
-        b = raw_conjugate(raw_embed(table.rows[r2][j], m), m)
-        for e, v in raw_mul(a, b, m).items():
-            acc[e] = acc.get(e, 0) + c.size * v
-    return raw_to_cyclotomic(m, acc)
-
-
 def validate(table: CharacterTable, orthogonality: bool = True) -> ValidationReport:
     """Run the table invariants; failures are report entries, not errors."""
     checks: List[CheckResult] = []
@@ -572,87 +539,46 @@ def validate(table: CharacterTable, orthogonality: bool = True) -> ValidationRep
     checks.append(CheckResult("columns_distinct", not dup, dup))
 
     if orthogonality:
-        checks.append(_check_row_orthogonality(table))
-        checks.append(_check_column_orthogonality(table))
+        nr = len(table.rows)
+        checks.append(_check_orthogonality(
+            "row_orthogonality", table.rows, [c.size for c in table.classes],
+            [table.order] * nr, range(nr), "rows"))
+        checks.append(_check_orthogonality(
+            "column_orthogonality", [table.column(j) for j in range(k)], [1] * nr,
+            [table.centralizer_order(j) for j in range(k)],
+            [c.name for c in table.classes], "classes"))
 
     return ValidationReport(tuple(checks))
 
 
-def _check_row_orthogonality(table: CharacterTable) -> CheckResult:
-    nr = len(table.rows)
-    conductors = [
-        max((v.conductor for v in row), default=1) for row in table.rows
-    ]
-    row_ms = []
-    for row in table.rows:
-        m = 1
-        for v in row:
-            m = lcm(m, v.conductor)
-        row_ms.append(m)
-    sizes = [c.size for c in table.classes]
+def _check_orthogonality(name: str, vectors, weights, norms, labels,
+                         what: str) -> CheckResult:
+    """Exact weighted Gram check: sum_j weights[j] u[j] conj(v[j]) must be
+    norms[a] for u = v = vectors[a] and 0 for distinct vectors."""
+    ms = [lcm(*(v.conductor for v in vec)) for vec in vectors]
     embeds: Dict[Tuple[int, int], list] = {}
 
-    def embedded(r: int, m: int) -> list:
-        key = (r, m)
+    def embedded(a: int, m: int) -> list:
+        key = (a, m)
         got = embeds.get(key)
         if got is None:
-            got = [raw_embed(v, m) for v in table.rows[r]]
+            got = [raw_embed(v, m) for v in vectors[a]]
             embeds[key] = got
         return got
 
-    for r1 in range(nr):
-        for r2 in range(r1, nr):
-            m = lcm(row_ms[r1], row_ms[r2])
-            a_row = embedded(r1, m)
-            b_row = embedded(r2, m)
+    for a in range(len(vectors)):
+        for b in range(a, len(vectors)):
+            m = lcm(ms[a], ms[b])
+            u, v = embedded(a, m), embedded(b, m)
             acc: dict = {}
-            for j, size in enumerate(sizes):
-                b = raw_conjugate(b_row[j], m)
-                for e, v in raw_mul(a_row[j], b, m).items():
-                    acc[e] = acc.get(e, 0) + size * v
-            target = table.order if r1 == r2 else 0
-            if not raw_equals_rational(m, acc, target):
-                return CheckResult(
-                    "row_orthogonality", False,
-                    "fails for rows %d and %d" % (r1, r2))
-    return CheckResult("row_orthogonality", True)
-
-
-def _check_column_orthogonality(table: CharacterTable) -> CheckResult:
-    k = table.n_classes
-    col_ms = []
-    for j in range(k):
-        m = 1
-        for row in table.rows:
-            m = lcm(m, row[j].conductor)
-        col_ms.append(m)
-    embeds: Dict[Tuple[int, int], list] = {}
-
-    def embedded(j: int, m: int) -> list:
-        key = (j, m)
-        got = embeds.get(key)
-        if got is None:
-            got = [raw_embed(row[j], m) for row in table.rows]
-            embeds[key] = got
-        return got
-
-    for j1 in range(k):
-        for j2 in range(j1, k):
-            m = lcm(col_ms[j1], col_ms[j2])
-            a_col = embedded(j1, m)
-            b_col = embedded(j2, m)
-            acc: dict = {}
-            for r in range(len(table.rows)):
-                b = raw_conjugate(b_col[r], m)
-                for e, v in raw_mul(a_col[r], b, m).items():
-                    acc[e] = acc.get(e, 0) + v
-            target = table.order // table.classes[j1].size if j1 == j2 else 0
-            if not raw_equals_rational(m, acc, target):
-                return CheckResult(
-                    "column_orthogonality", False,
-                    "fails for classes %s and %s"
-                    % (table.classes[j1].name, table.classes[j2].name))
-    return CheckResult("column_orthogonality", True)
+            for j, w in enumerate(weights):
+                y = raw_conjugate(v[j], m)
+                for e, c in raw_mul(u[j], y, m).items():
+                    acc[e] = acc.get(e, 0) + w * c
+            if not raw_equals_rational(m, acc, norms[a] if a == b else 0):
+                return CheckResult(name, False, "fails for %s %s and %s"
+                                   % (what, labels[a], labels[b]))
+    return CheckResult(name, True)
 
 
 # ---------------------------------------------------------------------------

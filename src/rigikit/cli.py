@@ -15,13 +15,6 @@ from pathlib import Path
 from . import chartable, dixon, dl_rank1, regunip, rigidity, smallgrp
 
 
-def _add_threads(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--threads", type=int, default=0, metavar="N",
-        help="bound internal parallelism (execution is serial and exact; "
-             "output never depends on this value)")
-
-
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="rigikit",
@@ -35,7 +28,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("table", help="CTB v1 file")
     p.add_argument("--no-orthogonality", action="store_true",
                    help="structural checks only")
-    _add_threads(p)
 
     p = sub.add_parser("structconst",
                        help="product-1 triple count and nontrivial character sum")
@@ -43,7 +35,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("classes", nargs=3, metavar="CLASS",
                    help="three class names, e.g. 2A 3A 7A")
     p.add_argument("--machine", action="store_true")
-    _add_threads(p)
 
     p = sub.add_parser("rigid", help="rigidity verdict for a class triple")
     p.add_argument("table")
@@ -53,7 +44,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--assume-generation", action="store_true",
                    help="treat generation by every triple as established")
     p.add_argument("--machine", action="store_true")
-    _add_threads(p)
 
     p = sub.add_parser("dixon",
                        help="enumerate a matrix group and emit its exact "
@@ -63,7 +53,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cap", type=int, default=smallgrp.DEFAULT_CLOSURE_CAP)
     p.add_argument("--projective", action="store_true",
                    help="with @file generators: take the group modulo scalars")
-    _add_threads(p)
 
     p = sub.add_parser("dl",
                        help="build a generic rank-1 table (GL2/SL2/PGL2 at q) "
@@ -74,7 +63,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--check", choices=["valuni", "sums", "ssvals", "cosets", "all"],
                    help="run the named identity suite")
     p.add_argument("--machine", action="store_true")
-    _add_threads(p)
 
     p = sub.add_parser("dualsym",
                        help="dual-group symmetry of semisimple character values")
@@ -84,7 +72,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--regular", action="store_true",
                    help="check the regular-character variant instead")
     p.add_argument("--machine", action="store_true")
-    _add_threads(p)
 
     p = sub.add_parser("regunip",
                        help="regular-unipotent element orders and the "
@@ -98,7 +85,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="candidate pool file (default: the shipped fixture)")
     p.add_argument("--two-classes", action="store_true",
                    help="also exclude candidates with cyclic Sylow p-subgroup")
-    _add_threads(p)
 
     p = sub.add_parser("lemma",
                        help="brute-force nonexistence counts for "
@@ -109,12 +95,10 @@ def build_parser() -> argparse.ArgumentParser:
     psl.add_argument("--n", required=True, type=int)
     psl.add_argument("--q", required=True, type=int)
     psl.add_argument("--cap", type=int, default=smallgrp.DEFAULT_ORBIT_CAP)
-    _add_threads(psl)
     pso = lemma_sub.add_parser("so", help="even orthogonal groups SO_{2m}")
     pso.add_argument("--m", required=True, type=int)
     pso.add_argument("--q", required=True, type=int)
     pso.add_argument("--cap", type=int, default=smallgrp.DEFAULT_CLOSURE_CAP)
-    _add_threads(pso)
 
     return top
 
@@ -284,7 +268,8 @@ def main(argv=None) -> int:
     try:
         return _DISPATCH[args.command](args)
     except (OSError, ValueError, KeyError, chartable.CTBSyntaxError,
-            regunip.DescriptorError, smallgrp.GroupTooLargeError) as exc:
+            regunip.DescriptorError, smallgrp.GroupTooLargeError,
+            dixon.DixonError, rigidity.InconsistentTableError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

@@ -14,8 +14,10 @@ public coefficient view is in `fractions.Fraction`.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Dict, Tuple, Union
+
+from .modp import element_of_order, euler_phi, moebius, prime_factors, prime_one_mod
 
 Rational = Fraction
 Coeff = Union[int, Fraction]
@@ -32,53 +34,6 @@ _RAM_CACHE: Dict[int, Tuple[int, ...]] = {}
 _OMEGA_CACHE: Dict[int, Tuple[int, Tuple[int, ...]]] = {}
 _GRAM_CACHE: Dict[int, list] = {}
 _GALOIS_SUBGROUP_CACHE: Dict[Tuple[int, int], Tuple[int, ...]] = {}
-
-
-def euler_phi(n: int) -> int:
-    result = n
-    m, p = n, 2
-    while p * p <= m:
-        if m % p == 0:
-            result -= result // p
-            while m % p == 0:
-                m //= p
-        p += 1
-    if m > 1:
-        result -= result // m
-    return result
-
-
-def prime_factors(n: int) -> Tuple[int, ...]:
-    out = []
-    m, p = n, 2
-    while p * p <= m:
-        if m % p == 0:
-            out.append(p)
-            while m % p == 0:
-                m //= p
-        p += 1
-    if m > 1:
-        out.append(m)
-    return tuple(out)
-
-
-def moebius(n: int) -> int:
-    result = 1
-    m, p = n, 2
-    while p * p <= m:
-        if m % p == 0:
-            m //= p
-            if m % p == 0:
-                return 0
-            result = -result
-        p += 1
-    if m > 1:
-        result = -result
-    return result
-
-
-def lcm(a: int, b: int) -> int:
-    return a // gcd(a, b) * b
 
 
 def _poly_divexact(num: list, den: list) -> list:
@@ -155,35 +110,14 @@ def _ramanujan_table(n: int) -> Tuple[int, ...]:
     return result
 
 
-def _is_prime(m: int) -> bool:
-    if m < 2:
-        return False
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            return False
-        p += 1 if p == 2 else 2
-    return True
-
-
 def _omega_table(n: int) -> Tuple[int, Tuple[int, ...]]:
     """A prime l = 1 (mod n) above 2^20 and the power table of an order-n
     element of F_l; a fast homomorphic image of Z[zeta_n]."""
     cached = _OMEGA_CACHE.get(n)
     if cached is not None:
         return cached
-    ell = ((1 << 20) // n + 1) * n + 1
-    while not _is_prime(ell):
-        ell += n
-    primes_n = prime_factors(n)
-    omega = None
-    for a in range(2, 1000):
-        w = pow(a, (ell - 1) // n, ell)
-        if w != 1 and all(pow(w, n // p, ell) != 1 for p in primes_n):
-            omega = w
-            break
-    if omega is None:  # pragma: no cover
-        raise ArithmeticError("no element of order %d found mod %d" % (n, ell))
+    ell = prime_one_mod(n, 1 << 20)
+    omega = element_of_order(n, ell)
     table = [1] * n
     for e in range(1, n):
         table[e] = table[e - 1] * omega % ell
@@ -209,23 +143,11 @@ def _gram_solver(d: int) -> list:
         return inv
     phi_d = euler_phi(d)
     ram = _ramanujan_table(d)
-    rows = [[Fraction(ram[(i + j) % d]) for j in range(phi_d)] for i in range(phi_d)]
-    aug = [[Fraction(1) if i == j else Fraction(0) for j in range(phi_d)]
-           for i in range(phi_d)]
-    for col in range(phi_d):
-        sel = next(r for r in range(col, phi_d) if rows[r][col] != 0)
-        rows[col], rows[sel] = rows[sel], rows[col]
-        aug[col], aug[sel] = aug[sel], aug[col]
-        piv = 1 / rows[col][col]
-        rows[col] = [v * piv for v in rows[col]]
-        aug[col] = [v * piv for v in aug[col]]
-        for r in range(phi_d):
-            if r != col and rows[r][col] != 0:
-                f = rows[r][col]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[col])]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    _GRAM_CACHE[d] = aug
-    return aug
+    aug = [[Fraction(ram[(i + j) % d]) for j in range(phi_d)]
+           + [Fraction(int(i == j)) for j in range(phi_d)] for i in range(phi_d)]
+    inv = _solve_rational(aug, phi_d)
+    _GRAM_CACHE[d] = inv
+    return inv
 
 
 # ---------------------------------------------------------------------------
@@ -507,13 +429,12 @@ class Cyclotomic:
                     if row[i]:
                         acc[i] += c * row[i]
             cols.append(acc)
-        rows = [[Fraction(cols[j][i]) for j in range(phi)] for i in range(phi)]
-        rhs = [Fraction(0)] * phi
-        rhs[0] = Fraction(self._den)
-        sol = _solve_square(rows, rhs)
+        aug = [[Fraction(cols[j][i]) for j in range(phi)]
+               + [Fraction(self._den if i == 0 else 0)] for i in range(phi)]
+        sol = _solve_rational(aug, phi)
         if sol is None:  # pragma: no cover - nonzero field elements invert
             raise ZeroDivisionError("value is not invertible")
-        return from_terms(n, {j: sol[j] for j in range(phi) if sol[j]})
+        return from_terms(n, {j: x for j, (x,) in enumerate(sol) if x})
 
     def __truediv__(self, other) -> "Cyclotomic":
         other = _coerce(other)
@@ -607,28 +528,21 @@ def _coerce(x) -> "Cyclotomic":
     return NotImplemented
 
 
-def _solve_square(rows, rhs):
-    """In-place Gaussian elimination over Fractions; returns solution or None."""
-    m = len(rows)
-    for col in range(m):
-        sel = None
-        for r in range(col, m):
-            if rows[r][col] != 0:
-                sel = r
-                break
+def _solve_rational(aug, n):
+    """Gauss-Jordan over Fractions on the augmented rows [A | B], A of size
+    n x n, in place; returns the rows of A^-1 B, or None when A is singular."""
+    for col in range(n):
+        sel = next((r for r in range(col, n) if aug[r][col]), None)
         if sel is None:
             return None
-        rows[col], rows[sel] = rows[sel], rows[col]
-        rhs[col], rhs[sel] = rhs[sel], rhs[col]
-        inv = 1 / rows[col][col]
-        rows[col] = [v * inv for v in rows[col]]
-        rhs[col] = rhs[col] * inv
-        for r in range(m):
-            if r != col and rows[r][col] != 0:
-                f = rows[r][col]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[col])]
-                rhs[r] = rhs[r] - f * rhs[col]
-    return rhs
+        aug[col], aug[sel] = aug[sel], aug[col]
+        inv = 1 / aug[col][col]
+        prow = aug[col] = [v * inv for v in aug[col]]
+        for r in range(n):
+            f = aug[r][col]
+            if f and r != col:
+                aug[r] = [a - f * b for a, b in zip(aug[r], prow)]
+    return [row[n:] for row in aug]
 
 
 # ---------------------------------------------------------------------------
@@ -704,15 +618,6 @@ def raw_conjugate(d: Dict[int, Coeff], m: int) -> Dict[int, Coeff]:
         k = (-e) % m
         out[k] = out.get(k, 0) + c
     return out
-
-
-def raw_add_into(acc: Dict[int, Coeff], d: Dict[int, Coeff]) -> None:
-    for e, c in d.items():
-        acc[e] = acc.get(e, 0) + c
-
-
-def raw_to_cyclotomic(m: int, raw: Dict[int, Coeff]) -> Cyclotomic:
-    return from_terms(m, raw)
 
 
 def raw_reduce_vector(m: int, raw: Dict[int, Coeff]) -> list:

@@ -11,12 +11,14 @@ tables of the same group compare equal.
 
 from __future__ import annotations
 
-from math import gcd, isqrt
-from typing import Dict, List, Tuple
+from math import isqrt, lcm
+from typing import List, Tuple
 
 from .chartable import CharacterTable, build_table_mapped
-from .cyclo import from_terms, prime_factors
-from .smallgrp import ConjugacyClass, FiniteGroup, conjugacy_classes
+from .cyclo import from_terms
+from .modp import (
+    element_of_order, gauss_jordan, mat_det, nullspace, prime_factors, prime_one_mod)
+from .smallgrp import FiniteGroup, conjugacy_classes
 
 PRIME_SEARCH_BOUND = 1_000_000
 
@@ -25,69 +27,49 @@ class DixonError(RuntimeError):
     pass
 
 
-def _is_prime(m: int) -> bool:
-    if m < 2:
-        return False
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            return False
-        p += 1 if p == 2 else 2
-    return True
-
-
 def dixon_parameters(order: int, exponent: int) -> Tuple[int, int]:
     """Smallest prime l = 1 (mod exponent), l > 2*ceil(sqrt(order)), and an
     element of multiplicative order = exponent mod l."""
     floor_bound = 2 * isqrt(order - 1) + 2 if order > 1 else 3
-    ell = exponent + 1
-    while ell <= floor_bound or not _is_prime(ell):
-        ell += exponent
-        if ell > PRIME_SEARCH_BOUND:
-            raise DixonError(
-                "no prime l = 1 mod %d below %d" % (exponent, PRIME_SEARCH_BOUND))
-    omega = None
-    factors = prime_factors(exponent)
-    for a in range(2, ell):
-        w = pow(a, (ell - 1) // exponent, ell)
-        if w != 1 and all(pow(w, exponent // q, ell) != 1 for q in factors):
-            omega = w
-            break
-    if omega is None:  # pragma: no cover
-        raise DixonError("no element of order %d mod %d" % (exponent, ell))
-    return ell, omega
+    ell = prime_one_mod(exponent, floor_bound)
+    if ell > PRIME_SEARCH_BOUND:
+        raise DixonError(
+            "no prime l = 1 mod %d below %d" % (exponent, PRIME_SEARCH_BOUND))
+    return ell, element_of_order(exponent, ell)
 
 
 def _ordered_classes(group: FiniteGroup):
+    """Conjugacy classes in table order (identity first) and the number of
+    the class of each element position in that order."""
     classes = conjugacy_classes(group)
     order = sorted(range(len(classes)),
                    key=lambda i: (classes[i].order != 1, classes[i].order,
                                   classes[i].size, classes[i].rep.key))
-    return [classes[i] for i in order]
-
-
-def class_constants(group: FiniteGroup) -> Dict[Tuple[int, int, int], int]:
-    """Tensor a[i,j,k] = #{(x,y) in C_i x C_j : x*y = z_k} for fixed reps z_k,
-    by direct counting."""
-    if not group.elements:
-        raise ValueError("group is not enumerated")
-    classes = _ordered_classes(group)
-    k = len(classes)
-    pos_to_class = [0] * len(group.elements)
+    classes = [classes[i] for i in order]
+    class_of = [0] * len(group.elements)
     for cno, c in enumerate(classes):
         for pos in c.indices:
-            pos_to_class[pos] = cno
-    inv_pos = [group.index[x.inverse().key] for x in group.elements]
-    tensor: Dict[Tuple[int, int, int], int] = {}
+            class_of[pos] = cno
+    return classes, class_of
+
+
+def class_constants(group: FiniteGroup) -> List[List[List[int]]]:
+    """a[i][j][k] = #{(x, y) in C_i x C_j : x*y = z_k} for fixed reps z_k,
+    classes in table order, by direct counting: x runs over C_i and
+    y = x^-1 z_k."""
+    if not group.elements:
+        raise ValueError("group is not enumerated")
+    classes, class_of = _ordered_classes(group)
+    k = len(classes)
+    elements, index = group.elements, group.index
+    inv_pos = [index[x.inverse().key] for x in elements]
+    a = [[[0] * k for _ in range(k)] for _ in range(k)]
     for kk, ck in enumerate(classes):
         zk = ck.rep
-        for pos, x in enumerate(group.elements):
-            i = pos_to_class[pos]
-            y = group.elements[inv_pos[pos]] * zk
-            j = pos_to_class[group.index[y.key]]
-            key = (i, j, kk)
-            tensor[key] = tensor.get(key, 0) + 1
-    return tensor
+        for pos, i in enumerate(class_of):
+            j = class_of[index[(elements[inv_pos[pos]] * zk).key]]
+            a[i][j][kk] += 1
+    return a
 
 
 def _charpoly_mod(a: List[List[int]], ell: int) -> List[int]:
@@ -96,8 +78,9 @@ def _charpoly_mod(a: List[List[int]], ell: int) -> List[int]:
     xs = list(range(d + 1))
     ys = []
     for x in xs:
-        m = [[(x if i == j else 0) - a[i][j] for j in range(d)] for i in range(d)]
-        ys.append(_det_mod(m, ell))
+        m = [[((x if i == j else 0) - a[i][j]) % ell for j in range(d)]
+             for i in range(d)]
+        ys.append(mat_det(m, ell))
     # Lagrange interpolation to coefficient form
     coeffs = [0] * (d + 1)
     for i, xi in enumerate(xs):
@@ -113,30 +96,6 @@ def _charpoly_mod(a: List[List[int]], ell: int) -> List[int]:
         for t, c in enumerate(num):
             coeffs[t] = (coeffs[t] + scale * c) % ell
     return coeffs
-
-
-def _det_mod(m: List[List[int]], ell: int) -> int:
-    d = len(m)
-    a = [[v % ell for v in row] for row in m]
-    det = 1
-    for col in range(d):
-        sel = None
-        for r in range(col, d):
-            if a[r][col]:
-                sel = r
-                break
-        if sel is None:
-            return 0
-        if sel != col:
-            a[col], a[sel] = a[sel], a[col]
-            det = -det
-        det = det * a[col][col] % ell
-        inv = pow(a[col][col], -1, ell)
-        for r in range(col + 1, d):
-            if a[r][col]:
-                f = a[r][col] * inv % ell
-                a[r] = [(x - f * y) % ell for x, y in zip(a[r], a[col])]
-    return det % ell
 
 
 def _polmul(a, b, ell):
@@ -227,40 +186,6 @@ def _roots_mod(f: List[int], ell: int) -> List[int]:
     return sorted(roots)
 
 
-def _nullspace_mod(a: List[List[int]], ell: int) -> List[List[int]]:
-    rows = len(a)
-    cols = len(a[0])
-    m = [[v % ell for v in row] for row in a]
-    pivots = []
-    r = 0
-    for c in range(cols):
-        sel = None
-        for rr in range(r, rows):
-            if m[rr][c]:
-                sel = rr
-                break
-        if sel is None:
-            continue
-        m[r], m[sel] = m[sel], m[r]
-        inv = pow(m[r][c], -1, ell)
-        m[r] = [v * inv % ell for v in m[r]]
-        for rr in range(rows):
-            if rr != r and m[rr][c]:
-                f = m[rr][c]
-                m[rr] = [(x - f * y) % ell for x, y in zip(m[rr], m[r])]
-        pivots.append(c)
-        r += 1
-    free = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [0] * cols
-        v[fc] = 1
-        for r, pc in enumerate(pivots):
-            v[pc] = (-m[r][fc]) % ell
-        basis.append(v)
-    return basis
-
-
 def _tonelli_sqrt(a: int, ell: int) -> int:
     a %= ell
     if a == 0:
@@ -298,32 +223,17 @@ def character_table_dixon_mapped(group: FiniteGroup):
     corresponding enumerated conjugacy class of the group."""
     if not group.elements:
         raise ValueError("group is not enumerated")
-    classes = _ordered_classes(group)
+    classes, class_of = _ordered_classes(group)
     k = len(classes)
     order = group.order
-    exponent = 1
-    for c in classes:
-        exponent = exponent // gcd(exponent, c.order) * c.order
+    exponent = lcm(*(c.order for c in classes))
     ell, omega = dixon_parameters(order, exponent)
-
-    pos_to_class = [0] * len(group.elements)
-    for cno, c in enumerate(classes):
-        for pos in c.indices:
-            pos_to_class[pos] = cno
-    inv_pos = [group.index[x.inverse().key] for x in group.elements]
 
     # class matrices acting on central-character vectors u (u_j = omega(C_j)):
     # sum_t a[i,j,t] u_t = omega_i * u_j, so (M_i)[j][t] = a[i, j, t]
-    mats = [[[0] * k for _ in range(k)] for _ in range(k)]
-    for t in range(k):
-        zt = classes[t].rep
-        for pos, x in enumerate(group.elements):
-            i = pos_to_class[pos]
-            y = group.elements[inv_pos[pos]] * zt
-            j = pos_to_class[group.index[y.key]]
-            mats[i][j][t] += 1
-
-    inverse_class = [pos_to_class[inv_pos[group.index[c.rep.key]]] for c in classes]
+    mats = class_constants(group)
+    # z_0 is the identity, so a[i, j, 0] is nonzero only for C_j = C_i^-1
+    inverse_class = [next(j for j in range(k) if mats[i][j][0]) for i in range(k)]
 
     # split common eigenspaces, walking class matrices in class order
     subspaces: List[List[List[int]]] = [
@@ -354,7 +264,7 @@ def character_table_dixon_mapped(group: FiniteGroup):
                 shifted = [[(a_restr[r][c] - (lam if r == c else 0)) % ell
                             for c in range(d)] for r in range(d)]
                 eig_basis = []
-                for nv in _nullspace_mod(shifted, ell):
+                for nv in nullspace(shifted, ell):
                     vec = [sum(nv[j] * basis[j][r] for j in range(d)) % ell
                            for r in range(k)]
                     eig_basis.append(vec)
@@ -401,7 +311,7 @@ def character_table_dixon_mapped(group: FiniteGroup):
                 acc = None
             else:
                 acc = x if acc is None else acc * x
-                row[e] = pos_to_class[group.index[acc.key]]
+                row[e] = class_of[group.index[acc.key]]
         power_class.append(row)
 
     omega_pows = [1] * exponent
@@ -451,44 +361,17 @@ def character_table_dixon_mapped(group: FiniteGroup):
 
 
 def _solve_in_basis(basis, images, ell):
-    """Coordinates of each image in the span of basis (basis independent)."""
-    k = len(basis[0])
+    """Coordinates A[t][j] of each image j on basis vector t (the basis is
+    independent and must span the images)."""
     d = len(basis)
-    # row-reduce [basis columns | images columns]
-    cols = d + len(images)
-    m = [[0] * cols for _ in range(k)]
-    for j, vec in enumerate(basis):
-        for r in range(k):
-            m[r][j] = vec[r] % ell
-    for j, vec in enumerate(images):
-        for r in range(k):
-            m[r][d + j] = vec[r] % ell
-    r = 0
-    pivots = []
-    for c in range(d):
-        sel = None
-        for rr in range(r, k):
-            if m[rr][c]:
-                sel = rr
-                break
-        if sel is None:
-            raise DixonError("basis is dependent")
-        m[r], m[sel] = m[sel], m[r]
-        inv = pow(m[r][c], -1, ell)
-        m[r] = [v * inv % ell for v in m[r]]
-        for rr in range(k):
-            if rr != r and m[rr][c]:
-                f = m[rr][c]
-                m[rr] = [(x - f * y) % ell for x, y in zip(m[rr], m[r])]
-        pivots.append(c)
-        r += 1
-    # A[t][j]: coordinate of image j on basis vector t
-    a = [[m[t][d + j] for j in range(len(images))] for t in range(d)]
-    # consistency: rows beyond rank must be zero on image columns
-    for rr in range(r, k):
-        if any(m[rr][d:]):
-            raise DixonError("subspace is not invariant")
-    return a
+    # row-reduce [basis columns | image columns]
+    m = [[vec[r] for vec in basis] + [vec[r] for vec in images]
+         for r in range(len(basis[0]))]
+    if len(gauss_jordan(m, ell, d)[0]) < d:
+        raise DixonError("basis is dependent")
+    if any(any(row[d:]) for row in m[d:]):
+        raise DixonError("subspace is not invariant")
+    return [row[d:] for row in m[:d]]
 
 
 def _group_label(group: FiniteGroup) -> str:

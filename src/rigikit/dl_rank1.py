@@ -12,11 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .chartable import CharacterTable, build_table_mapped
 from .cyclo import Cyclotomic, cyc, from_terms, zeta
+from .modp import prime_factors
 
 Label = Tuple  # ("central", a) | ("unipotent", ...) | ("split", ...) | ("nonsplit", ...)
 RowLabel = Tuple
@@ -49,18 +50,12 @@ class CheckReport:
         )
 
 
-def _factor_prime_power(q: int) -> Tuple[int, int]:
-    for p in range(2, q + 1):
-        if q % p == 0:
-            f = 0
-            m = q
-            while m % p == 0:
-                m //= p
-                f += 1
-            if m != 1:
-                raise ValueError("%d is not a prime power" % q)
-            return p, f
-    raise ValueError("%d is not a prime power" % q)
+def _characteristic(q: int) -> int:
+    """The prime p with q a power of p."""
+    primes = prime_factors(q)
+    if len(primes) != 1:
+        raise ValueError("%d is not a prime power" % q)
+    return primes[0]
 
 
 def _legendre(a: int, p: int) -> int:
@@ -129,10 +124,7 @@ class Rank1Family:
         return self.table.order
 
     def order_pprime(self) -> int:
-        n = self.table.order
-        while n % self.p == 0:
-            n //= self.p
-        return n
+        return _pprime(self.table.order, self.p)
 
     def torus_order(self, torus: str) -> int:
         q = self.q
@@ -141,10 +133,7 @@ class Rank1Family:
         return q - 1 if torus == "split" else q + 1
 
     def centralizer_pprime(self, j: int) -> int:
-        n = self.table.order // self.table.classes[j].size
-        while n % self.p == 0:
-            n //= self.p
-        return n
+        return _pprime(self.table.centralizer_order(j), self.p)
 
     def class_of_label(self, label: Label) -> int:
         return self.label_to_class[label]
@@ -208,7 +197,7 @@ def _nonsplit_rep(e: int, q: int) -> int:
 
 def _gl2_class_list(q: int):
     """Labels, sizes, orders, in a fixed construction order."""
-    p, _ = _factor_prime_power(q)
+    p = _characteristic(q)
     n1, n2 = q - 1, q * q - 1
     labels: List[Label] = []
     sizes: List[int] = []
@@ -226,7 +215,7 @@ def _gl2_class_list(q: int):
             labels.append(("split", (a, b)))
             sizes.append(q * (q + 1))
             da, db = (n1 // gcd(a, n1) if a else 1), (n1 // gcd(b, n1) if b else 1)
-            orders.append(da * db // gcd(da, db))
+            orders.append(lcm(da, db))
     seen = set()
     for e in range(n2):
         if e % (q + 1) == 0:
@@ -243,7 +232,7 @@ def _gl2_class_list(q: int):
 
 def _gl2_class_of_power(label: Label, r: int, q: int) -> Label:
     """Label of the class of x^r for x in the labelled class."""
-    p, _ = _factor_prime_power(q)
+    p = _characteristic(q)
     n1, n2 = q - 1, q * q - 1
     kind = label[0]
     if kind == "central":
@@ -332,18 +321,14 @@ def _gl2_value(row: RowLabel, cls: Label, q: int) -> Cyclotomic:
 
 
 def build_gl2(q: int) -> Rank1Family:
-    p, _ = _factor_prime_power(q)
+    p = _characteristic(q)
     if q < 3:
         raise ValueError("GL2 needs q >= 3")
     n1, n2 = q - 1, q * q - 1
     labels, sizes, orders = _gl2_class_list(q)
     assert len(labels) == q * q - 1
     label_pos = {lab: i for i, lab in enumerate(labels)}
-    exponent = 1
-    for o in orders:
-        exponent = exponent // gcd(exponent, o) * o
-    from .cyclo import prime_factors
-
+    exponent = lcm(*orders)
     exp_primes = prime_factors(exponent)
     class_infos = []
     for i, lab in enumerate(labels):
@@ -372,8 +357,8 @@ def build_gl2(q: int) -> Rank1Family:
 
 
 def build_sl2(q: int) -> Rank1Family:
-    p, f = _factor_prime_power(q)
-    if f != 1 or p == 2:
+    p = _characteristic(q)
+    if p != q or p == 2:
         raise ValueError("SL2 supports odd prime q only, got %d" % q)
     n1, n2 = q - 1, q + 1
     eps = _legendre(-1, q)
@@ -498,11 +483,7 @@ def build_sl2(q: int) -> Rank1Family:
         return cyc(-((-1) ** cls[1]))
 
     label_pos = {lab: i for i, lab in enumerate(labels)}
-    exponent = 1
-    for o in orders:
-        exponent = exponent // gcd(exponent, o) * o
-    from .cyclo import prime_factors
-
+    exponent = lcm(*orders)
     class_infos = []
     for i, lab in enumerate(labels):
         pm = {r: label_pos[power_label(lab, r)] for r in prime_factors(exponent)}
@@ -526,8 +507,8 @@ def build_sl2(q: int) -> Rank1Family:
 
 
 def build_pgl2(q: int) -> Rank1Family:
-    p, f = _factor_prime_power(q)
-    if f != 1 or p == 2:
+    p = _characteristic(q)
+    if p != q or p == 2:
         raise ValueError("PGL2 supports odd prime q only, got %d" % q)
     n1, n2 = q - 1, q + 1
     half1 = n1 // 2
@@ -593,11 +574,7 @@ def build_pgl2(q: int) -> Rank1Family:
         return _gl2_value(gl2_row(row), gl2_rep(cls), q)
 
     label_pos = {lab: i for i, lab in enumerate(labels)}
-    exponent = 1
-    for o in orders:
-        exponent = exponent // gcd(exponent, o) * o
-    from .cyclo import prime_factors
-
+    exponent = lcm(*orders)
     class_infos = []
     for i, lab in enumerate(labels):
         pm = {r: label_pos[power_label(lab, r)] for r in prime_factors(exponent)}

@@ -1,0 +1,151 @@
+"""Integer and prime-field arithmetic shared by the package.
+
+Trial-division primality and factoring (the integers met here are group
+orders, exponents, element orders, conductors and field sizes), the
+multiplicative functions built on the factoring, primes l = 1 (mod n) with
+an element of order n in GF(l), and one Gauss-Jordan elimination over
+GF(p) under the matrix inverse, determinant, rank and nullspace.
+"""
+
+from __future__ import annotations
+
+from math import prod
+from typing import List, Tuple
+
+
+def is_prime(n: int) -> bool:
+    if n < 2:
+        return False
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            return False
+        p += 1 if p == 2 else 2
+    return True
+
+
+def prime_factors(n: int) -> Tuple[int, ...]:
+    """Distinct prime divisors of n >= 1, ascending."""
+    out = []
+    m, p = n, 2
+    while p * p <= m:
+        if m % p == 0:
+            out.append(p)
+            while m % p == 0:
+                m //= p
+        p += 1 if p == 2 else 2
+    if m > 1:
+        out.append(m)
+    return tuple(out)
+
+
+def euler_phi(n: int) -> int:
+    result = n
+    for p in prime_factors(n):
+        result -= result // p
+    return result
+
+
+def moebius(n: int) -> int:
+    primes = prime_factors(n)
+    if prod(primes) != n:
+        return 0
+    return -1 if len(primes) % 2 else 1
+
+
+def prime_one_mod(n: int, floor: int) -> int:
+    """Smallest prime l = 1 (mod n) with l > floor and l > n."""
+    ell = max(1, -(-floor // n)) * n + 1
+    while not is_prime(ell):
+        ell += n
+    return ell
+
+
+def element_of_order(n: int, ell: int) -> int:
+    """a^((ell - 1)/n) mod the prime ell for the least a >= 1 that makes it
+    an element of multiplicative order n; n must divide ell - 1."""
+    factors = prime_factors(n)
+    for a in range(1, ell):
+        w = pow(a, (ell - 1) // n, ell)
+        if all(pow(w, n // q, ell) != 1 for q in factors):
+            return w
+    raise ValueError("no element of order %d mod %d" % (n, ell))
+
+
+def primitive_root(p: int) -> int:
+    """Least generator of the multiplicative group of GF(p)."""
+    return element_of_order(p - 1, p)
+
+
+# ---------------------------------------------------------------------------
+# linear algebra over GF(p); matrices are lists of rows, entries in range(p)
+
+
+def gauss_jordan(rows: List[List[int]], p: int, ncols: int) -> Tuple[List[int], int]:
+    """Reduce `rows` in place to reduced row echelon form mod p, taking
+    pivots in the first `ncols` columns only, so that an augmented
+    [A | B] reduces A and carries B along.
+
+    Returns the pivot columns and the determinant of the pivot block, which
+    is det(A) when A is square and every column has a pivot.
+    """
+    pivots: List[int] = []
+    det = 1
+    nrows = len(rows)
+    r = 0
+    for c in range(ncols):
+        for sel in range(r, nrows):
+            if rows[sel][c]:
+                break
+        else:
+            continue
+        if sel != r:
+            rows[r], rows[sel] = rows[sel], rows[r]
+            det = -det
+        prow = rows[r]
+        piv = prow[c]
+        if piv != 1:
+            det = det * piv % p
+            inv = pow(piv, -1, p)
+            prow = rows[r] = [v * inv % p for v in prow]
+        for s in range(nrows):
+            f = rows[s][c]
+            if f and s != r:
+                rows[s] = [(x - f * y) % p for x, y in zip(rows[s], prow)]
+        pivots.append(c)
+        r += 1
+    return pivots, det % p
+
+
+def mat_inv(a, p: int) -> Tuple[Tuple[int, ...], ...]:
+    """Inverse of the square matrix a mod p; ZeroDivisionError if singular."""
+    n = len(a)
+    rows = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
+    if len(gauss_jordan(rows, p, n)[0]) < n:
+        raise ZeroDivisionError("matrix is singular mod %d" % p)
+    return tuple(tuple(row[n:]) for row in rows)
+
+
+def mat_det(a, p: int) -> int:
+    n = len(a)
+    pivots, det = gauss_jordan([list(row) for row in a], p, n)
+    return det if len(pivots) == n else 0
+
+
+def mat_rank(a, p: int) -> int:
+    return len(gauss_jordan([list(row) for row in a], p, len(a[0]) if a else 0)[0])
+
+
+def nullspace(a, p: int) -> List[List[int]]:
+    """Basis of {v : a v = 0} mod p, one vector per non-pivot column."""
+    ncols = len(a[0])
+    rows = [list(row) for row in a]
+    pivots = gauss_jordan(rows, p, ncols)[0]
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        v = [0] * ncols
+        v[fc] = 1
+        for r, pc in enumerate(pivots):
+            v[pc] = -rows[r][fc] % p
+        basis.append(v)
+    return basis

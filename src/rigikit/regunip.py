@@ -19,6 +19,8 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+from .modp import is_prime
+
 
 @dataclass(frozen=True)
 class ExceptionalType:
@@ -48,8 +50,8 @@ def exceptional_type(name) -> ExceptionalType:
 
 def regular_unipotent_order(gtype, p: int) -> int:
     """Least power of p reaching the Coxeter number."""
-    if p < 2:
-        raise ValueError("p must be at least 2")
+    if not is_prime(p):
+        raise ValueError("p must be prime, got %d" % p)
     h = exceptional_type(gtype).coxeter_number
     m = 1
     while m < h:
@@ -257,11 +259,7 @@ def load_expected() -> List[Tuple[str, str, str]]:
 
 
 def sweep_primes(limit: int = 127) -> List[int]:
-    primes = []
-    for n in range(2, limit + 1):
-        if all(n % q for q in primes if q * q <= n):
-            primes.append(n)
-    return primes
+    return [n for n in range(2, limit + 1) if is_prime(n)]
 
 
 def expected_survivors(expected, gtype: str, p: int) -> Set[str]:

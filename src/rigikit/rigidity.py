@@ -143,6 +143,8 @@ def rigidity_verdict(table: CharacterTable, triple: ClassTriple,
     product-1 triple is assumed to generate; counts other than 0 or |G|/|Z|
     rule rigidity out regardless of generation.
     """
+    if center_order < 1:
+        raise ValueError("center order must be positive, got %d" % center_order)
     if table.order % center_order != 0:
         raise ValueError("center order %d does not divide group order %d"
                          % (center_order, table.order))

@@ -9,8 +9,10 @@ breadth-first searches with deterministic enumeration order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import gcd
+from math import gcd, lcm
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+
+from .modp import is_prime, mat_det, mat_inv, mat_rank, primitive_root
 
 
 class GroupTooLargeError(RuntimeError):
@@ -54,7 +56,7 @@ class GroupElement:
         return GroupElement(prod, p, self.projective, _canonical=True)
 
     def inverse(self) -> "GroupElement":
-        inv = _mat_inv(self.entries, self.p)
+        inv = mat_inv(self.entries, self.p)
         if self.projective:
             inv = _projective_scale(inv, self.p)
         return GroupElement(inv, self.p, self.projective, _canonical=True)
@@ -72,7 +74,7 @@ class GroupElement:
         return k
 
     def det(self) -> int:
-        return _mat_det(self.entries, self.p)
+        return mat_det(self.entries, self.p)
 
     def __eq__(self, other):
         return (isinstance(other, GroupElement) and self.key == other.key
@@ -108,79 +110,6 @@ def make_element(rows: Sequence[Sequence[int]], p: int,
     return GroupElement(tuple(tuple(r) for r in rows), p, projective)
 
 
-def _mat_inv(entries, p):
-    n = len(entries)
-    a = [list(row) for row in entries]
-    inv = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    for col in range(n):
-        sel = None
-        for r in range(col, n):
-            if a[r][col] % p:
-                sel = r
-                break
-        if sel is None:
-            raise ZeroDivisionError("matrix is singular mod %d" % p)
-        a[col], a[sel] = a[sel], a[col]
-        inv[col], inv[sel] = inv[sel], inv[col]
-        f = pow(a[col][col], -1, p)
-        a[col] = [v * f % p for v in a[col]]
-        inv[col] = [v * f % p for v in inv[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [(x - f * y) % p for x, y in zip(a[r], a[col])]
-                inv[r] = [(x - f * y) % p for x, y in zip(inv[r], inv[col])]
-    return tuple(tuple(row) for row in inv)
-
-
-def _mat_det(entries, p):
-    n = len(entries)
-    a = [list(row) for row in entries]
-    det = 1
-    for col in range(n):
-        sel = None
-        for r in range(col, n):
-            if a[r][col] % p:
-                sel = r
-                break
-        if sel is None:
-            return 0
-        if sel != col:
-            a[col], a[sel] = a[sel], a[col]
-            det = -det
-        det = det * a[col][col] % p
-        f = pow(a[col][col], -1, p)
-        for r in range(col + 1, n):
-            if a[r][col]:
-                g = a[r][col] * f % p
-                a[r] = [(x - g * y) % p for x, y in zip(a[r], a[col])]
-    return det % p
-
-
-def rank_mod_p(entries, p) -> int:
-    a = [list(row) for row in entries]
-    n_rows = len(a)
-    n_cols = len(a[0]) if a else 0
-    rank = 0
-    for col in range(n_cols):
-        sel = None
-        for r in range(rank, n_rows):
-            if a[r][col] % p:
-                sel = r
-                break
-        if sel is None:
-            continue
-        a[rank], a[sel] = a[sel], a[rank]
-        f = pow(a[rank][col], -1, p)
-        a[rank] = [v * f % p for v in a[rank]]
-        for r in range(n_rows):
-            if r != rank and a[r][col]:
-                g = a[r][col]
-                a[r] = [(x - g * y) % p for x, y in zip(a[r], a[rank])]
-        rank += 1
-    return rank
-
-
 # ---------------------------------------------------------------------------
 # groups
 
@@ -208,18 +137,10 @@ class FiniteGroup:
     def order(self) -> int:
         return len(self.elements)
 
-    def element_class(self, x: GroupElement) -> int:
-        if self.class_of is None:
-            raise ValueError("conjugacy classes not computed")
-        return self.class_of[self.index[x.key]]
-
     def exponent(self) -> int:
         if self.classes is None:
             conjugacy_classes(self)
-        e = 1
-        for c in self.classes:
-            e = e // gcd(e, c.order) * c.order
-        return e
+        return lcm(*(c.order for c in self.classes))
 
 
 def closure(generators: Sequence[GroupElement], cap: int = DEFAULT_CLOSURE_CAP,
@@ -378,7 +299,7 @@ def jordan_type(m: GroupElement) -> JordanType:
         cur = identity(n, p).entries
         for _ in range(n):
             cur = _mat_mul_entries(cur, a, p)
-            ranks.append(rank_mod_p(cur, p))
+            ranks.append(mat_rank(cur, p))
         blocks = []
         for k in range(1, n + 1):
             count = (ranks[k - 1] - ranks[k]) - (ranks[k] - ranks[k + 1] if k < n else 0)
@@ -462,11 +383,6 @@ def so_generators(m: int, p: int) -> List[GroupElement]:
         raise ValueError("SO_{2m} needs m >= 2")
     dim = 2 * m
 
-    def unit(i, j, t):
-        e = [[1 if a == b else 0 for b in range(dim)] for a in range(dim)]
-        e[i][j] = t % p
-        return e
-
     def dual(i):  # 0-based pairing i <-> dim-1-i
         return dim - 1 - i
 
@@ -520,26 +436,6 @@ def preserves_form(x: GroupElement, gram) -> bool:
     return left == gram
 
 
-def primitive_root(p: int) -> int:
-    if p == 2:
-        return 1
-    factors = set()
-    m = p - 1
-    q = 2
-    while q * q <= m:
-        if m % q == 0:
-            factors.add(q)
-            while m % q == 0:
-                m //= q
-        q += 1
-    if m > 1:
-        factors.add(m)
-    for g in range(2, p):
-        if all(pow(g, (p - 1) // f, p) != 1 for f in factors):
-            return g
-    raise ArithmeticError("no primitive root mod %d" % p)
-
-
 def order_gl(n: int, q: int) -> int:
     total = 1
     for i in range(n):
@@ -576,7 +472,7 @@ def group_from_spec(spec: str, cap: int = DEFAULT_CLOSURE_CAP) -> FiniteGroup:
             if len(args) != 2:
                 raise ValueError("group spec needs two arguments: %r" % spec)
             n, p = int(args[0]), int(args[1])
-            if not _is_prime_int(p):
+            if not is_prime(p):
                 raise ValueError("group spec needs a prime field: %r" % spec)
             if kind == "SL":
                 gens = sl_generators(n, p)
@@ -594,17 +490,6 @@ def group_from_spec(spec: str, cap: int = DEFAULT_CLOSURE_CAP) -> FiniteGroup:
     raise ValueError("unrecognized group spec %r" % spec)
 
 
-def _is_prime_int(m: int) -> bool:
-    if m < 2:
-        return False
-    q = 2
-    while q * q <= m:
-        if m % q == 0:
-            return False
-        q += 1
-    return True
-
-
 def parse_generator_file(text: str, projective: bool = False) -> List[GroupElement]:
     """Generator file format: blocks of 'matrix <n> <p>' followed by n rows."""
     lines = [ln.strip() for ln in text.splitlines()]
@@ -619,6 +504,8 @@ def parse_generator_file(text: str, projective: bool = False) -> List[GroupEleme
         if fields[0] != "matrix" or len(fields) != 3:
             raise ValueError("expected 'matrix <n> <p>' at line %d" % i)
         n, p = int(fields[1]), int(fields[2])
+        if not is_prime(p):
+            raise ValueError("matrix modulus %d is not prime at line %d" % (p, i))
         rows = []
         while len(rows) < n:
             if i >= len(lines):
@@ -660,8 +547,8 @@ def lemma_sl_triple_count(n: int, p: int,
     """Exact count of (involution, quadratic unipotent, regular unipotent)
     triples with product 1 in SL_n(p), p odd, summed over all involution
     classes. Runs on conjugation orbits; the full group is never enumerated."""
-    if p == 2:
-        raise ValueError("p must be odd")
+    if p == 2 or not is_prime(p):
+        raise ValueError("the field size must be an odd prime, got %d" % p)
     gens = sl_generators(n, p)
     z = regular_unipotent_sl(n, p)
     c3_size = sl_regular_unipotent_class_size(n, p)
@@ -693,8 +580,8 @@ def lemma_so_triple_count(m: int, p: int,
     """Exact count of (involution, quadratic unipotent, regular unipotent)
     triples with product 1 in SO_{2m}(p), p odd, over all involution classes
     and all regular-unipotent (partition (2m-1,1)) classes."""
-    if p == 2:
-        raise ValueError("p must be odd")
+    if p == 2 or not is_prime(p):
+        raise ValueError("the field size must be an odd prime, got %d" % p)
     group = closure(so_generators(m, p), cap=cap, kind="SO")
     classes = conjugacy_classes(group)
     dim = 2 * m

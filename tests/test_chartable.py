@@ -128,6 +128,14 @@ def test_perturbed_value_fails_row_orthogonality():
     assert "2" in fail["row_orthogonality"].detail  # names the row pair
 
 
+def test_perturbed_value_fails_column_orthogonality():
+    t = parse_ctb(S3_TEXT)
+    bad = _tweak_value(t, 2, 1, cyc(1))
+    fail = {c.name: c for c in validate(bad).failures()}
+    # columns 1A and 2A: 1*1 + 1*(-1) + 2*1 = 2, not 0
+    assert fail["column_orthogonality"].detail == "fails for classes 1A and 2A"
+
+
 def test_size_sum_failure():
     t = parse_ctb(S3_TEXT.replace("class 2A size=3", "class 2A size=4"))
     report = validate(t, orthogonality=False)

@@ -139,12 +139,33 @@ def test_help_exits_zero(capsys):
         assert main([sub, "--help"]) == 0
         out = capsys.readouterr().out
         assert "--" in out  # every subcommand documents its flags
+        assert "--threads" not in out
 
 
-def test_threads_flag_accepted_everywhere(capsys):
-    status, out, _ = run(capsys, ["regunip", "--type", "G2", "--p", "5",
-                                  "--threads", "4"])
-    assert status == 0
-    status, out2, _ = run(capsys, ["regunip", "--type", "G2", "--p", "5",
-                                   "--threads", "1"])
-    assert out == out2
+def test_out_of_domain_moduli_exit_2(tmp_path, capsys):
+    gens = tmp_path / "gens.txt"
+    gens.write_text("matrix 2 4\n1 1\n0 1\n")
+    for argv in (["lemma", "sl", "--n", "3", "--q", "4"],
+                 ["lemma", "so", "--m", "2", "--q", "9"],
+                 ["regunip", "--type", "E8", "--p", "6"],
+                 ["dixon", "@%s" % gens]):
+        status, out, err = run(capsys, argv)
+        assert status == 2, argv
+        assert out == "" and err.startswith("error:"), argv
+
+
+def test_center_below_one_exit_2(capsys):
+    for z in ("0", "-1"):
+        status, out, err = run(capsys, [
+            "rigid", fixture_path("psl2_7.ctb"), "2A", "3A", "7A", "--center", z])
+        assert status == 2
+        assert out == "" and err.startswith("error:")
+
+
+def test_inconsistent_table_exit_2(tmp_path, capsys):
+    text = Path(fixture_path("s3.ctb")).read_text()
+    target = tmp_path / "order7.ctb"
+    target.write_text(text.replace("order 6", "order 7"))
+    status, out, err = run(capsys, ["structconst", str(target), "2A", "2A", "3A"])
+    assert status == 2
+    assert out == "" and err.startswith("error:")

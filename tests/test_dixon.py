@@ -52,7 +52,7 @@ def test_class_constants_identities():
         sizes = [cc[i].size for i in order]
         for i in range(k):
             for j in range(k):
-                total = sum(tensor.get((i, j, t), 0) * sizes[t] for t in range(k))
+                total = sum(tensor[i][j][t] * sizes[t] for t in range(k))
                 assert total == sizes[i] * sizes[j]
 
 
@@ -60,7 +60,7 @@ def test_order2_group_constant():
     g = group_from_spec("GL(1,3)")
     tensor = class_constants(g)
     # classes: 0 = identity, 1 = the involution; (-1)(-1) = 1
-    assert tensor[(1, 1, 0)] == 1
+    assert tensor[1][1][0] == 1
 
 
 def test_determinism():
@@ -103,3 +103,9 @@ def test_psl27_constant_cross_check():
     n = frobenius_count(table, ClassTriple(i2, i3, i7))
     assert n == 168
     assert brute_triple_count(g, class_map[i2], class_map[i3], class_map[i7]) == 168
+
+
+def test_trivial_group():
+    t = character_table_dixon(group_from_spec("GL(1,2)"))
+    assert t.order == 1 and t.exponent == 1
+    assert validate(t).ok

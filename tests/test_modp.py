@@ -1,0 +1,137 @@
+"""The shared prime-field layer against sympy, used here only as an oracle."""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from sympy import GF, isprime, mobius, primefactors, totient
+from sympy.polys.matrices import DomainMatrix
+
+from rigikit.dixon import DixonError, _solve_in_basis
+from rigikit.modp import (
+    element_of_order,
+    euler_phi,
+    gauss_jordan,
+    is_prime,
+    mat_det,
+    mat_inv,
+    mat_rank,
+    moebius,
+    nullspace,
+    prime_factors,
+    prime_one_mod,
+)
+from rigikit.smallgrp import make_element
+
+PRIMES = [2, 3, 5, 7, 11, 13]
+
+
+def to_sympy(rows, p):
+    K = GF(p)
+    shape = (len(rows), len(rows[0]))
+    return DomainMatrix([[K(v) for v in row] for row in rows], shape, K)
+
+
+def from_sympy(m, p):
+    return [[int(v) % p for v in row] for row in m.to_list()]
+
+
+@st.composite
+def matrices(draw, square=False, singular=False):
+    p = draw(st.sampled_from(PRIMES))
+    n = draw(st.integers(1, 6))
+    m = n if square else draw(st.integers(1, 6))
+    rows = [[draw(st.integers(0, p - 1)) for _ in range(m)] for _ in range(n)]
+    if singular:
+        # the last row becomes a combination of the others (zero when n = 1)
+        coeffs = [draw(st.integers(0, p - 1)) for _ in range(n - 1)]
+        rows[-1] = [sum(c * row[j] for c, row in zip(coeffs, rows)) % p
+                    for j in range(m)]
+    return p, rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices(square=True))
+def test_square_inverse_and_det(case):
+    p, rows = case
+    oracle = to_sympy(rows, p)
+    det = int(oracle.det()) % p
+    assert mat_det(rows, p) == det
+    if det:
+        assert [list(r) for r in mat_inv(rows, p)] == from_sympy(oracle.inv(), p)
+    else:
+        with pytest.raises(ZeroDivisionError):
+            mat_inv(rows, p)
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrices(square=True, singular=True))
+def test_singular_square(case):
+    p, rows = case
+    assert mat_det(rows, p) == 0
+    assert mat_rank(rows, p) == to_sympy(rows, p).rank() < len(rows)
+    with pytest.raises(ZeroDivisionError):
+        mat_inv(rows, p)
+    with pytest.raises(ZeroDivisionError):
+        make_element(rows, p).inverse()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(matrices(), matrices(singular=True)))
+def test_rank_nullspace_and_reduced_form(case):
+    p, rows = case
+    oracle = to_sympy(rows, p)
+    rank = oracle.rank()
+    assert mat_rank(rows, p) == rank
+    basis = nullspace(rows, p)
+    assert len(basis) == len(rows[0]) - rank
+    for v in basis:
+        assert all(sum(a * b for a, b in zip(row, v)) % p == 0 for row in rows)
+    reduced = [list(r) for r in rows]
+    pivots, _ = gauss_jordan(reduced, p, len(rows[0]))
+    rref, oracle_pivots = oracle.rref()
+    assert reduced == from_sympy(rref, p)
+    assert tuple(pivots) == tuple(oracle_pivots)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_coordinates_in_basis(data):
+    p = data.draw(st.sampled_from(PRIMES))
+    k = data.draw(st.integers(1, 6))
+    d = data.draw(st.integers(1, k))
+    basis = [[data.draw(st.integers(0, p - 1)) for _ in range(k)] for _ in range(d)]
+    if to_sympy(basis, p).rank() < d:
+        with pytest.raises(DixonError):
+            _solve_in_basis(basis, [[0] * k], p)
+        return
+    n_images = data.draw(st.integers(1, 4))
+    coords = [[data.draw(st.integers(0, p - 1)) for _ in range(n_images)]
+              for _ in range(d)]
+    # image j = sum over t of coords[t][j] * basis[t], computed by the oracle
+    images = from_sympy((to_sympy(coords, p).transpose() * to_sympy(basis, p)), p)
+    assert _solve_in_basis(basis, images, p) == coords
+    if d < k:
+        units = [[int(i == j) for j in range(k)] for i in range(k)]
+        outside = next(u for u in units if to_sympy(basis + [u], p).rank() > d)
+        with pytest.raises(DixonError):
+            _solve_in_basis(basis, [outside], p)
+
+
+def test_integer_functions_against_sympy():
+    for n in range(1, 3000):
+        assert is_prime(n) == isprime(n)
+        assert prime_factors(n) == tuple(primefactors(n))
+        assert euler_phi(n) == totient(n)
+        assert moebius(n) == mobius(n)
+    assert not is_prime(0) and not is_prime(-7)
+
+
+def test_prime_one_mod_and_element_order():
+    for n in range(1, 200):
+        for floor in (0, 50, 1 << 20):
+            ell = prime_one_mod(n, floor)
+            assert isprime(ell) and (ell - 1) % n == 0 and ell > max(floor, n)
+            assert not any(isprime(c) for c in range(ell - n, max(floor, n), -n))
+            w = element_of_order(n, ell)
+            powers = [pow(w, e, ell) for e in range(1, n + 1)]
+            assert powers.index(1) == n - 1
