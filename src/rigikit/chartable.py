@@ -10,6 +10,7 @@ independently produced tables of the same group compare equal structurally.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
 from math import gcd, lcm
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -287,6 +288,9 @@ def emit_ctb(table: CharacterTable) -> str:
     return "\n".join(lines) + "\n"
 
 
+_ROOT_ORDER = re.compile(r"E\(([^,()]*),")
+
+
 def parse_ctb(text) -> CharacterTable:
     """Parse CTB v1 text (str or bytes). Structural checks only; run
     `validate` for the orthogonality suite."""
@@ -373,6 +377,10 @@ def parse_ctb(text) -> CharacterTable:
             resolved[p] = name_to_index[target]
         power_maps.append(tuple(sorted(resolved.items())))
 
+    # every value of a character lies in Q(zeta_exponent), which also holds
+    # the roots E(2m, k) for odd m | exponent; any other root is rejected
+    # before the arithmetic at its order begins
+    root_bound = lcm(2, exponent)
     rows: List[Tuple[Cyclotomic, ...]] = []
     char_names: List[str] = []
     while True:
@@ -391,6 +399,15 @@ def parse_ctb(text) -> CharacterTable:
             raise CTBSyntaxError(
                 "char %s has %d values, expected %d" % (cname, len(pieces), n_classes),
                 ln)
+        for m in _ROOT_ORDER.finditer(values_text.replace(" ", "").replace("\t", "")):
+            try:
+                n = int(m.group(1))
+            except ValueError:
+                continue  # parse_value reports the malformed root
+            if n >= 1 and root_bound % n:
+                raise CTBSyntaxError(
+                    "E(%d,k) in char %s: %d does not divide lcm(2, exponent) = %d"
+                    % (n, cname, n, root_bound), ln)
         try:
             row = tuple(parse_value(p) for p in pieces)
         except ValueError as exc:

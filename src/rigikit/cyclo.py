@@ -6,6 +6,19 @@ polynomial, with the conductor n always shrunk to the minimal one
 (and never congruent to 2 mod 4, so rationals have conductor 1).
 Two values are equal iff their (conductor, coefficient map) pairs agree.
 
+The minimal conductor is reached by exact descent from Q(zeta_n) to
+Q(zeta_{n/p}), one prime p | n at a time, in integer arithmetic:
+
+- p^2 | n: Phi_n(x) = Phi_{n/p}(x^p), so the power basis of Q(zeta_n) is
+  {zeta_n^r * zeta_{n/p}^i : r < p} and the value lies in Q(zeta_{n/p})
+  iff every exponent with a nonzero coefficient is divisible by p; it is
+  then e -> e/p (folded once more when n/p = 2 mod 4).
+- p || n, d = n/p: by CRT zeta_n^e = zeta_d^a * zeta_p^b with
+  a = e/p mod d and b = e/d mod p, and the relative trace sends that term
+  to (p-1) zeta_d^a when b = 0 and to -zeta_d^a otherwise. The value lies
+  in Q(zeta_d) iff its trace divided by p-1 (exact, since the power basis
+  is an integral basis) expands back to it.
+
 Internally a value keeps integer numerators and one common denominator,
 so the frequent basis reductions run in pure integer arithmetic; the
 public coefficient view is in `fractions.Fraction`.
@@ -17,7 +30,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Dict, Tuple, Union
 
-from .modp import element_of_order, euler_phi, moebius, prime_factors, prime_one_mod
+from .modp import element_of_order, euler_phi, prime_factors, prime_one_mod
 
 Rational = Fraction
 Coeff = Union[int, Fraction]
@@ -30,9 +43,7 @@ Coeff = Union[int, Fraction]
 
 _PHI_CACHE: Dict[int, Tuple[int, ...]] = {}
 _RED_CACHE: Dict[int, Tuple[Tuple[int, ...], ...]] = {}
-_RAM_CACHE: Dict[int, Tuple[int, ...]] = {}
 _OMEGA_CACHE: Dict[int, Tuple[int, Tuple[int, ...]]] = {}
-_GRAM_CACHE: Dict[int, list] = {}
 _GALOIS_SUBGROUP_CACHE: Dict[Tuple[int, int], Tuple[int, ...]] = {}
 
 
@@ -94,22 +105,6 @@ def _reduction_table(n: int) -> Tuple[Tuple[int, ...], ...]:
     return result
 
 
-def _ramanujan_table(n: int) -> Tuple[int, ...]:
-    """Entry m = trace of zeta_n^m from Q(zeta_n) down to Q (Ramanujan sum)."""
-    cached = _RAM_CACHE.get(n)
-    if cached is not None:
-        return cached
-    phi_n = euler_phi(n)
-    row = []
-    for m in range(n):
-        g = gcd(m, n)
-        k = n // g
-        row.append(moebius(k) * phi_n // euler_phi(k))
-    result = tuple(row)
-    _RAM_CACHE[n] = result
-    return result
-
-
 def _omega_table(n: int) -> Tuple[int, Tuple[int, ...]]:
     """A prime l = 1 (mod n) above 2^20 and the power table of an order-n
     element of F_l; a fast homomorphic image of Z[zeta_n]."""
@@ -136,26 +131,13 @@ def _galois_subgroup(n: int, d: int) -> Tuple[int, ...]:
     return cached
 
 
-def _gram_solver(d: int) -> list:
-    """Inverse of the trace Gram matrix of the power basis of Q(zeta_d)."""
-    inv = _GRAM_CACHE.get(d)
-    if inv is not None:
-        return inv
-    phi_d = euler_phi(d)
-    ram = _ramanujan_table(d)
-    aug = [[Fraction(ram[(i + j) % d]) for j in range(phi_d)]
-           + [Fraction(int(i == j)) for j in range(phi_d)] for i in range(phi_d)]
-    inv = _solve_rational(aug, phi_d)
-    _GRAM_CACHE[d] = inv
-    return inv
-
-
 # ---------------------------------------------------------------------------
 # integer-kernel canonicalization helpers
 
 
 def _reduce_int(n: int, raw: Dict[int, int]) -> list:
-    """Reduce an integer exponent dict (mod n) to power-basis coefficients."""
+    """Reduce an exponent dict (mod n) to power-basis coefficients; integer
+    coefficients in the canonicalization, any rationals in `raw_*`."""
     phi = euler_phi(n)
     acc = [0] * phi
     pending = None
@@ -195,70 +177,54 @@ def _subfield_fast_test(n: int, num: Dict[int, int], d: int) -> bool:
     return True
 
 
-def _subfield_rewrite(n: int, num: Dict[int, int], den: int, d: int):
-    """Rewrite the value in Q(zeta_d) exactly, or return None.
-
-    Candidate coefficients come from traces against the power basis of
-    Q(zeta_d) (traces of roots of unity are Ramanujan sums); the candidate
-    is then verified by expanding back into Q(zeta_n).
-    """
-    phi_n, phi_d = euler_phi(n), euler_phi(d)
-    index = phi_n // phi_d
-    ram = _ramanujan_table(n)
-    step = n // d
-    traces = []
-    for j in range(phi_d):
-        shift = (j * step) % n
-        acc = 0
-        for e, c in num.items():
-            acc += c * ram[(e + shift) % n]
-        traces.append(Fraction(acc, den * index))
-    gram_inv = _gram_solver(d)
-    sol = [sum(gram_inv[i][j] * traces[j] for j in range(phi_d))
-           for i in range(phi_d)]
-    # verify by expanding the candidate back in the big field
-    red = _reduction_table(n)
-    acc_vec = [Fraction(0)] * phi_n
-    for j in range(phi_d):
-        if sol[j]:
-            row = red[(j * step) % n]
-            for i in range(phi_n):
-                if row[i]:
-                    acc_vec[i] += sol[j] * row[i]
-    for i in range(phi_n):
-        if acc_vec[i] * den != num.get(i, 0):
-            return None
-    new_den = 1
-    for s in sol:
-        new_den = lcm(new_den, s.denominator)
-    new_num = {j: int(sol[j] * new_den) for j in range(phi_d) if sol[j]}
-    return new_num, new_den
+def _descend_coprime(n: int, num: Dict[int, int], p: int):
+    """Reduced exponents of the value in Q(zeta_{n/p}) for a prime p prime
+    to n/p, or None when it does not lie there: the relative trace divided
+    by p - 1, verified by expanding it back into Q(zeta_n)."""
+    d = n // p
+    p_inv, d_inv = pow(p, -1, d), pow(d, -1, p)
+    trace: Dict[int, int] = {}
+    for e, c in num.items():
+        a = e * p_inv % d
+        trace[a] = trace.get(a, 0) + (c * (p - 1) if e * d_inv % p == 0 else -c)
+    sub = {}
+    for a, t in enumerate(_reduce_int(d, trace)):
+        if t:
+            q, r = divmod(t, p - 1)
+            if r:
+                return None
+            sub[a] = q
+    back = _reduce_int(n, {a * p: c for a, c in sub.items()})
+    if {e: c for e, c in enumerate(back) if c} != num:
+        return None
+    return sub
 
 
 def _shrink_int(n: int, num: Dict[int, int], den: int):
-    """Minimal-conductor form of reduced integer coefficients over den."""
-    while n > 1:
-        if not num:
-            return 1, {}, 1
-        if len(num) == 1 and 0 in num:
-            break
-        shrunk = False
+    """Minimal-conductor form of reduced integer coefficients over den
+    (zero comes out at conductor 1; `_normalize_content` clears its den)."""
+    while n > 1 and num and not (len(num) == 1 and 0 in num):
         for p in prime_factors(n):
             d = n // p
-            while d % 4 == 2:
-                d //= 2
-            if d == n or d < 1:
+            if d % p == 0:
+                if any(e % p for e in num):
+                    continue
+                num = {e // p: c for e, c in num.items()}
+                if d % 4 == 2:
+                    d, raw = _fold_even_conductor(d, num)
+                    num = {e: c for e, c in enumerate(_reduce_int(d, raw)) if c}
+            elif _subfield_fast_test(n, num, d):
+                sub = _descend_coprime(n, num, p)
+                if sub is None:
+                    continue
+                num = sub
+            else:
                 continue
-            if not _subfield_fast_test(n, num, d):
-                continue
-            rewritten = _subfield_rewrite(n, num, den, d)
-            if rewritten is not None:
-                (num, den), n = rewritten, d
-                shrunk = True
-                break
-        if not shrunk:
+            n = d
+            break
+        else:
             return n, num, den
-    return (1, dict(num), den) if num else (1, {}, 1)
+    return 1, num, den
 
 
 def _normalize_content(n: int, num: Dict[int, int], den: int):
@@ -362,7 +328,7 @@ class Cyclotomic:
             for e, c in other._num.items():
                 num[e] = num.get(e, 0) + c * fb
             num = {e: c for e, c in num.items() if c}
-            return _canonical(*_normalize_content(*_shrink_int(m, num, den)))
+            return Cyclotomic(*_normalize_content(*_shrink_int(m, num, den)))
         m = lcm(self._n, other._n)
         den = lcm(self._den, other._den)
         sa, sb = m // self._n, m // other._n
@@ -440,10 +406,6 @@ class Cyclotomic:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if other._n == 1:
-            if other.is_zero():
-                raise ZeroDivisionError("division by zero")
-            return self * other.inverse()
         return self * other.inverse()
 
     def __rtruediv__(self, other):
@@ -476,7 +438,7 @@ class Cyclotomic:
         vec = _reduce_int(n, raw)
         num = {i: v for i, v in enumerate(vec) if v}
         # a Galois image has the same minimal conductor, so no shrink
-        return _canonical(*_normalize_content(n, num, self._den))
+        return Cyclotomic(*_normalize_content(n, num, self._den))
 
     def conjugate(self) -> "Cyclotomic":
         return self.galois(-1)
@@ -507,17 +469,13 @@ class Cyclotomic:
         return format_value(self)
 
 
-def _canonical(n: int, num: Dict[int, int], den: int) -> Cyclotomic:
-    return Cyclotomic(n, num, den)
-
-
 def _canonical_int(n: int, raw: Dict[int, int], den: int) -> Cyclotomic:
     """Canonicalize an integer exponent dict over a common denominator."""
     if n % 4 == 2:
         n, raw = _fold_even_conductor(n, raw)
     vec = _reduce_int(n, raw)
     num = {i: v for i, v in enumerate(vec) if v}
-    return _canonical(*_normalize_content(*_shrink_int(n, num, den)))
+    return Cyclotomic(*_normalize_content(*_shrink_int(n, num, den)))
 
 
 def _coerce(x) -> "Cyclotomic":
@@ -558,10 +516,7 @@ def zeta(n: int, k: int = 1) -> Cyclotomic:
     n, k = n // g, k // g
     if n == 1:
         return ONE
-    if n % 4 == 2:
-        n2, raw = _fold_even_conductor(n, {k: 1})
-        return _canonical_int(n2, raw, 1)
-    if k < euler_phi(n):
+    if n % 4 != 2 and k < euler_phi(n):
         return Cyclotomic(n, {k: 1}, 1)
     return _canonical_int(n, {k: 1}, 1)
 
@@ -620,27 +575,8 @@ def raw_conjugate(d: Dict[int, Coeff], m: int) -> Dict[int, Coeff]:
     return out
 
 
-def raw_reduce_vector(m: int, raw: Dict[int, Coeff]) -> list:
-    """Power-basis coefficient list (length phi(m)) of a raw exponent dict."""
-    phi = euler_phi(m)
-    red = _reduction_table(m)
-    acc = [0] * phi
-    for e, c in raw.items():
-        if not c:
-            continue
-        e %= m
-        if e < phi:
-            acc[e] += c
-        else:
-            row = red[e]
-            for i in range(phi):
-                if row[i]:
-                    acc[i] += c * row[i]
-    return acc
-
-
 def raw_equals_rational(m: int, raw: Dict[int, Coeff], value: Coeff) -> bool:
-    vec = raw_reduce_vector(m, raw)
+    vec = _reduce_int(m, raw)
     if any(vec[1:]):
         return False
     return vec[0] == value
@@ -705,8 +641,8 @@ def parse_value(text: str) -> Cyclotomic:
     if depth != 0:
         raise ValueSyntaxError("unbalanced parenthesis in %r" % text)
     terms.append(cur)
-    total = ZERO
-    for term in terms:
+    total = _parse_term(terms[0], text)
+    for term in terms[1:]:
         total = total + _parse_term(term, text)
     return total
 

@@ -186,33 +186,6 @@ def _roots_mod(f: List[int], ell: int) -> List[int]:
     return sorted(roots)
 
 
-def _tonelli_sqrt(a: int, ell: int) -> int:
-    a %= ell
-    if a == 0:
-        return 0
-    if pow(a, (ell - 1) // 2, ell) != 1:
-        raise DixonError("no square root of %d mod %d" % (a, ell))
-    if ell % 4 == 3:
-        return pow(a, (ell + 1) // 4, ell)
-    q, s = ell - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 2
-    while pow(z, (ell - 1) // 2, ell) != ell - 1:
-        z += 1
-    m, c, t, r = s, pow(z, q, ell), pow(a, q, ell), pow(a, (q + 1) // 2, ell)
-    while t != 1:
-        i, t2 = 0, t
-        while t2 != 1:
-            t2 = t2 * t2 % ell
-            i += 1
-        b = pow(c, 1 << (m - i - 1), ell)
-        m, c = i, b * b % ell
-        t, r = t * c % ell, r * b % ell
-    return r
-
-
 def character_table_dixon(group: FiniteGroup) -> CharacterTable:
     """Exact character table of a fully enumerated group."""
     return character_table_dixon_mapped(group)[0]
@@ -285,18 +258,22 @@ def character_table_dixon_mapped(group: FiniteGroup):
         inv0 = pow(v[0], -1, ell)
         thetas.append([x * inv0 % ell for x in v])
 
+    # the degree is the divisor d <= sqrt|G| of |G| with d^2 = |G|/t (mod ell),
+    # unique since ell > 2 sqrt|G|: for two such divisors the prime ell divides
+    # (d1 - d2)(d1 + d2), whose factors are below ell in size, so d1 = d2
     sizes = [c.size for c in classes]
     size_inv = [pow(s, -1, ell) for s in sizes]
+    small_divisors = [d for d in range(1, isqrt(order) + 1) if order % d == 0]
     degrees = []
     for v in thetas:
         t = sum(v[j] * v[inverse_class[j]] % ell * size_inv[j] for j in range(k)) % ell
         if t == 0:
             raise DixonError("degenerate norm in degree recovery")
         dsq = order % ell * pow(t, -1, ell) % ell
-        root = _tonelli_sqrt(dsq, ell)
-        deg = min(root, ell - root)
-        if deg == 0 or order % deg != 0:
-            raise DixonError("recovered degree %d is not plausible" % deg)
+        deg = next((d for d in small_divisors if d * d % ell == dsq), None)
+        if deg is None:
+            raise DixonError("no divisor d of %d below its square root has "
+                             "d^2 = %d mod %d" % (order, dsq, ell))
         degrees.append(deg)
 
     # character values mod ell, then exact lifting via DFT multiplicities

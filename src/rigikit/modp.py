@@ -1,15 +1,16 @@
 """Integer and prime-field arithmetic shared by the package.
 
 Trial-division primality and factoring (the integers met here are group
-orders, exponents, element orders, conductors and field sizes), the
-multiplicative functions built on the factoring, primes l = 1 (mod n) with
-an element of order n in GF(l), and one Gauss-Jordan elimination over
-GF(p) under the matrix inverse, determinant, rank and nullspace.
+orders, exponents, element orders, conductors and field sizes), the Euler
+phi function built on the factoring (both memoized: the same conductors
+are factored on every canonicalization), primes l = 1 (mod n) with an
+element of order n in GF(l), and one Gauss-Jordan elimination over GF(p)
+under the matrix inverse, determinant, rank and nullspace.
 """
 
 from __future__ import annotations
 
-from math import prod
+from functools import cache
 from typing import List, Tuple
 
 
@@ -24,6 +25,7 @@ def is_prime(n: int) -> bool:
     return True
 
 
+@cache
 def prime_factors(n: int) -> Tuple[int, ...]:
     """Distinct prime divisors of n >= 1, ascending."""
     out = []
@@ -39,18 +41,12 @@ def prime_factors(n: int) -> Tuple[int, ...]:
     return tuple(out)
 
 
+@cache
 def euler_phi(n: int) -> int:
     result = n
     for p in prime_factors(n):
         result -= result // p
     return result
-
-
-def moebius(n: int) -> int:
-    primes = prime_factors(n)
-    if prod(primes) != n:
-        return 0
-    return -1 if len(primes) % 2 else 1
 
 
 def prime_one_mod(n: int, floor: int) -> int:

@@ -1,8 +1,12 @@
+import os
+import subprocess
+import sys
 from importlib import resources
 from pathlib import Path
 
 import pytest
 
+import rigikit
 from rigikit.cli import main
 
 
@@ -169,3 +173,21 @@ def test_inconsistent_table_exit_2(tmp_path, capsys):
     status, out, err = run(capsys, ["structconst", str(target), "2A", "2A", "3A"])
     assert status == 2
     assert out == "" and err.startswith("error:")
+
+
+def test_root_outside_exponent_field_exit_2(tmp_path):
+    # run out of process so that a hang at the root's order fails the test
+    # instead of stalling the suite
+    text = Path(fixture_path("s3.ctb")).read_text()
+    env = dict(os.environ, PYTHONPATH=str(Path(rigikit.__file__).parents[1]))
+    for root in ("E(100000000,1)", "E(4,1)"):
+        target = tmp_path / "root.ctb"
+        target.write_text(text.replace("char X3 2 ; 0 ; -1", "char X3 2 ; %s ; -1" % root))
+        for argv in (["validate", str(target)],
+                     ["validate", str(target), "--no-orthogonality"],
+                     ["structconst", str(target), "2A", "2A", "3A"]):
+            proc = subprocess.run([sys.executable, "-m", "rigikit", *argv], env=env,
+                                  capture_output=True, text=True, timeout=5)
+            assert proc.returncode == 2, (root, argv)
+            assert proc.stdout == "" and proc.stderr.startswith("error:"), (root, argv)
+            assert "line 11" in proc.stderr, (root, argv)

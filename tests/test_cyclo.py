@@ -1,13 +1,16 @@
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
+from sympy import ZZ, Poly, cyclotomic_poly, symbols
 
+from rigikit import cyclo
 from rigikit.cyclo import (
     Cyclotomic,
     ValueSyntaxError,
     cyc,
+    cyclotomic_polynomial,
     euler_phi,
     format_value,
     from_terms,
@@ -119,6 +122,15 @@ def test_grammar_examples():
     assert parse_value("0") == cyc(0)
 
 
+def test_lone_root_parses_without_arithmetic_at_its_order(monkeypatch):
+    # adding the term to zero would canonicalize at n = 10^8
+    def forbidden(*args):
+        raise AssertionError("canonicalized at the root's order")
+    monkeypatch.setattr(cyclo, "_canonical_int", forbidden)
+    assert str(parse_value("E(100000000,1)")) == "E(100000000,1)"
+    assert str(parse_value("-2*E(100000000,3)")) == "-2*E(100000000,3)"
+
+
 def test_grammar_errors():
     for bad in ["", "E(5)", "E(x,1)", "1 + + 2", "E(5,1", "2**E(5,1)", "1/0"]:
         with pytest.raises(ValueSyntaxError):
@@ -142,3 +154,64 @@ def test_hash_consistency():
 
 def test_phi():
     assert [euler_phi(n) for n in [1, 2, 3, 4, 12, 60]] == [1, 1, 2, 2, 4, 16]
+
+
+# sympy is used below only as an independent oracle
+
+X = symbols("x")
+
+
+def _zz_poly(terms, scale):
+    coeffs = {}
+    for e, c in terms.items():
+        scaled = Fraction(c) * scale
+        assert scaled.denominator == 1
+        coeffs[(e,)] = int(scaled)
+    return Poly(coeffs or {(0,): 0}, X, domain=ZZ)
+
+
+def test_cyclotomic_polynomial_against_sympy():
+    for n in range(1, 300):
+        expected = cyclotomic_poly(n, X, polys=True).all_coeffs()[::-1]
+        assert list(cyclotomic_polynomial(n)) == expected
+
+
+def test_minimal_conductor_against_fixed_field_oracle():
+    """Orbit sums over {k = 1 (mod d)} land in Q(zeta_d); the conductor must
+    be the least m | n whose Galois subgroup fixes the value mod Phi_n, and
+    the canonical value re-embedded at n must equal the input mod Phi_n."""
+    rng = random.Random(2026)
+    conductors = [m for m in range(1, 121) if m % 4 != 2]
+    for _ in range(120):
+        n = rng.choice(conductors)
+        divisors = [m for m in range(1, n + 1) if n % m == 0]
+        d = rng.choice(divisors)
+        units = [k for k in range(1, n + 1) if gcd(k, n) == 1]
+        base = {rng.randrange(n): Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                for _ in range(rng.randint(1, 3))}
+        terms = {}
+        for k in units:
+            if (k - 1) % d == 0:
+                for e, c in base.items():
+                    terms[e * k % n] = terms.get(e * k % n, 0) + c
+        value = from_terms(n, terms)
+
+        scale = lcm(*(Fraction(c).denominator for c in terms.values()))
+        phi_n = cyclotomic_poly(n, X, polys=True)
+        poly = _zz_poly(terms, scale)
+        fixed = {}
+
+        def fixes(k):
+            if k not in fixed:
+                image = _zz_poly({e * k % n: c for e, c in terms.items()}, scale)
+                fixed[k] = (image - poly).rem(phi_n).is_zero
+            return fixed[k]
+
+        f = next(m for m in divisors
+                 if all(fixes(k) for k in units if (k - 1) % m == 0))
+        if f % 4 == 2:
+            f //= 2
+        assert value.conductor == f, (n, terms, str(value))
+        step = n // f
+        embedded = _zz_poly({e * step: c for e, c in value.coeffs.items()}, scale)
+        assert (embedded - poly).rem(phi_n).is_zero, (n, terms, str(value))

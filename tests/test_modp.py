@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from sympy import GF, isprime, mobius, primefactors, totient
+from sympy import GF, isprime, primefactors, totient
 from sympy.polys.matrices import DomainMatrix
 
 from rigikit.dixon import DixonError, _solve_in_basis
@@ -15,7 +15,6 @@ from rigikit.modp import (
     mat_det,
     mat_inv,
     mat_rank,
-    moebius,
     nullspace,
     prime_factors,
     prime_one_mod,
@@ -122,7 +121,6 @@ def test_integer_functions_against_sympy():
         assert is_prime(n) == isprime(n)
         assert prime_factors(n) == tuple(primefactors(n))
         assert euler_phi(n) == totient(n)
-        assert moebius(n) == mobius(n)
     assert not is_prime(0) and not is_prime(-7)
 
 
