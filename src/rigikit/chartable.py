@@ -4,7 +4,8 @@ Tables are immutable after construction. Layout is canonical: the identity
 class comes first, then classes sort by ascending element order, size and a
 value-based tie-break; the trivial character comes first, then rows sort by
 ascending degree and lexicographic value sequence. Canonicalizing makes
-independently produced tables of the same group compare equal structurally.
+independently produced tables of the same group compare equal structurally,
+as long as the residual tie search stays within TIE_SEARCH_BOUND orderings.
 """
 
 from __future__ import annotations
@@ -115,11 +116,16 @@ def _dense_ranks(keys: List) -> List[int]:
     return [rank[k] for k in keys]
 
 
+# residual ties are settled by trying every ordering of the tied classes
+# while there are at most this many (8!); beyond it the layout falls back
+# to the presentation order of each tie group
+TIE_SEARCH_BOUND = 40320
+
+
 def canonical_layout(
     class_keys: List[tuple],
     row_keys: List[tuple],
     value_keys: List[List[tuple]],
-    search_bound: int = 40320,
 ) -> Tuple[List[int], List[int]]:
     """Return (class index order, row index order) for the canonical layout.
 
@@ -157,7 +163,7 @@ def canonical_layout(
     for g in c_groups:
         for m in range(2, len(g) + 1):
             combos *= m
-        if combos > search_bound:
+        if combos > TIE_SEARCH_BOUND:
             break
 
     def row_order_for(class_order: List[int]) -> Tuple[List[int], tuple]:
@@ -170,7 +176,7 @@ def canonical_layout(
         )
         return decorated, matrix
 
-    if combos <= search_bound:
+    if combos <= TIE_SEARCH_BOUND:
         best = None
         for perm_parts in itertools.product(
             *[itertools.permutations(g) for g in c_groups]
@@ -457,26 +463,35 @@ class CheckResult:
 
 
 @dataclass(frozen=True)
-class ValidationReport:
-    checks: Tuple[CheckResult, ...]
+class CheckReport:
+    """Named check results; a failed check is an item, not an error."""
+
+    title: str
+    items: Tuple[CheckResult, ...]
 
     @property
     def ok(self) -> bool:
-        return all(c.ok for c in self.checks)
+        return all(c.ok for c in self.items)
 
     def failures(self) -> Tuple[CheckResult, ...]:
-        return tuple(c for c in self.checks if not c.ok)
+        return tuple(c for c in self.items if not c.ok)
+
+    def machine_block(self) -> str:
+        return "\n".join(
+            "%s = %s" % (c.name, "pass" if c.ok else "FAIL: %s" % c.detail)
+            for c in self.items
+        )
 
     def __str__(self):
         lines = []
-        for c in self.checks:
+        for c in self.items:
             mark = "pass" if c.ok else "FAIL"
             suffix = (": " + c.detail) if c.detail else ""
             lines.append("%-24s %s%s" % (c.name, mark, suffix))
         return "\n".join(lines)
 
 
-def validate(table: CharacterTable, orthogonality: bool = True) -> ValidationReport:
+def validate(table: CharacterTable, orthogonality: bool = True) -> CheckReport:
     """Run the table invariants; failures are report entries, not errors."""
     checks: List[CheckResult] = []
     k = table.n_classes
@@ -565,7 +580,7 @@ def validate(table: CharacterTable, orthogonality: bool = True) -> ValidationRep
             [table.centralizer_order(j) for j in range(k)],
             [c.name for c in table.classes], "classes"))
 
-    return ValidationReport(tuple(checks))
+    return CheckReport("table invariants", tuple(checks))
 
 
 def _check_orthogonality(name: str, vectors, weights, norms, labels,

@@ -159,6 +159,21 @@ def cmd_dixon(args) -> int:
     return 0
 
 
+def _print_report(rep: chartable.CheckReport, machine: bool, head: str,
+                  noun: str) -> int:
+    """Print a check report (a summary line and the failures, or the
+    machine block); return the exit status it calls for."""
+    if machine:
+        print(rep.machine_block())
+    else:
+        bad = rep.failures()
+        print("%s: %d %s, %s" % (head, len(rep.items), noun,
+                                 "all pass" if not bad else "%d FAIL" % len(bad)))
+        for i in bad:
+            print("  FAIL %s: %s" % (i.name, i.detail))
+    return 0 if rep.ok else 1
+
+
 def cmd_dl(args) -> int:
     fam = dl_rank1.build_family(args.family, args.q)
     status = 0
@@ -178,17 +193,8 @@ def cmd_dl(args) -> int:
             if args.check in ("cosets", "all"):
                 reports.append(dl_rank1.coset_values_report(fam, dual))
         for rep in reports:
-            if args.machine:
-                print(rep.machine_block())
-            else:
-                bad = [i for i in rep.items if not i.ok]
-                print("%s: %d identities, %s"
-                      % (rep.title, len(rep.items),
-                         "all pass" if not bad else "%d FAIL" % len(bad)))
-                for i in bad:
-                    print("  FAIL %s: %s" % (i.name, i.detail))
-            if not rep.ok:
-                status = 1
+            status = max(status, _print_report(rep, args.machine, rep.title,
+                                               "identities"))
     return status
 
 
@@ -200,16 +206,8 @@ def cmd_dualsym(args) -> int:
         fam = dl_rank1.build_family("SL2", args.q)
         dual = dl_rank1.build_family("PGL2", args.q)
     rep = dl_rank1.dual_symmetry_report(fam, dual, regular=args.regular)
-    if args.machine:
-        print(rep.machine_block())
-    else:
-        bad = [i for i in rep.items if not i.ok]
-        print("%s at q = %d: %d pairs, %s"
-              % (rep.title, args.q, len(rep.items),
-                 "all pass" if not bad else "%d FAIL" % len(bad)))
-        for i in bad:
-            print("  FAIL %s: %s" % (i.name, i.detail))
-    return 0 if rep.ok else 1
+    return _print_report(rep, args.machine, "%s at q = %d" % (rep.title, args.q),
+                         "pairs")
 
 
 def cmd_regunip(args) -> int:

@@ -379,28 +379,17 @@ class Cyclotomic:
     __rmul__ = __mul__
 
     def inverse(self) -> "Cyclotomic":
-        """Multiplicative inverse; raises ZeroDivisionError on zero."""
+        """Multiplicative inverse through the Galois norm: the product c of
+        the conjugates sigma_k(a), k != 1, makes N(a) = a c rational, so
+        a^-1 = c / N(a). Raises ZeroDivisionError on zero."""
         if self.is_zero():
             raise ZeroDivisionError("division by zero cyclotomic value")
-        if self._n == 1:
-            return Cyclotomic.from_rational(1 / self.to_rational())
-        n, phi = self._n, euler_phi(self._n)
-        red = _reduction_table(n)
-        cols = []
-        for j in range(phi):
-            acc = [0] * phi
-            for e, c in self._num.items():
-                row = red[(e + j) % n]
-                for i in range(phi):
-                    if row[i]:
-                        acc[i] += c * row[i]
-            cols.append(acc)
-        aug = [[Fraction(cols[j][i]) for j in range(phi)]
-               + [Fraction(self._den if i == 0 else 0)] for i in range(phi)]
-        sol = _solve_rational(aug, phi)
-        if sol is None:  # pragma: no cover - nonzero field elements invert
-            raise ZeroDivisionError("value is not invertible")
-        return from_terms(n, {j: x for j, (x,) in enumerate(sol) if x})
+        n = self._n
+        rest = ONE
+        for k in range(2, n):
+            if gcd(k, n) == 1:
+                rest = rest * self.galois(k)
+        return rest * Cyclotomic.from_rational(1 / (self * rest).to_rational())
 
     def __truediv__(self, other) -> "Cyclotomic":
         other = _coerce(other)
@@ -484,23 +473,6 @@ def _coerce(x) -> "Cyclotomic":
     if isinstance(x, (int, Fraction)):
         return Cyclotomic.from_rational(x)
     return NotImplemented
-
-
-def _solve_rational(aug, n):
-    """Gauss-Jordan over Fractions on the augmented rows [A | B], A of size
-    n x n, in place; returns the rows of A^-1 B, or None when A is singular."""
-    for col in range(n):
-        sel = next((r for r in range(col, n) if aug[r][col]), None)
-        if sel is None:
-            return None
-        aug[col], aug[sel] = aug[sel], aug[col]
-        inv = 1 / aug[col][col]
-        prow = aug[col] = [v * inv for v in aug[col]]
-        for r in range(n):
-            f = aug[r][col]
-            if f and r != col:
-                aug[r] = [a - f * b for a, b in zip(aug[r], prow)]
-    return [row[n:] for row in aug]
 
 
 # ---------------------------------------------------------------------------

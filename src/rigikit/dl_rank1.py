@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .chartable import CharacterTable, build_table_mapped
+from .chartable import CharacterTable, CheckReport, CheckResult, build_table_mapped
 from .cyclo import Cyclotomic, cyc, from_terms, zeta
 from .modp import prime_factors
 
@@ -25,29 +25,6 @@ RowLabel = Tuple
 
 class IdentityViolation(AssertionError):
     """An exact character identity failed; always a bug or a bad table."""
-
-
-@dataclass(frozen=True)
-class CheckItem:
-    name: str
-    ok: bool
-    detail: str = ""
-
-
-@dataclass(frozen=True)
-class CheckReport:
-    title: str
-    items: Tuple[CheckItem, ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(i.ok for i in self.items)
-
-    def machine_block(self) -> str:
-        return "\n".join(
-            "%s = %s" % (i.name, "pass" if i.ok else "FAIL: %s" % i.detail)
-            for i in self.items
-        )
 
 
 def _characteristic(q: int) -> int:
@@ -85,8 +62,6 @@ class DLCharacter:
 class GreenFunction:
     torus: str
     values: Dict[str, int]  # algebraic unipotent label -> value
-    # coefficients psi_i as class functions on W = S2: (value at 1, value at s)
-    psi: Dict[str, Tuple[Tuple[int, Tuple[int, int]], ...]]
 
 
 @dataclass
@@ -115,7 +90,6 @@ class Rank1Family:
     p: int
     table: CharacterTable
     class_labels: Dict[int, Label]
-    row_labels: Dict[int, RowLabel]
     label_to_class: Dict[Label, int]
     label_to_row: Dict[RowLabel, int]
 
@@ -127,10 +101,8 @@ class Rank1Family:
         return _pprime(self.table.order, self.p)
 
     def torus_order(self, torus: str) -> int:
-        q = self.q
-        if self.family == "GL2":
-            return (q - 1) ** 2 if torus == "split" else q * q - 1
-        return q - 1 if torus == "split" else q + 1
+        n = _torus_modulus(self, torus)
+        return n * n if self.family == "GL2" and torus == "split" else n
 
     def centralizer_pprime(self, j: int) -> int:
         return _pprime(self.table.centralizer_order(j), self.p)
@@ -195,6 +167,13 @@ def _nonsplit_rep(e: int, q: int) -> int:
     return min(e, (e * q) % n)
 
 
+def _nonsplit_reps(q: int) -> List[int]:
+    """One exponent e of Z/(q^2-1) per orbit {e, qe} off (q+1)Z, in
+    first-seen order: the nonsplit classes and the cuspidal rows of GL2."""
+    return list(dict.fromkeys(
+        _nonsplit_rep(e, q) for e in range(q * q - 1) if e % (q + 1)))
+
+
 def _gl2_class_list(q: int):
     """Labels, sizes, orders, in a fixed construction order."""
     p = _characteristic(q)
@@ -205,25 +184,17 @@ def _gl2_class_list(q: int):
     for a in range(n1):
         labels.append(("central", a))
         sizes.append(1)
-        orders.append(n1 // gcd(a, n1) if a else 1)
+        orders.append(n1 // gcd(a, n1))
     for a in range(n1):
         labels.append(("unipotent", a))
         sizes.append(n2)
-        orders.append(p * (n1 // gcd(a, n1) if a else 1))
+        orders.append(p * (n1 // gcd(a, n1)))
     for a in range(n1):
         for b in range(a + 1, n1):
             labels.append(("split", (a, b)))
             sizes.append(q * (q + 1))
-            da, db = (n1 // gcd(a, n1) if a else 1), (n1 // gcd(b, n1) if b else 1)
-            orders.append(lcm(da, db))
-    seen = set()
-    for e in range(n2):
-        if e % (q + 1) == 0:
-            continue
-        r = _nonsplit_rep(e, q)
-        if r in seen:
-            continue
-        seen.add(r)
+            orders.append(lcm(n1 // gcd(a, n1), n1 // gcd(b, n1)))
+    for r in _nonsplit_reps(q):
         labels.append(("nonsplit", r))
         sizes.append(q * (q - 1))
         orders.append(n2 // gcd(r, n2))
@@ -255,24 +226,11 @@ def _gl2_class_of_power(label: Label, r: int, q: int) -> Label:
 
 
 def _gl2_row_labels(q: int) -> List[RowLabel]:
-    n1, n2 = q - 1, q * q - 1
-    out: List[RowLabel] = []
-    for k in range(n1):
-        out.append(("lin", k))
-    for k in range(n1):
-        out.append(("stlin", k))
-    for i in range(n1):
-        for j in range(i + 1, n1):
-            out.append(("prin", (i, j)))
-    seen = set()
-    for e in range(n2):
-        if e % (q + 1) == 0:
-            continue
-        r = _nonsplit_rep(e, q)
-        if r not in seen:
-            seen.add(r)
-            out.append(("cusp", r))
-    return out
+    n1 = q - 1
+    out: List[RowLabel] = [("lin", k) for k in range(n1)]
+    out += [("stlin", k) for k in range(n1)]
+    out += [("prin", (i, j)) for i in range(n1) for j in range(i + 1, n1)]
+    return out + [("cusp", r) for r in _nonsplit_reps(q)]
 
 
 def _gl2_value(row: RowLabel, cls: Label, q: int) -> Cyclotomic:
@@ -320,36 +278,45 @@ def _gl2_value(row: RowLabel, cls: Label, q: int) -> Cyclotomic:
     return -(zeta(n2, e0 * e) + zeta(n2, e0 * e * q))
 
 
-def build_gl2(q: int) -> Rank1Family:
-    p = _characteristic(q)
-    if q < 3:
-        raise ValueError("GL2 needs q >= 3")
-    n1, n2 = q - 1, q * q - 1
-    labels, sizes, orders = _gl2_class_list(q)
-    assert len(labels) == q * q - 1
+def _assemble(family: str, q: int, order: int, labels: List[Label],
+              sizes: List[int], orders: List[int], power_label,
+              row_labels: List[RowLabel], value) -> Rank1Family:
+    """The canonical table of one family at q and its label maps.
+
+    `labels`, `sizes` and `orders` list the classes and `row_labels` the
+    characters, each in a fixed construction order (the canonical layout's
+    fallback depends on it); `power_label(label, r)` labels the class of
+    x^r and `value(row label, class label)` is a character value.
+    """
     label_pos = {lab: i for i, lab in enumerate(labels)}
     exponent = lcm(*orders)
-    exp_primes = prime_factors(exponent)
-    class_infos = []
-    for i, lab in enumerate(labels):
-        pm = {r: label_pos[_gl2_class_of_power(lab, r, q)] for r in exp_primes}
-        class_infos.append((sizes[i], orders[i], pm))
-    row_labels = _gl2_row_labels(q)
-    rows = [
-        [_gl2_value(rl, cl, q) for cl in labels]
-        for rl in row_labels
+    primes = prime_factors(exponent)
+    class_infos = [
+        (size, o, {r: label_pos[power_label(lab, r)] for r in primes})
+        for lab, size, o in zip(labels, sizes, orders)
     ]
-    order = q * (q - 1) * (q * q - 1)
+    rows = [[value(rl, cl) for cl in labels] for rl in row_labels]
     table, class_order, row_order = build_table_mapped(
-        "GL2(%d)" % q, order, exponent, class_infos, rows)
-    class_map = {new: labels[old] for new, old in enumerate(class_order)}
-    row_map = {new: row_labels[old] for new, old in enumerate(row_order)}
+        "%s(%d)" % (family, q), order, exponent, class_infos, rows)
+    class_labels = {new: labels[old] for new, old in enumerate(class_order)}
     return Rank1Family(
-        family="GL2", q=q, p=p, table=table,
-        class_labels=class_map, row_labels=row_map,
-        label_to_class={lab: i for i, lab in class_map.items()},
-        label_to_row={lab: i for i, lab in row_map.items()},
+        family=family, q=q, p=_characteristic(q), table=table,
+        class_labels=class_labels,
+        label_to_class={lab: i for i, lab in class_labels.items()},
+        label_to_row={row_labels[old]: new for new, old in enumerate(row_order)},
     )
+
+
+def build_gl2(q: int) -> Rank1Family:
+    _characteristic(q)  # a non-prime-power q is named before q < 3
+    if q < 3:
+        raise ValueError("GL2 needs q >= 3")
+    labels, sizes, orders = _gl2_class_list(q)
+    assert len(labels) == q * q - 1
+    return _assemble(
+        "GL2", q, q * (q - 1) * (q * q - 1), labels, sizes, orders,
+        lambda lab, r: _gl2_class_of_power(lab, r, q),
+        _gl2_row_labels(q), lambda row, cls: _gl2_value(row, cls, q))
 
 
 # ---------------------------------------------------------------------------
@@ -482,24 +449,8 @@ def build_sl2(q: int) -> Rank1Family:
             return cyc(0)
         return cyc(-((-1) ** cls[1]))
 
-    label_pos = {lab: i for i, lab in enumerate(labels)}
-    exponent = lcm(*orders)
-    class_infos = []
-    for i, lab in enumerate(labels):
-        pm = {r: label_pos[power_label(lab, r)] for r in prime_factors(exponent)}
-        class_infos.append((sizes[i], orders[i], pm))
-    rows = [[value(rl, cl) for cl in labels] for rl in row_labels]
-    order = q * (q * q - 1)
-    table, class_order, row_order = build_table_mapped(
-        "SL2(%d)" % q, order, exponent, class_infos, rows)
-    class_map = {new: labels[old] for new, old in enumerate(class_order)}
-    row_map = {new: row_labels[old] for new, old in enumerate(row_order)}
-    return Rank1Family(
-        family="SL2", q=q, p=p, table=table,
-        class_labels=class_map, row_labels=row_map,
-        label_to_class={lab: i for i, lab in class_map.items()},
-        label_to_row={lab: i for i, lab in row_map.items()},
-    )
+    return _assemble("SL2", q, q * (q * q - 1), labels, sizes, orders,
+                     power_label, row_labels, value)
 
 
 # ---------------------------------------------------------------------------
@@ -573,24 +524,8 @@ def build_pgl2(q: int) -> Rank1Family:
     def value(row: RowLabel, cls: Label) -> Cyclotomic:
         return _gl2_value(gl2_row(row), gl2_rep(cls), q)
 
-    label_pos = {lab: i for i, lab in enumerate(labels)}
-    exponent = lcm(*orders)
-    class_infos = []
-    for i, lab in enumerate(labels):
-        pm = {r: label_pos[power_label(lab, r)] for r in prime_factors(exponent)}
-        class_infos.append((sizes[i], orders[i], pm))
-    rows = [[value(rl, cl) for cl in labels] for rl in row_labels]
-    order = q * (q * q - 1)
-    table, class_order, row_order = build_table_mapped(
-        "PGL2(%d)" % q, order, exponent, class_infos, rows)
-    class_map = {new: labels[old] for new, old in enumerate(class_order)}
-    row_map = {new: row_labels[old] for new, old in enumerate(row_order)}
-    return Rank1Family(
-        family="PGL2", q=q, p=p, table=table,
-        class_labels=class_map, row_labels=row_map,
-        label_to_class={lab: i for i, lab in class_map.items()},
-        label_to_row={lab: i for i, lab in row_map.items()},
-    )
+    return _assemble("PGL2", q, q * (q * q - 1), labels, sizes, orders,
+                     power_label, row_labels, value)
 
 
 def build_family(family: str, q: int) -> Rank1Family:
@@ -607,40 +542,35 @@ def build_family(family: str, q: int) -> Rank1Family:
 # tori: element and character bookkeeping
 
 
+def _torus_modulus(fam: Rank1Family, torus: str) -> int:
+    """Elements and characters of the torus are residues modulo this
+    (pairs of residues for the split torus of GL2)."""
+    q = fam.q
+    if torus == "split":
+        return q - 1
+    return q * q - 1 if fam.family == "GL2" else q + 1
+
+
 def torus_element_class(fam: Rank1Family, torus: str, t) -> int:
     """Class index of a torus element given by its parameter."""
-    q = fam.q
     if fam.family == "GL2":
-        if torus == "split":
-            a, b = t[0] % (q - 1), t[1] % (q - 1)
-            lab = ("central", a) if a == b else ("split", (min(a, b), max(a, b)))
-        else:
-            e = t % (q * q - 1)
-            if e % (q + 1) == 0:
-                lab = ("central", e // (q + 1) % (q - 1))
-            else:
-                lab = ("nonsplit", _nonsplit_rep(e, q))
-        return fam.label_to_class[lab]
-    n = q - 1 if torus == "split" else q + 1
+        # a torus parameter is an unreduced class label: reduce it as x^1
+        return fam.label_to_class[_gl2_class_of_power((torus, t), 1, fam.q)]
+    n = _torus_modulus(fam, torus)
     e = _fold(t, n)
     if e == 0:
         lab = ("central", 0)
     elif fam.family == "SL2" and e == n // 2:
         lab = ("central", 1)
-    elif fam.family == "PGL2":
-        lab = ("split", e) if torus == "split" else ("nonsplit", e)
     else:
-        lab = ("split", e) if torus == "split" else ("nonsplit", e)
+        lab = (torus, e)
     return fam.label_to_class[lab]
 
 
 def torus_elements(fam: Rank1Family, torus: str):
-    q = fam.q
-    if fam.family == "GL2":
-        if torus == "split":
-            return [(a, b) for a in range(q - 1) for b in range(q - 1)]
-        return list(range(q * q - 1))
-    n = q - 1 if torus == "split" else q + 1
+    n = _torus_modulus(fam, torus)
+    if fam.family == "GL2" and torus == "split":
+        return [(a, b) for a in range(n) for b in range(n)]
     return list(range(n))
 
 
@@ -649,36 +579,37 @@ def torus_characters(fam: Rank1Family, torus: str):
 
 
 def theta_value(fam: Rank1Family, torus: str, theta, t) -> Cyclotomic:
-    q = fam.q
+    n = _torus_modulus(fam, torus)
     if fam.family == "GL2" and torus == "split":
-        return zeta(q - 1, theta[0] * t[0] + theta[1] * t[1])
-    n = (q * q - 1) if (fam.family == "GL2" and torus == "nonsplit") else \
-        (q - 1 if torus == "split" else q + 1)
+        return zeta(n, theta[0] * t[0] + theta[1] * t[1])
     return zeta(n, theta * t)
 
 
 def weyl_on_torus(fam: Rank1Family, torus: str, t):
     """Action of the nontrivial Weyl element on torus parameters."""
-    q = fam.q
-    if fam.family == "GL2":
-        if torus == "split":
-            return (t[1], t[0])
-        return (t * q) % (q * q - 1)
-    n = q - 1 if torus == "split" else q + 1
-    return (-t) % n
+    n = _torus_modulus(fam, torus)
+    if fam.family != "GL2":
+        return (-t) % n
+    return (t[1], t[0]) if torus == "split" else (t * fam.q) % n
 
 
 def theta_is_regular(fam: Rank1Family, torus: str, theta) -> bool:
-    return weyl_on_torus(fam, torus, theta) != _theta_norm(fam, torus, theta)
-
-
-def _theta_norm(fam: Rank1Family, torus: str, theta):
-    q = fam.q
+    """theta is not fixed by the Weyl element."""
+    n = _torus_modulus(fam, torus)
     if fam.family == "GL2" and torus == "split":
-        return (theta[0] % (q - 1), theta[1] % (q - 1))
-    n = (q * q - 1) if (fam.family == "GL2" and torus == "nonsplit") else \
-        (q - 1 if torus == "split" else q + 1)
-    return theta % n
+        return theta[0] % n != theta[1] % n
+    return weyl_on_torus(fam, torus, theta) != theta % n
+
+
+# (family, torus) -> (row kind of the regular thetas, constituents with
+# coefficients at the theta of order 2); the sign of R_{T,theta} is +1 on
+# the split torus and -1 on the nonsplit one
+_RANK1_DL_ROWS = {
+    ("SL2", "split"): ("prin", ((("xi", 0), 1), (("xi", 1), 1))),
+    ("SL2", "nonsplit"): ("disc", ((("eta", 0), -1), (("eta", 1), -1))),
+    ("PGL2", "split"): ("prin", ((("sgn",), 1), (("sgnst",), 1))),
+    ("PGL2", "nonsplit"): ("cusp", ((("sgn",), 1), (("sgnst",), -1))),
+}
 
 
 def dl_character(fam: Rank1Family, torus: str, theta) -> DLCharacter:
@@ -701,41 +632,16 @@ def dl_character(fam: Rank1Family, torus: str, theta) -> DLCharacter:
             else:
                 dec = {row[("cusp", _nonsplit_rep(e, q))]: -1}
         return DLCharacter(torus=torus, theta=theta, decomposition=dec)
-    if fam.family == "SL2":
-        if torus == "split":
-            i = _fold(theta, n1)
-            if i == 0:
-                dec = {row[("triv",)]: 1, row[("st",)]: 1}
-            elif i == n1 // 2:
-                dec = {row[("xi", 0)]: 1, row[("xi", 1)]: 1}
-            else:
-                dec = {row[("prin", i)]: 1}
-        else:
-            j = _fold(theta, q + 1)
-            if j == 0:
-                dec = {row[("triv",)]: 1, row[("st",)]: -1}
-            elif j == (q + 1) // 2:
-                dec = {row[("eta", 0)]: -1, row[("eta", 1)]: -1}
-            else:
-                dec = {row[("disc", j)]: -1}
-        return DLCharacter(torus=torus, theta=theta, decomposition=dec)
-    # PGL2
-    if torus == "split":
-        i = _fold(theta, n1)
-        if i == 0:
-            dec = {row[("triv",)]: 1, row[("st",)]: 1}
-        elif i == n1 // 2:
-            dec = {row[("sgn",)]: 1, row[("sgnst",)]: 1}
-        else:
-            dec = {row[("prin", i)]: 1}
+    regular_kind, order_two = _RANK1_DL_ROWS[fam.family, torus]
+    sign = 1 if torus == "split" else -1
+    n = _torus_modulus(fam, torus)
+    i = _fold(theta, n)
+    if i == 0:
+        dec = {row[("triv",)]: 1, row[("st",)]: sign}
+    elif i == n // 2:
+        dec = {row[lab]: c for lab, c in order_two}
     else:
-        j = _fold(theta, q + 1)
-        if j == 0:
-            dec = {row[("triv",)]: 1, row[("st",)]: -1}
-        elif j == (q + 1) // 2:
-            dec = {row[("sgn",)]: 1, row[("sgnst",)]: -1}
-        else:
-            dec = {row[("cusp", j)]: -1}
+        dec = {row[(regular_kind, i)]: sign}
     return DLCharacter(torus=torus, theta=theta, decomposition=dec)
 
 
@@ -757,7 +663,7 @@ RANK1_PSI = {
 def theta_independence(fam: Rank1Family) -> Tuple[CheckReport, List[GreenFunction]]:
     """All R_{T,theta} agree on each unipotent class; the common values are
     the Green function of the torus, matching 1 and (q + 1 resp. 1 - q)."""
-    items: List[CheckItem] = []
+    items: List[CheckResult] = []
     greens: List[GreenFunction] = []
     for torus in ("split", "nonsplit"):
         values: Dict[str, int] = {}
@@ -768,8 +674,8 @@ def theta_independence(fam: Rank1Family) -> Tuple[CheckReport, List[GreenFunctio
                 seen.add(fam.dl_value(dl, j))
             name = "valuni_%s_%s_%s" % (torus, alg, fam.table.classes[j].name)
             if len(seen) != 1:
-                items.append(CheckItem(name, False,
-                                       "distinct values %s" % sorted(map(str, seen))))
+                items.append(CheckResult(
+                    name, False, "distinct values %s" % sorted(map(str, seen))))
                 continue
             common = next(iter(seen))
             psi_sum = sum(
@@ -777,14 +683,13 @@ def theta_independence(fam: Rank1Family) -> Tuple[CheckReport, List[GreenFunctio
                 for i, coeff in RANK1_PSI[alg]
             )
             ok = common.is_integer() and common.to_integer() == psi_sum
-            items.append(CheckItem(
+            items.append(CheckResult(
                 name, ok,
                 "" if ok else "common value %s, coefficient form gives %d"
                 % (common, psi_sum)))
             if ok:
                 values[alg] = common.to_integer()
-        greens.append(GreenFunction(torus=torus, values=values,
-                                    psi={k: RANK1_PSI[k] for k in values}))
+        greens.append(GreenFunction(torus=torus, values=values))
     return CheckReport("theta independence on unipotent classes",
                        tuple(items)), greens
 
@@ -793,39 +698,12 @@ def theta_independence(fam: Rank1Family) -> Tuple[CheckReport, List[GreenFunctio
 # torus character sums (vanishing off common kernels)
 
 
-def _subgroup_closure(gens, add, zero):
-    seen = {zero}
-    frontier = [zero]
-    while frontier:
-        x = frontier.pop()
-        for g in gens:
-            y = add(x, g)
-            if y not in seen:
-                seen.add(y)
-                frontier.append(y)
-    return sorted(seen)
-
-
-def torus_character_subgroup(fam: Rank1Family, torus: str, gens) -> List:
-    q = fam.q
-    if fam.family == "GL2" and torus == "split":
-        n = q - 1
-        return _subgroup_closure(
-            [(g[0] % n, g[1] % n) for g in gens],
-            lambda x, g: ((x[0] + g[0]) % n, (x[1] + g[1]) % n),
-            (0, 0))
-    n = (q * q - 1) if (fam.family == "GL2" and torus == "nonsplit") else \
-        (q - 1 if torus == "split" else q + 1)
-    return _subgroup_closure([g % n for g in gens],
-                             lambda x, g: (x + g) % n, 0)
-
-
-def torus_character_sum(fam: Rank1Family, torus: str, subgroup_gens, s):
+def torus_character_sum(fam: Rank1Family, torus: str, H, s):
     """(sum over theta in H of R_{T,theta}(s), hypothesis satisfied?).
 
+    H is a subgroup of the torus character group, listed by its members.
     The sum vanishes whenever some theta in H is nontrivial on s.
     """
-    H = torus_character_subgroup(fam, torus, subgroup_gens)
     j = torus_element_class(fam, torus, s)
     total = cyc(0)
     qualified = False
@@ -841,21 +719,15 @@ def vanishing_sum_report(fam: Rank1Family) -> CheckReport:
     """Full-character-group sums vanish on every nonidentity torus element."""
     items = []
     for torus in ("split", "nonsplit"):
-        gens = _torus_character_generators(fam, torus)
+        H = torus_characters(fam, torus)
         for s in torus_elements(fam, torus):
-            total, qualified = torus_character_sum(fam, torus, gens, s)
+            total, qualified = torus_character_sum(fam, torus, H, s)
             if not qualified:
                 continue  # s in every kernel (the identity): hypothesis fails
             name = "sum_%s_s%s" % (torus, s)
-            items.append(CheckItem(name, total.is_zero(),
-                                   "" if total.is_zero() else "sum %s" % total))
+            items.append(CheckResult(name, total.is_zero(),
+                                     "" if total.is_zero() else "sum %s" % total))
     return CheckReport("torus character sums vanish", tuple(items))
-
-
-def _torus_character_generators(fam: Rank1Family, torus: str):
-    if fam.family == "GL2" and torus == "split":
-        return [(1, 0), (0, 1)]
-    return [1]
 
 
 # ---------------------------------------------------------------------------
@@ -904,12 +776,7 @@ def dual_data(famG: Rank1Family, famGstar: Rank1Family) -> List[DualSemisimpleDa
                 out.append(datum(("split", (i, j)), 1, "split",
                                  [row[("prin", (i, j))]], [row[("prin", (i, j))]],
                                  (i, j), None))
-        seen = set()
-        for e in range(q * q - 1):
-            if e % (q + 1) == 0 or _nonsplit_rep(e, q) in seen:
-                continue
-            r = _nonsplit_rep(e, q)
-            seen.add(r)
+        for r in _nonsplit_reps(q):
             out.append(datum(("nonsplit", r), 1, "nonsplit",
                              [row[("cusp", r)]], [row[("cusp", r)]],
                              None, r))
@@ -1000,14 +867,14 @@ def unipotent_values_report(famG: Rank1Family,
             try:
                 v = semisimple_value_on_unipotent(famG, datum, j)
             except IdentityViolation as exc:
-                items.append(CheckItem(name, False, str(exc)))
+                items.append(CheckResult(name, False, str(exc)))
                 continue
             if alg == "regular":
                 ok = v.is_rational() and v.to_rational() in (1, -1)
-                items.append(CheckItem(name, ok,
-                                       "" if ok else "value %s not +-1" % v))
+                items.append(CheckResult(name, ok,
+                                         "" if ok else "value %s not +-1" % v))
             else:
-                items.append(CheckItem(name, True))
+                items.append(CheckResult(name, True))
     return CheckReport("semisimple values on unipotent classes", tuple(items))
 
 
@@ -1039,7 +906,7 @@ def dl_value_via_cosets(fam: Rank1Family, s_class: int,
         index = fam.order_pprime() // _pprime(fam.torus_order(torus), fam.p)
         rhs = cyc(sign * index) * theta_value(fam, torus, theta, s_param)
     else:
-        s_param = _regular_torus_param(fam, torus, lab)
+        s_param = lab[1]  # split pair or nonsplit exponent
         if datum.weyl_order == 2:
             # one double coset, index factor |W(t)| = 2
             rhs = cyc(2) * theta_value(fam, torus, theta, s_param)
@@ -1067,13 +934,8 @@ def _central_torus_param(fam: Rank1Family, torus: str, lab: Label):
     if fam.family == "GL2":
         return (a, a) if torus == "split" else (q + 1) * a
     if fam.family == "SL2":
-        return a * ((q - 1) // 2) if torus == "split" else a * ((q + 1) // 2)
+        return a * (_torus_modulus(fam, torus) // 2)
     return 0  # PGL2 center is trivial
-
-
-def _regular_torus_param(fam: Rank1Family, torus: str, lab: Label):
-    # split pairs and nonsplit exponents are stored directly in the label
-    return lab[1]
 
 
 def coset_values_report(fam: Rank1Family, famGstar: Rank1Family) -> CheckReport:
@@ -1089,9 +951,9 @@ def coset_values_report(fam: Rank1Family, famGstar: Rank1Family) -> CheckReport:
                     datum.dual_label, torus, fam.table.classes[j].name)
                 try:
                     dl_value_via_cosets(fam, j, datum, torus)
-                    items.append(CheckItem(name, True))
+                    items.append(CheckResult(name, True))
                 except IdentityViolation as exc:
-                    items.append(CheckItem(name, False, str(exc)))
+                    items.append(CheckResult(name, False, str(exc)))
     return CheckReport("double-coset semisimple values", tuple(items))
 
 
@@ -1136,18 +998,18 @@ def dual_symmetry_report(famG: Rank1Family, famGstar: Rank1Family,
     data_t = dual_data(famG, famGstar)
     data_s = dual_data(famGstar, famG)
     by_class_s = {d.dual_class_index: d for d in data_s}
-    items: List[CheckItem] = []
+    items: List[CheckResult] = []
     for d in data_t:
         rows = d.reg_rows if regular else d.ss_rows
         if not _constituents_agree_on_semisimple(famG, rows):
-            items.append(CheckItem(
+            items.append(CheckResult(
                 "constituents_%s" % (d.dual_label,), False,
                 "constituents differ on a semisimple class"))
     for s_class in famG.semisimple_class_indices():
         ds = by_class_s.get(s_class)
         if ds is None:
-            items.append(CheckItem("pairing_s%d" % s_class, False,
-                                   "no dual datum matches class %d" % s_class))
+            items.append(CheckResult("pairing_s%d" % s_class, False,
+                                     "no dual datum matches class %d" % s_class))
             continue
         cent_s = famG.centralizer_pprime(s_class)
         eps_s = eps_centralizer(famG.family, famG.class_labels[s_class][0]) \
@@ -1165,7 +1027,7 @@ def dual_symmetry_report(famG: Rank1Family, famGstar: Rank1Family,
                 "_reg" if regular else "",
                 famG.table.classes[s_class].name, dt.dual_label)
             ok = lhs == rhs
-            items.append(CheckItem(
+            items.append(CheckResult(
                 name, ok,
                 "" if ok else "lhs %s, rhs %s" % (lhs, rhs)))
     title = "dual symmetry (%s)" % ("regular characters" if regular

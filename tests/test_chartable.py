@@ -5,6 +5,8 @@ import pytest
 from rigikit.chartable import (
     CTBSyntaxError,
     CharacterTable,
+    CheckReport,
+    CheckResult,
     class_is_rational,
     class_rational_by_galois,
     class_rational_by_power_maps,
@@ -105,9 +107,18 @@ def test_roundtrip():
 def test_validate_s3_all_pass():
     report = validate(parse_ctb(S3_TEXT))
     assert report.ok
-    names = {c.name for c in report.checks}
+    names = {c.name for c in report.items}
     assert {"row_orthogonality", "column_orthogonality",
             "class_sizes_sum", "power_map_orders"} <= names
+
+
+def test_check_report_formats():
+    bad = CheckResult("sizes", False, "sum 7")
+    rep = CheckReport("demo", (bad, CheckResult("order", True)))
+    assert not rep.ok and rep.failures() == (bad,)
+    assert rep.machine_block() == "sizes = FAIL: sum 7\norder = pass"
+    assert str(rep) == "%-24s FAIL: sum 7\n%-24s pass" % ("sizes", "order")
+    assert CheckReport("empty", ()).ok
 
 
 def _tweak_value(table, r, j, delta):

@@ -7,6 +7,8 @@ from pathlib import Path
 import pytest
 
 import rigikit
+from rigikit import dl_rank1
+from rigikit.chartable import CheckReport, CheckResult
 from rigikit.cli import main
 
 
@@ -107,6 +109,23 @@ def test_dualsym_cli(capsys):
     status, out, _ = run(capsys, ["dualsym", "--pair", "GL2", "--q", "4",
                                   "--regular"])
     assert status == 0
+
+
+def test_failed_report_exit_1_and_names_the_failure(monkeypatch, capsys):
+    rep = CheckReport("dual symmetry (semisimple characters)",
+                      (CheckResult("sym_x", False, "lhs 1, rhs 2"),
+                       CheckResult("sym_y", True)))
+    monkeypatch.setattr(dl_rank1, "dual_symmetry_report", lambda *a, **k: rep)
+    monkeypatch.setattr(dl_rank1, "theta_independence", lambda fam: (rep, []))
+    argv = ["dualsym", "--pair", "GL2", "--q", "3"]
+    assert run(capsys, argv)[:2] == (1, (
+        "dual symmetry (semisimple characters) at q = 3: 2 pairs, 1 FAIL\n"
+        "  FAIL sym_x: lhs 1, rhs 2\n"))
+    assert run(capsys, argv + ["--machine"])[:2] == (
+        1, "sym_x = FAIL: lhs 1, rhs 2\nsym_y = pass\n")
+    assert run(capsys, ["dl", "--family", "GL2", "--q", "3", "--check", "valuni"])[:2] == (
+        1, "dual symmetry (semisimple characters): 2 identities, 1 FAIL\n"
+           "  FAIL sym_x: lhs 1, rhs 2\n")
 
 
 def test_regunip_order_and_filter(capsys):

@@ -3,7 +3,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 import pytest
-from sympy import ZZ, Poly, cyclotomic_poly, symbols
+from sympy import QQ, ZZ, Poly, cyclotomic_poly, symbols
 
 from rigikit import cyclo
 from rigikit.cyclo import (
@@ -215,3 +215,34 @@ def test_minimal_conductor_against_fixed_field_oracle():
         step = n // f
         embedded = _zz_poly({e * step: c for e, c in value.coeffs.items()}, scale)
         assert (embedded - poly).rem(phi_n).is_zero, (n, terms, str(value))
+
+
+def _qq_poly_at(value, n):
+    """A value whose conductor divides n, as a polynomial in zeta_n."""
+    step = n // value.conductor
+    return Poly({(e * step,): c for e, c in value.coeffs.items()} or {(0,): 0},
+                X, domain=QQ)
+
+
+def test_inverse_and_division_against_sympy():
+    """a^-1 equals sympy's inverse of a modulo Phi_n, a * a^-1 == 1 and
+    (a / b) * b == a, at conductors n <= 60."""
+    rng = random.Random(1960)
+    conductors = [m for m in range(1, 61) if m % 4 != 2]
+    checked = 0
+    for _ in range(80):
+        n = rng.choice(conductors)
+        a, b = (from_terms(n, {rng.randrange(n): Fraction(rng.randint(-4, 4),
+                                                          rng.randint(1, 3))
+                               for _ in range(rng.randint(1, 4))})
+                for _ in range(2))
+        if a.is_zero() or b.is_zero():
+            continue
+        inv = a.inverse()
+        assert a * inv == cyc(1), (n, str(a))
+        assert (a / b) * b == a, (n, str(a), str(b))
+        phi_n = cyclotomic_poly(n, X, polys=True).set_domain(QQ)
+        expected = _qq_poly_at(a, n).invert(phi_n)
+        assert (_qq_poly_at(inv, n) - expected).rem(phi_n).is_zero, (n, str(a))
+        checked += 1
+    assert checked >= 70
