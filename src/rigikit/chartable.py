@@ -216,17 +216,23 @@ def build_table_mapped(
     (class_order[new] = old index, row_order[new] = old index).
 
     `class_infos` holds (size, element_order, {prime: class index}) in any
-    order; `rows` are indexed the same way. Classes and rows are permuted to
-    the canonical layout and classes are named `<order><letter>`.
+    order; `rows` are indexed the same way. Exactly one class, the identity,
+    has element order 1 and size 1; each row's degree is read there. Classes
+    and rows are permuted to the canonical layout and classes are named
+    `<order><letter>`.
     """
-    k = len(class_infos)
     value_keys = [[v.sort_key() for v in row] for row in rows]
     class_keys = [(co, cs) for (cs, co, _pm) in class_infos]
+    identities = [i for i, key in enumerate(class_keys) if key == (1, 1)]
+    if len(identities) != 1:
+        raise ValueError("expected exactly one class of element order 1 and "
+                         "size 1, found %d" % len(identities))
+    ident = identities[0]
     one = cyc(1)
     row_keys = []
-    for r, row in enumerate(rows):
+    for row in rows:
         trivial = all(v == one for v in row)
-        row_keys.append((0 if trivial else 1, rows[r][0].to_integer()))
+        row_keys.append((0 if trivial else 1, row[ident].to_integer()))
     class_order, row_order = canonical_layout(class_keys, row_keys, value_keys)
     old_to_new = {old: new for new, old in enumerate(class_order)}
 
@@ -301,7 +307,11 @@ def parse_ctb(text) -> CharacterTable:
     """Parse CTB v1 text (str or bytes). Structural checks only; run
     `validate` for the orthogonality suite."""
     if isinstance(text, bytes):
-        text = text.decode("ascii")
+        try:
+            text = text.decode("ascii")
+        except UnicodeDecodeError as exc:
+            raise CTBSyntaxError("byte 0x%02x is not ASCII" % text[exc.start],
+                                 text.count(b"\n", 0, exc.start) + 1) from None
     lines = text.splitlines()
     pos = 0
 

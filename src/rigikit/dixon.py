@@ -1,12 +1,17 @@
 """Dixon-Schneider computation of exact character tables.
 
-Works entirely from a fully enumerated group: class multiplication
-constants are counted directly, common eigenspaces of the class matrices
-are split over a prime l = 1 (mod exponent) chosen larger than twice the
-square root of the group order, and values lift to exact cyclotomics via
-root-of-unity multiplicities recovered by a discrete Fourier inversion
-mod l. Output is in canonical table layout, so independently produced
-tables of the same group compare equal.
+Works entirely from a fully enumerated group. Class multiplication
+constants are counted with index permutations: one right-multiplication
+array per generator, composed along a breadth-first word for each class
+representative, gives the permutation u -> u*z_k of element positions, and
+a[i][j][k] counts the u in C_i^-1 with u*z_k in C_j. Common eigenspaces of
+the class matrices are split over a prime l = 1 (mod exponent) chosen
+larger than twice the square root of the group order. Each value lifts to
+an exact cyclotomic at its own class order m: omega^(exponent/m) has order
+m mod l, and the multiplicity of each m-th root of unity is recovered by a
+discrete Fourier inversion of length m mod l. Output is in canonical table
+layout (see `chartable.canonical_layout` for where that layout stops being
+independent of the presentation).
 """
 
 from __future__ import annotations
@@ -53,23 +58,64 @@ def _ordered_classes(group: FiniteGroup):
     return classes, class_of
 
 
+def _rep_permutations(group: FiniteGroup, classes):
+    """For each class in turn, the permutation u -> position of
+    elements[u] * rep of element positions, composed from one
+    right-multiplication array per generator along a breadth-first word
+    for the representative."""
+    elements, index = group.elements, group.index
+    gen_perms = [[index[(x * g).key] for x in elements] for g in group.generators]
+    # breadth-first tree: elements[v] = elements[parent[v]] * generators[via[v]]
+    start = classes[0].indices[0]
+    parent = [-1] * len(elements)
+    via = [0] * len(elements)
+    parent[start] = start
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for g, perm in enumerate(gen_perms):
+                v = perm[u]
+                if parent[v] < 0:
+                    parent[v], via[v] = u, g
+                    nxt.append(v)
+        frontier = nxt
+    for c in classes:
+        pos = index[c.rep.key]
+        if parent[pos] < 0:
+            raise ValueError("the generators do not reach every element")
+        word = []
+        while pos != start:
+            word.append(via[pos])
+            pos = parent[pos]
+        perm = list(range(len(elements)))
+        for g in reversed(word):
+            perm = list(map(gen_perms[g].__getitem__, perm))
+        yield perm
+
+
+def _class_constants(group: FiniteGroup, classes, class_of):
+    """(a, inverse class map) for classes in the given order; see
+    `class_constants`."""
+    k = len(classes)
+    index = group.index
+    inverse_class = [class_of[index[c.rep.inverse().key]] for c in classes]
+    a = [[[0] * k for _ in range(k)] for _ in range(k)]
+    # x in C_i with x^-1 z_k in C_j  <=>  u = x^-1 in C_i^-1 with u z_k in C_j
+    for kk, perm in enumerate(_rep_permutations(group, classes)):
+        for i, inv in enumerate(inverse_class):
+            a_i = a[i]
+            for u in classes[inv].indices:
+                a_i[class_of[perm[u]]][kk] += 1
+    return a, inverse_class
+
+
 def class_constants(group: FiniteGroup) -> List[List[List[int]]]:
     """a[i][j][k] = #{(x, y) in C_i x C_j : x*y = z_k} for fixed reps z_k,
-    classes in table order, by direct counting: x runs over C_i and
-    y = x^-1 z_k."""
+    classes in table order."""
     if not group.elements:
         raise ValueError("group is not enumerated")
-    classes, class_of = _ordered_classes(group)
-    k = len(classes)
-    elements, index = group.elements, group.index
-    inv_pos = [index[x.inverse().key] for x in elements]
-    a = [[[0] * k for _ in range(k)] for _ in range(k)]
-    for kk, ck in enumerate(classes):
-        zk = ck.rep
-        for pos, i in enumerate(class_of):
-            j = class_of[index[(elements[inv_pos[pos]] * zk).key]]
-            a[i][j][kk] += 1
-    return a
+    return _class_constants(group, *_ordered_classes(group))[0]
 
 
 def _charpoly_mod(a: List[List[int]], ell: int) -> List[int]:
@@ -204,9 +250,7 @@ def character_table_dixon_mapped(group: FiniteGroup):
 
     # class matrices acting on central-character vectors u (u_j = omega(C_j)):
     # sum_t a[i,j,t] u_t = omega_i * u_j, so (M_i)[j][t] = a[i, j, t]
-    mats = class_constants(group)
-    # z_0 is the identity, so a[i, j, 0] is nonzero only for C_j = C_i^-1
-    inverse_class = [next(j for j in range(k) if mats[i][j][0]) for i in range(k)]
+    mats, inverse_class = _class_constants(group, classes, class_of)
 
     # split common eigenspaces, walking class matrices in class order
     subspaces: List[List[List[int]]] = [
@@ -276,54 +320,46 @@ def character_table_dixon_mapped(group: FiniteGroup):
                              "d^2 = %d mod %d" % (order, dsq, ell))
         degrees.append(deg)
 
-    # character values mod ell, then exact lifting via DFT multiplicities
+    # x^t for t < m, as class numbers, where m is the order of x in C_j
+    index = group.index
     power_class = []
     for c in classes:
-        row = [0] * exponent
-        x = group.elements[group.index[c.rep.key]]
-        acc = None
-        for e in range(exponent):
-            if e == 0:
-                row[e] = 0  # identity class is index 0 by construction
-                acc = None
-            else:
-                acc = x if acc is None else acc * x
-                row[e] = class_of[group.index[acc.key]]
+        row, x = [0], c.rep
+        for _ in range(1, c.order):
+            row.append(class_of[index[x.key]])
+            x = x * c.rep
         power_class.append(row)
 
-    omega_pows = [1] * exponent
-    for e in range(1, exponent):
-        omega_pows[e] = omega_pows[e - 1] * omega % ell
-    inv_exp = pow(exponent, -1, ell)
+    # chi(x) for x of order m is a sum of m-th roots of unity, and
+    # omega^(exponent/m) has order m mod ell: the multiplicity of zeta_m^s is
+    # m^-1 sum_{t<m} chi(x^t) omega^(-(exponent/m) t s) mod ell
+    roots = {}
+    for m in {c.order for c in classes}:
+        w = pow(omega, exponent // m, ell)
+        roots[m] = ([pow(w, t, ell) for t in range(m)], pow(m, -1, ell))
 
     rows = []
-    for chi_no, v in enumerate(thetas):
-        deg = degrees[chi_no]
+    for v, deg in zip(thetas, degrees):
         val_mod = [v[j] * deg % ell * size_inv[j] % ell for j in range(k)]
         row = []
-        for j in range(k):
-            if j == 0:
-                row.append(from_terms(1, {0: deg}))
-                continue
-            m_ord = classes[j].order
+        for j, c in enumerate(classes):
+            m = c.order
+            w_pows, inv_m = roots[m]
+            chi = [val_mod[cls] for cls in power_class[j]]
             terms = {}
-            for e in range(exponent):
-                acc = 0
-                for t in range(exponent):
-                    cls = power_class[j][t]
-                    acc += val_mod[cls] * omega_pows[(-t * e) % exponent]
-                m_e = acc % ell * inv_exp % ell
-                if m_e:
-                    if m_e > deg:
-                        raise DixonError("multiplicity %d exceeds degree %d" % (m_e, deg))
-                    terms[e] = m_e
-            row.append(from_terms(exponent, terms))
+            for s in range(m):
+                mult = sum(chi[t] * w_pows[-t * s % m] for t in range(m)) % ell * inv_m % ell
+                if mult:
+                    if mult > deg:
+                        raise DixonError("multiplicity %d exceeds degree %d" % (mult, deg))
+                    terms[s] = mult
+            row.append(from_terms(m, terms))
         rows.append(tuple(row))
 
     exp_primes = prime_factors(exponent)
     class_infos = []
     for j, c in enumerate(classes):
-        pm = {p: power_class[j][p % exponent] for p in exp_primes}
+        pm = {p: power_class[j][p % c.order] for p in exp_primes}
         class_infos.append((c.size, c.order, pm))
 
     table, class_order, _row_order = build_table_mapped(

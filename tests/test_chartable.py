@@ -7,6 +7,7 @@ from rigikit.chartable import (
     CharacterTable,
     CheckReport,
     CheckResult,
+    build_table_mapped,
     class_is_rational,
     class_rational_by_galois,
     class_rational_by_power_maps,
@@ -17,6 +18,7 @@ from rigikit.chartable import (
 )
 from rigikit.cyclo import cyc, zeta
 from rigikit.dixon import character_table_dixon
+from rigikit.dl_rank1 import build_family
 from rigikit.smallgrp import group_from_spec
 
 C2_TEXT = """\
@@ -201,8 +203,6 @@ def test_inverse_class_via_conjugation():
 
 
 def test_canonical_layout_cross_construction():
-    from rigikit.dl_rank1 import build_family
-
     dix = character_table_dixon(group_from_spec("GL(2,3)"))
     gen = build_family("GL2", 3).table
     assert same_character_data(dix, gen)
@@ -214,3 +214,30 @@ def test_trivial_row_detection():
     t = parse_ctb(S3_TEXT)
     assert t.trivial_row_index() == 0
     assert t.centralizer_order(1) == 2
+
+
+def _rebuild(table, class_order):
+    """build_table_mapped on a table's data, classes listed in class_order."""
+    new_of = {old: new for new, old in enumerate(class_order)}
+    infos = []
+    for old in class_order:
+        c = table.classes[old]
+        infos.append((c.size, c.order, {p: new_of[i] for p, i in c.power_maps}))
+    rows = [[row[old] for old in class_order] for row in table.rows]
+    return build_table_mapped(table.name, table.order, table.exponent, infos, rows)[0]
+
+
+def test_build_table_from_rotated_classes():
+    # the identity need not come first in the input class list
+    for table in (parse_ctb(S3_TEXT), build_family("GL2", 3).table):
+        k = table.n_classes
+        for shift in range(k):
+            rotated = _rebuild(table, [(i + shift) % k for i in range(k)])
+            assert same_character_data(rotated, table), (table.name, shift)
+
+
+def test_build_table_needs_one_identity_class():
+    rows = [[cyc(1), cyc(1)], [cyc(1), cyc(-1)]]
+    for infos, found in (([(1, 2, {}), (1, 2, {})], 0), ([(1, 1, {}), (1, 1, {})], 2)):
+        with pytest.raises(ValueError, match="found %d" % found):
+            build_table_mapped("C2", 2, 2, infos, rows)

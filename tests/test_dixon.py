@@ -7,8 +7,17 @@ from rigikit.dixon import (
     class_constants,
     dixon_parameters,
 )
+from rigikit.dl_rank1 import build_family
 from rigikit.rigidity import ClassTriple, frobenius_count
-from rigikit.smallgrp import conjugacy_classes, group_from_spec
+from rigikit.smallgrp import (
+    closure,
+    conjugacy_classes,
+    gl_generators,
+    group_from_spec,
+    make_element,
+    sl_generators,
+    so_generators,
+)
 
 
 def test_parameters_smallest_qualifying_prime():
@@ -40,16 +49,18 @@ def test_degrees_sl25_psl27():
     assert {max(v.conductor for v in t7.rows[r]) for r in deg3} == {7}
 
 
+def _table_order(group):
+    """Conjugacy classes in the order of class_constants' indices."""
+    cc = conjugacy_classes(group)
+    return sorted(cc, key=lambda c: (c.order != 1, c.order, c.size, c.rep.key))
+
+
 def test_class_constants_identities():
     for spec in ("GL(1,3)", "SL(2,2)", "PSL(2,7)"):
         g = group_from_spec(spec)
-        cc = conjugacy_classes(g)
         tensor = class_constants(g)
-        k = len(cc)
-        # order classes the same way the tensor does: identity first
-        order = sorted(range(k), key=lambda i: (cc[i].order != 1, cc[i].order,
-                                                cc[i].size, cc[i].rep.key))
-        sizes = [cc[i].size for i in order]
+        sizes = [c.size for c in _table_order(g)]
+        k = len(sizes)
         for i in range(k):
             for j in range(k):
                 total = sum(tensor[i][j][t] * sizes[t] for t in range(k))
@@ -109,3 +120,57 @@ def test_trivial_group():
     t = character_table_dixon(group_from_spec("GL(1,2)"))
     assert t.order == 1 and t.exponent == 1
     assert validate(t).ok
+
+
+def _conjugated_group(kind, n, p, rng):
+    """The standard generators conjugated by one seeded invertible matrix,
+    so that enumeration order, representatives and words all change."""
+    projective = kind == "PSL"
+    while True:
+        a = make_element([[rng.randrange(p) for _ in range(n)] for _ in range(n)],
+                         p, projective)
+        if a.det():
+            break
+    if kind in ("SL", "PSL"):
+        gens = sl_generators(n, p, projective)
+    elif kind == "GL":
+        gens = gl_generators(n, p)
+    else:
+        gens = so_generators(n // 2, p)
+    a_inv = a.inverse()
+    return closure([a * g * a_inv for g in gens], kind=kind)
+
+
+def test_class_constants_against_definition():
+    # oracle: a[i][j][k] = #{x in C_i : x^-1 z_k in C_j}, by element products
+    rng = random.Random(5)
+    for kind, n, p in (("PSL", 2, 7), ("GL", 2, 3), ("SL", 2, 5), ("SO", 4, 3)):
+        g = _conjugated_group(kind, n, p, rng)
+        classes = _table_order(g)
+        k = len(classes)
+        class_of = {}
+        for cno, c in enumerate(classes):
+            for pos in c.indices:
+                class_of[g.elements[pos].key] = cno
+        expected = [[[0] * k for _ in range(k)] for _ in range(k)]
+        for i, c in enumerate(classes):
+            for pos in c.indices:
+                x_inv = g.elements[pos].inverse()
+                for kk, z in enumerate(classes):
+                    expected[i][class_of[(x_inv * z.rep).key]][kk] += 1
+        assert class_constants(g) == expected, (kind, n, p)
+
+
+def test_generic_families_and_psl2_13():
+    # Dixon tables against the generic rank-1 tables and the validator
+    gl25 = character_table_dixon(group_from_spec("GL(2,5)"))
+    assert same_character_data(gl25, build_family("GL2", 5).table)
+    sl211 = character_table_dixon(group_from_spec("SL(2,11)"))
+    assert same_character_data(sl211, build_family("SL2", 11).table)
+    psl213 = character_table_dixon(group_from_spec("PSL(2,13)"))
+    assert psl213.order == 1092 and validate(psl213).ok
+    # each value is a sum of roots of unity of its class's element order
+    for t in (gl25, sl211, psl213):
+        for row in t.rows:
+            for v, c in zip(row, t.classes):
+                assert c.order % v.conductor == 0, (t.name, c.name)

@@ -1,0 +1,105 @@
+"""Property-based fuzzing of the two text parsers: whatever the input,
+`parse_value` returns a value or raises `ValueSyntaxError`, and `parse_ctb`
+returns a table or raises `CTBSyntaxError`, within a bounded time.
+
+Values are held in the power basis of their conductor, so a root E(n, k)
+costs time and memory linear in n: the inputs below keep the lcm of their
+root orders at most ROOT_ORDER_BOUND. The fuzzing is about which
+exceptions escape; large conductors are a separate, known cost.
+"""
+
+import re
+from functools import reduce
+from math import lcm
+from pathlib import Path
+
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from rigikit.chartable import CharacterTable, CTBSyntaxError, parse_ctb
+from rigikit.cyclo import Cyclotomic, ValueSyntaxError, parse_value
+
+ROOT_ORDER_BOUND = 5000
+DATA = Path(__file__).resolve().parents[1] / "src" / "rigikit" / "data"
+FIXTURES = [(DATA / name).read_text().splitlines()
+            for name in ("s3.ctb", "psl2_7.ctb", "sl2_5.ctb")]
+
+TOKENS = ["E(", "E", "(", ")", ",", "+", "-", "*", "/", " ", "\t", ";", "#",
+          "=", "0", "1", "-1", "1/2", "3/0", "E(7,1)", "E(4,3)", "E(5,2)*",
+          "2*E(3,1)", "E(0,1)", "E(-3,1)", "E(3)", "E(3,1,2)", "E(2.5,1)"]
+
+fragments = st.lists(
+    st.one_of(st.sampled_from(TOKENS), st.integers(-40, 3000).map(str),
+              st.characters()),
+    max_size=14).map("".join)
+
+
+def _root_orders_bounded(text: str) -> bool:
+    orders = []
+    for m in re.finditer(r"E\(([^,()]*),", text.replace(" ", "").replace("\t", "")):
+        try:
+            n = int(m.group(1))
+        except ValueError:
+            continue
+        if n >= 1:
+            orders.append(n)
+    return reduce(lcm, orders, 1) <= ROOT_ORDER_BOUND
+
+
+@settings(max_examples=300, deadline=1000)
+@given(fragments)
+def test_parse_value_raises_only_syntax_errors(text):
+    assume(_root_orders_bounded(text))
+    try:
+        value = parse_value(text)
+    except ValueSyntaxError:
+        return
+    assert isinstance(value, Cyclotomic)
+
+
+@st.composite
+def mutated_ctb(draw):
+    """A shipped CTB file with up to three lines inserted, deleted,
+    replaced or spliced with a fragment."""
+    lines = list(draw(st.sampled_from(FIXTURES)))
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        op = draw(st.sampled_from(["insert", "delete", "replace", "splice"]))
+        if op == "insert":
+            lines.insert(i, draw(st.sampled_from(lines + [draw(fragments)])))
+        elif op == "delete":
+            del lines[i]
+        elif op == "replace":
+            lines[i] = draw(fragments)
+        else:
+            j = draw(st.integers(0, len(lines[i])))
+            k = draw(st.integers(j, len(lines[i])))
+            lines[i] = lines[i][:j] + draw(fragments) + lines[i][k:]
+        if not lines:
+            break
+    return "\n".join(lines) + "\n"
+
+
+def _parse_ctb_outcome(data) -> None:
+    try:
+        table = parse_ctb(data)
+    except CTBSyntaxError:
+        return
+    assert isinstance(table, CharacterTable)
+
+
+@settings(max_examples=300, deadline=2000)
+@given(mutated_ctb())
+def test_parse_ctb_raises_only_syntax_errors(text):
+    assume(_root_orders_bounded(text))
+    _parse_ctb_outcome(text)
+
+
+@settings(max_examples=100, deadline=2000)
+@given(mutated_ctb(), st.binary(max_size=4), st.integers(0, 400))
+def test_parse_ctb_bytes_raise_only_syntax_errors(text, junk, at):
+    data = text.encode("utf-8")
+    at = min(at, len(data))
+    data = data[:at] + junk + data[at:]
+    assume(_root_orders_bounded(data.decode("latin-1")))
+    _parse_ctb_outcome(data)
