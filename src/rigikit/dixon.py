@@ -1,17 +1,17 @@
 """Dixon-Schneider computation of exact character tables.
 
 Works entirely from a fully enumerated group. Class multiplication
-constants are counted with index permutations: one right-multiplication
-array per generator, composed along a breadth-first word for each class
-representative, gives the permutation u -> u*z_k of element positions, and
-a[i][j][k] counts the u in C_i^-1 with u*z_k in C_j. Common eigenspaces of
-the class matrices are split over a prime l = 1 (mod exponent) chosen
-larger than twice the square root of the group order. Each value lifts to
-an exact cyclotomic at its own class order m: omega^(exponent/m) has order
-m mod l, and the multiplicity of each m-th root of unity is recovered by a
-discrete Fourier inversion of length m mod l. Output is in canonical table
-layout (see `chartable.canonical_layout` for where that layout stops being
-independent of the presentation).
+constants are counted with index permutations: left multiplication by each
+class representative z_k, read off the closure's breadth-first tree
+(`smallgrp.FiniteGroup.left`), is a permutation u -> z_k*u of element
+positions, and a[i][j][k] counts the u in C_i^-1 with z_k*u in C_j. Common
+eigenspaces of the class matrices are split over a prime l = 1 (mod
+exponent) chosen larger than twice the square root of the group order.
+Each value lifts to an exact cyclotomic at its own class order m:
+omega^(exponent/m) has order m mod l, and the multiplicity of each m-th
+root of unity is recovered by a discrete Fourier inversion of length m mod
+l. Output is in canonical table layout (see `chartable.canonical_layout`
+for where that layout stops being independent of the presentation).
 """
 
 from __future__ import annotations
@@ -58,42 +58,6 @@ def _ordered_classes(group: FiniteGroup):
     return classes, class_of
 
 
-def _rep_permutations(group: FiniteGroup, classes):
-    """For each class in turn, the permutation u -> position of
-    elements[u] * rep of element positions, composed from one
-    right-multiplication array per generator along a breadth-first word
-    for the representative."""
-    elements, index = group.elements, group.index
-    gen_perms = [[index[(x * g).key] for x in elements] for g in group.generators]
-    # breadth-first tree: elements[v] = elements[parent[v]] * generators[via[v]]
-    start = classes[0].indices[0]
-    parent = [-1] * len(elements)
-    via = [0] * len(elements)
-    parent[start] = start
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for g, perm in enumerate(gen_perms):
-                v = perm[u]
-                if parent[v] < 0:
-                    parent[v], via[v] = u, g
-                    nxt.append(v)
-        frontier = nxt
-    for c in classes:
-        pos = index[c.rep.key]
-        if parent[pos] < 0:
-            raise ValueError("the generators do not reach every element")
-        word = []
-        while pos != start:
-            word.append(via[pos])
-            pos = parent[pos]
-        perm = list(range(len(elements)))
-        for g in reversed(word):
-            perm = list(map(gen_perms[g].__getitem__, perm))
-        yield perm
-
-
 def _class_constants(group: FiniteGroup, classes, class_of):
     """(a, inverse class map) for classes in the given order; see
     `class_constants`."""
@@ -101,8 +65,10 @@ def _class_constants(group: FiniteGroup, classes, class_of):
     index = group.index
     inverse_class = [class_of[index[c.rep.inverse().key]] for c in classes]
     a = [[[0] * k for _ in range(k)] for _ in range(k)]
-    # x in C_i with x^-1 z_k in C_j  <=>  u = x^-1 in C_i^-1 with u z_k in C_j
-    for kk, perm in enumerate(_rep_permutations(group, classes)):
+    # x in C_i with x^-1 z_k in C_j  <=>  u = x^-1 in C_i^-1 with z_k u in C_j
+    # (z_k u = u^-1 (u z_k) u is conjugate to u z_k)
+    for kk, c in enumerate(classes):
+        perm = group.left(c.indices[0])  # u -> z_k u; z_k is the least member
         for i, inv in enumerate(inverse_class):
             a_i = a[i]
             for u in classes[inv].indices:

@@ -2,14 +2,19 @@
 
 Elements are immutable matrices over GF(p), optionally taken modulo scalars
 (projective groups scale so the first nonzero entry is 1, which makes the
-byte encoding a canonical identity). Closure and conjugation orbits run as
-breadth-first searches with deterministic enumeration order.
+byte encoding a canonical identity). `closure` enumerates a group
+breadth-first, in a deterministic order, and keeps one right-multiplication
+position array per generator and its search tree (Schreier vectors: Holt,
+Eick and O'Brien, Handbook of Computational Group Theory, ch. 4). Left
+multiplications are read off the tree, so conjugacy classes run on
+positions, with no matrix products.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
-from math import gcd, lcm
+from math import gcd
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .modp import is_prime, mat_det, mat_inv, mat_rank, primitive_root
@@ -130,82 +135,91 @@ class FiniteGroup:
     generators: Tuple[GroupElement, ...]
     elements: List[GroupElement] = field(default_factory=list)
     index: Dict = field(default_factory=dict)  # canonical key -> position
+    # right[g][u] = position of elements[u] * generators[g]
+    right: List[array] = field(default_factory=list)
+    # breadth-first tree: elements[u] = elements[parent[u]] * generators[via[u]]
+    parent: array = field(default_factory=lambda: array("i"))
+    via: array = field(default_factory=lambda: array("i"))
     classes: Optional[List[ConjugacyClass]] = None
-    class_of: Optional[List[int]] = None  # element position -> class number
 
     @property
     def order(self) -> int:
         return len(self.elements)
 
-    def exponent(self) -> int:
-        if self.classes is None:
-            conjugacy_classes(self)
-        return lcm(*(c.order for c in self.classes))
+    def left(self, h: int) -> array:
+        """Positions of elements[h] * elements[u] for every u, in one pass
+        over the tree (position 0 holds the identity)."""
+        right, parent, via = self.right, self.parent, self.via
+        out = array("i", [h]) * len(self.elements)
+        for u in range(1, len(out)):
+            out[u] = right[via[u]][out[parent[u]]]
+        return out
 
 
 def closure(generators: Sequence[GroupElement], cap: int = DEFAULT_CLOSURE_CAP,
             kind: str = "GL") -> FiniteGroup:
-    """Breadth-first product closure of the generators."""
+    """Breadth-first product closure, with its multiplication arrays and
+    tree. Generators must be invertible (classes need g^-1 in the group):
+    a singular one raises ValueError."""
     gens = list(generators)
     if not gens:
         raise ValueError("need at least one generator")
     n, p, projective = gens[0].n, gens[0].p, gens[0].projective
-    for g in gens:
+    for no, g in enumerate(gens):
         if (g.n, g.p, g.projective) != (n, p, projective):
             raise ValueError("generators live in different matrix groups")
+        if not g.det():
+            raise ValueError("generator %d is singular" % (no + 1))
     e = identity(n, p, projective)
     elements = [e]
     index = {e.key: 0}
-    frontier = [e]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = x * g
-                if y.key not in index:
-                    index[y.key] = len(elements)
-                    elements.append(y)
-                    nxt.append(y)
-                    if len(elements) > cap:
-                        raise GroupTooLargeError("group closure", cap)
-        frontier = nxt
+    right = [array("i") for _ in gens]
+    parent, via = array("i", [0]), array("i", [0])
+    for u, x in enumerate(elements):  # the list grows as it is walked
+        for gno, g in enumerate(gens):
+            y = x * g
+            v = index.get(y.key)
+            if v is None:
+                v = index[y.key] = len(elements)
+                elements.append(y)
+                parent.append(u)
+                via.append(gno)
+                if len(elements) > cap:
+                    raise GroupTooLargeError("group closure", cap)
+            right[gno].append(v)
     return FiniteGroup(kind=kind, n=n, p=p, generators=tuple(gens),
-                       elements=elements, index=index)
+                       elements=elements, index=index, right=right,
+                       parent=parent, via=via)
 
 
 def conjugacy_classes(group: FiniteGroup) -> List[ConjugacyClass]:
-    """Partition the enumerated group; representatives are enumeration-least."""
+    """Partition the enumerated group, on positions: x -> g^-1 x g is
+    right[g][left(g^-1)[x]]. Representatives are enumeration-least."""
     if group.classes is not None:
         return group.classes
     if not group.elements:
         raise ValueError("group has no enumerated elements")
-    gens = [(g, g.inverse()) for g in group.generators]
-    n_el = len(group.elements)
-    class_of = [-1] * n_el
+    conj = [(r, group.left(group.index[g.inverse().key]))
+            for r, g in zip(group.right, group.generators)]
+    class_of = [-1] * len(group.elements)
     classes: List[ConjugacyClass] = []
-    for start in range(n_el):
+    for start, rep in enumerate(group.elements):
         if class_of[start] >= 0:
             continue
         cls_no = len(classes)
-        rep = group.elements[start]
-        member_idx = [start]
         class_of[start] = cls_no
-        frontier = [rep]
-        while frontier:
-            x = frontier.pop()
-            for g, ginv in gens:
-                y = g * x * ginv
-                pos = group.index[y.key]
-                if class_of[pos] < 0:
-                    class_of[pos] = cls_no
-                    member_idx.append(pos)
-                    frontier.append(group.elements[pos])
-        member_idx.sort()
+        members = [start]
+        for x in members:  # the list grows as it is walked
+            for r, l in conj:
+                y = r[l[x]]
+                if class_of[y] < 0:
+                    class_of[y] = cls_no
+                    members.append(y)
+        members.sort()
         classes.append(ConjugacyClass(
-            rep=rep, size=len(member_idx), order=rep.order(),
-            indices=tuple(member_idx)))
+            rep=rep, size=len(members), order=rep.order(),
+            indices=tuple(members)))
     group.classes = classes
-    group.class_of = class_of
     return classes
 
 
@@ -367,6 +381,8 @@ def sl_generators(n: int, p: int, projective: bool = False) -> List[GroupElement
 
 
 def gl_generators(n: int, p: int, projective: bool = False) -> List[GroupElement]:
+    if n < 1:
+        raise ValueError("GL needs n >= 1")
     gens = sl_generators(n, p, projective) if n >= 2 else []
     g = primitive_root(p)
     d = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
@@ -504,6 +520,8 @@ def parse_generator_file(text: str, projective: bool = False) -> List[GroupEleme
         if fields[0] != "matrix" or len(fields) != 3:
             raise ValueError("expected 'matrix <n> <p>' at line %d" % i)
         n, p = int(fields[1]), int(fields[2])
+        if n < 1:
+            raise ValueError("matrix size %d is below 1 at line %d" % (n, i))
         if not is_prime(p):
             raise ValueError("matrix modulus %d is not prime at line %d" % (p, i))
         rows = []

@@ -1,0 +1,30 @@
+import pytest
+
+from rigikit.smallgrp import (
+    closure, gl_generators, make_element, sl_generators, so_generators)
+
+
+def _conjugated_group(kind, n, p, rng):
+    """The standard generators conjugated by one seeded invertible matrix,
+    so that enumeration order, representatives and words all change."""
+    projective = kind == "PSL"
+    while True:
+        a = make_element([[rng.randrange(p) for _ in range(n)] for _ in range(n)],
+                         p, projective)
+        if a.det():
+            break
+    if kind in ("SL", "PSL"):
+        gens = sl_generators(n, p, projective)
+    elif kind == "GL":
+        gens = gl_generators(n, p)
+    else:
+        gens = so_generators(n // 2, p)
+    a_inv = a.inverse()
+    return closure([a * g * a_inv for g in gens], kind=kind)
+
+
+@pytest.fixture
+def conjugated_group():
+    """conjugated_group(kind, n, p, rng): a group enumerated from seeded
+    conjugates of its standard generators (PSL taken modulo scalars)."""
+    return _conjugated_group

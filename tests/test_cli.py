@@ -177,6 +177,19 @@ def test_out_of_domain_moduli_exit_2(tmp_path, capsys):
         assert out == "" and err.startswith("error:"), argv
 
 
+def test_generators_that_are_not_a_group_exit_2(tmp_path, capsys):
+    gens = tmp_path / "gens.txt"
+    for text in ("matrix 2 3\n1 0\n0 0\n", "matrix 0 3\n", "matrix -1 3\n"):
+        gens.write_text(text)
+        status, out, err = run(capsys, ["dixon", "@%s" % gens])
+        assert status == 2, text
+        assert out == "" and err.startswith("error:"), text
+    for spec in ("GL(0,3)", "PGL(0,5)"):
+        status, out, err = run(capsys, ["dixon", spec])
+        assert status == 2, spec
+        assert out == "" and err.startswith("error:"), spec
+
+
 def test_center_below_one_exit_2(capsys):
     for z in ("0", "-1"):
         status, out, err = run(capsys, [

@@ -9,15 +9,7 @@ from rigikit.dixon import (
 )
 from rigikit.dl_rank1 import build_family
 from rigikit.rigidity import ClassTriple, frobenius_count
-from rigikit.smallgrp import (
-    closure,
-    conjugacy_classes,
-    gl_generators,
-    group_from_spec,
-    make_element,
-    sl_generators,
-    so_generators,
-)
+from rigikit.smallgrp import conjugacy_classes, group_from_spec
 
 
 def test_parameters_smallest_qualifying_prime():
@@ -122,30 +114,11 @@ def test_trivial_group():
     assert validate(t).ok
 
 
-def _conjugated_group(kind, n, p, rng):
-    """The standard generators conjugated by one seeded invertible matrix,
-    so that enumeration order, representatives and words all change."""
-    projective = kind == "PSL"
-    while True:
-        a = make_element([[rng.randrange(p) for _ in range(n)] for _ in range(n)],
-                         p, projective)
-        if a.det():
-            break
-    if kind in ("SL", "PSL"):
-        gens = sl_generators(n, p, projective)
-    elif kind == "GL":
-        gens = gl_generators(n, p)
-    else:
-        gens = so_generators(n // 2, p)
-    a_inv = a.inverse()
-    return closure([a * g * a_inv for g in gens], kind=kind)
-
-
-def test_class_constants_against_definition():
+def test_class_constants_against_definition(conjugated_group):
     # oracle: a[i][j][k] = #{x in C_i : x^-1 z_k in C_j}, by element products
     rng = random.Random(5)
     for kind, n, p in (("PSL", 2, 7), ("GL", 2, 3), ("SL", 2, 5), ("SO", 4, 3)):
-        g = _conjugated_group(kind, n, p, rng)
+        g = conjugated_group(kind, n, p, rng)
         classes = _table_order(g)
         k = len(classes)
         class_of = {}

@@ -1,6 +1,8 @@
-"""Property-based fuzzing of the two text parsers: whatever the input,
-`parse_value` returns a value or raises `ValueSyntaxError`, and `parse_ctb`
-returns a table or raises `CTBSyntaxError`, within a bounded time.
+"""Property-based fuzzing of the text parsers: whatever the input,
+`parse_value` returns a value or raises `ValueSyntaxError`, `parse_ctb`
+returns a table or raises `CTBSyntaxError`, and a generator file either
+gives a group (closure and conjugacy classes) or raises `ValueError` or
+`GroupTooLargeError`, within a bounded time.
 
 Values are held in the power basis of their conductor, so a root E(n, k)
 costs time and memory linear in n: the inputs below keep the lcm of their
@@ -18,6 +20,8 @@ from hypothesis import strategies as st
 
 from rigikit.chartable import CharacterTable, CTBSyntaxError, parse_ctb
 from rigikit.cyclo import Cyclotomic, ValueSyntaxError, parse_value
+from rigikit.smallgrp import (
+    GroupTooLargeError, closure, conjugacy_classes, parse_generator_file)
 
 ROOT_ORDER_BOUND = 5000
 DATA = Path(__file__).resolve().parents[1] / "src" / "rigikit" / "data"
@@ -103,3 +107,35 @@ def test_parse_ctb_bytes_raise_only_syntax_errors(text, junk, at):
     data = data[:at] + junk + data[at:]
     assume(_root_orders_bounded(data.decode("latin-1")))
     _parse_ctb_outcome(data)
+
+
+BAD_GENERATOR_LINES = ["matrix 0 3", "matrix -1 3", "matrix 2 4", "matrix 2 1",
+                       "matrix 3 5", "matrix 2", "0 0", "1 2 3", "1"]
+
+
+@st.composite
+def generator_file(draw):
+    """1-3 'matrix <n> <p>' blocks of one size and modulus with small
+    entries, then up to two lines replaced by a bad header, a row of the
+    wrong length or a fragment."""
+    n = draw(st.integers(1, 3))
+    p = draw(st.sampled_from([2, 3, 5, 7, 257]))
+    lines = []
+    for _ in range(draw(st.integers(1, 3))):
+        lines.append("matrix %d %d" % (n, p))
+        lines += [" ".join(str(draw(st.integers(-2, 9))) for _ in range(n))
+                  for _ in range(n)]
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        bad = draw(st.one_of(st.sampled_from(BAD_GENERATOR_LINES), fragments))
+        lines[draw(st.integers(0, len(lines) - 1))] = bad
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=150, deadline=2000)
+@given(generator_file(), st.booleans())
+def test_generator_file_gives_a_group_or_value_error(text, projective):
+    try:
+        group = closure(parse_generator_file(text, projective), cap=2000)
+    except (ValueError, GroupTooLargeError):
+        return
+    assert sum(c.size for c in conjugacy_classes(group)) == group.order

@@ -188,7 +188,8 @@ def test_lemma_rejects_char_2():
 
 
 def test_group_spec_errors():
-    for bad in ("SL(2,4)", "XX(2,3)", "SO(5,3)", "SL(2)", "SL(2,6)"):
+    for bad in ("SL(2,4)", "XX(2,3)", "SO(5,3)", "SL(2)", "SL(2,6)", "GL(0,3)",
+                "PGL(0,5)"):
         with pytest.raises(ValueError):
             group_from_spec(bad)
 
@@ -210,6 +211,11 @@ matrix 2 5
         parse_generator_file("matrix 2 5\n1 1\n")
     with pytest.raises(ValueError):
         parse_generator_file("matrix 2 5\n1 1 1\n0 1\n")
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="line 1"):
+            parse_generator_file("matrix %d 3\n" % n)
+    with pytest.raises(ValueError, match="singular"):
+        closure(parse_generator_file("matrix 2 3\n1 1\n0 1\nmatrix 2 3\n1 0\n0 0\n"))
 
 
 def test_projective_canonicalization():
@@ -225,3 +231,51 @@ def test_element_orders():
     assert g.order() == 5
     w = make_element([[0, 4], [1, 0]], 5)
     assert w.order() == 4
+
+
+def _classes_by_products(group):
+    """Oracle: the conjugation search on GroupElement products, x -> g x g^-1
+    for each generator g; sorted position tuples in order of least member."""
+    gens = [(g, g.inverse()) for g in group.generators]
+    class_of = [-1] * group.order
+    classes = []
+    for start in range(group.order):
+        if class_of[start] >= 0:
+            continue
+        class_of[start] = len(classes)
+        members = [start]
+        frontier = [group.elements[start]]
+        while frontier:
+            x = frontier.pop()
+            for g, ginv in gens:
+                pos = group.index[(g * x * ginv).key]
+                if class_of[pos] < 0:
+                    class_of[pos] = len(classes)
+                    members.append(pos)
+                    frontier.append(group.elements[pos])
+        classes.append(tuple(sorted(members)))
+    return classes
+
+
+def test_recorded_arrays_tree_and_classes(conjugated_group):
+    rng = random.Random(17)
+    groups = [conjugated_group(kind, n, p, rng) for kind, n, p in
+              (("PSL", 2, 7), ("GL", 2, 3), ("SL", 2, 5), ("SO", 4, 3))]
+    groups.append(closure([identity(2, 3)]))
+    for g in groups:
+        els, index = g.elements, g.index
+        assert len(g.right) == len(g.generators)
+        for gen, right in zip(g.generators, g.right):
+            assert list(right) == [index[(x * gen).key] for x in els]
+        assert len(g.parent) == len(g.via) == g.order
+        for u in range(1, g.order):
+            assert g.parent[u] < u
+            assert els[u] == els[g.parent[u]] * g.generators[g.via[u]]
+        hs = {0, g.order - 1, *(rng.randrange(g.order) for _ in range(3))}
+        hs |= {index[gen.inverse().key] for gen in g.generators}
+        for h in sorted(hs):
+            assert list(g.left(h)) == [index[(els[h] * x).key] for x in els]
+        cc = conjugacy_classes(g)
+        assert [c.indices for c in cc] == _classes_by_products(g)
+        for c in cc:
+            assert c.rep == els[c.indices[0]] and c.size == len(c.indices)
