@@ -1,11 +1,12 @@
 """Integer and prime-field arithmetic shared by the package.
 
-Trial-division primality and factoring (the integers met here are group
-orders, exponents, element orders, conductors and field sizes), the Euler
-phi function built on the factoring (both memoized: the same conductors
-are factored on every canonicalization), primes l = 1 (mod n) with an
-element of order n in GF(l), and one Gauss-Jordan elimination over GF(p)
-under the matrix inverse, determinant, rank and nullspace.
+Deterministic Miller-Rabin primality, trial-division factoring (the
+integers factored here are group orders, exponents, element orders and
+conductors), the Euler phi function built on the factoring (both
+memoized: the same conductors are factored on every canonicalization),
+primes l = 1 (mod n) with an element of order n in GF(l), and one
+Gauss-Jordan elimination over GF(p) under the matrix inverse,
+determinant, rank and nullspace.
 """
 
 from __future__ import annotations
@@ -14,14 +15,39 @@ from functools import cache
 from typing import List, Tuple
 
 
+# the first 13 primes; as Miller-Rabin bases they decide primality exactly
+# for every n below PRIME_TEST_BOUND (Sorenson and Webster, "Strong
+# pseudoprimes to twelve prime bases", 2015)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_TEST_BOUND = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin with the bases 2, 3, ..., 41; exact for
+    n < PRIME_TEST_BOUND = 3,317,044,064,679,887,385,961,981, ValueError
+    at or above it."""
+    if n >= PRIME_TEST_BOUND:
+        raise ValueError("cannot decide whether %d is prime: the test is "
+                         "exact only below %d" % (n, PRIME_TEST_BOUND))
     if n < 2:
         return False
-    p = 2
-    while p * p <= n:
+    for p in _MR_BASES:
         if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        p += 1 if p == 2 else 2
     return True
 
 

@@ -194,13 +194,19 @@ def closure(generators: Sequence[GroupElement], cap: int = DEFAULT_CLOSURE_CAP,
 
 def conjugacy_classes(group: FiniteGroup) -> List[ConjugacyClass]:
     """Partition the enumerated group, on positions: x -> g^-1 x g is
-    right[g][left(g^-1)[x]]. Representatives are enumeration-least."""
+    right[g][left(g^-1)[x]]. Representatives are enumeration-least.
+
+    A class order is read off the powers of its representative, and the
+    walk records the order m / gcd(m, k) of every power g^k on the way, so
+    a class met again among those powers costs no products: a cyclic group
+    takes |G| products in all."""
     if group.classes is not None:
         return group.classes
     if not group.elements:
         raise ValueError("group has no enumerated elements")
     conj = [(r, group.left(group.index[g.inverse().key]))
             for r, g in zip(group.right, group.generators)]
+    order_at = [0] * len(group.elements)
     class_of = [-1] * len(group.elements)
     classes: List[ConjugacyClass] = []
     for start, rep in enumerate(group.elements):
@@ -216,11 +222,27 @@ def conjugacy_classes(group: FiniteGroup) -> List[ConjugacyClass]:
                     class_of[y] = cls_no
                     members.append(y)
         members.sort()
+        order = max(order_at[u] for u in members) or _record_power_orders(
+            group, rep, order_at)
         classes.append(ConjugacyClass(
-            rep=rep, size=len(members), order=rep.order(),
-            indices=tuple(members)))
+            rep=rep, size=len(members), order=order, indices=tuple(members)))
     group.classes = classes
     return classes
+
+
+def _record_power_orders(group: FiniteGroup, g: GroupElement,
+                         order_at: List[int]) -> int:
+    """Order m of g, by products; sets order_at of each power g^k to m / gcd(m, k)."""
+    one = group.elements[0].key
+    powers = [group.index[g.key]]
+    x = g
+    while x.key != one:
+        x = x * g
+        powers.append(group.index[x.key])
+    m = len(powers)
+    for k, u in enumerate(powers, 1):
+        order_at[u] = m // gcd(m, k)
+    return m
 
 
 def class_orbit(rep: GroupElement, generators: Sequence[GroupElement],
@@ -519,7 +541,8 @@ def parse_generator_file(text: str, projective: bool = False) -> List[GroupEleme
         fields = line.split()
         if fields[0] != "matrix" or len(fields) != 3:
             raise ValueError("expected 'matrix <n> <p>' at line %d" % i)
-        n, p = int(fields[1]), int(fields[2])
+        n = _parse_field(fields[1], "matrix size", i)
+        p = _parse_field(fields[2], "matrix modulus", i)
         if n < 1:
             raise ValueError("matrix size %d is below 1 at line %d" % (n, i))
         if not is_prime(p):
@@ -532,7 +555,8 @@ def parse_generator_file(text: str, projective: bool = False) -> List[GroupEleme
             i += 1
             if not row_line or row_line.startswith("#"):
                 continue
-            row = [int(v) for v in row_line.split()]
+            row = [_parse_field(v, "entry %d" % (c + 1), i)
+                   for c, v in enumerate(row_line.split())]
             if len(row) != n:
                 raise ValueError("expected %d entries at line %d" % (n, i))
             rows.append(row)
@@ -540,6 +564,14 @@ def parse_generator_file(text: str, projective: bool = False) -> List[GroupEleme
     if not gens:
         raise ValueError("generator file contains no matrices")
     return gens
+
+
+def _parse_field(text: str, what: str, line: int) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError("%s %r is not an integer at line %d"
+                         % (what, text, line)) from None
 
 
 # ---------------------------------------------------------------------------

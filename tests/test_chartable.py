@@ -1,16 +1,24 @@
 from fractions import Fraction
+from functools import cache
+from importlib import resources
+from math import gcd, lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from sympy import isprime
 
 from rigikit.chartable import (
     CTBSyntaxError,
     CharacterTable,
     CheckReport,
     CheckResult,
+    _check_orthogonality,
+    _residues_match,
+    _split_prime,
+    _unit_generators,
     build_table_mapped,
     class_is_rational,
-    class_rational_by_galois,
-    class_rational_by_power_maps,
     emit_ctb,
     parse_ctb,
     same_character_data,
@@ -19,6 +27,7 @@ from rigikit.chartable import (
 from rigikit.cyclo import cyc, zeta
 from rigikit.dixon import character_table_dixon
 from rigikit.dl_rank1 import build_family
+from rigikit.modp import prime_factors
 from rigikit.smallgrp import group_from_spec
 
 C2_TEXT = """\
@@ -180,6 +189,36 @@ def test_rationality_s3_and_psl27():
     assert not verdicts["7A"] and not verdicts["7B"]
 
 
+def class_rational_by_power_maps(table, j):
+    """Power-map rationality verdict, or None when the stored prime maps do
+    not generate all units modulo the element order."""
+    m = table.classes[j].order
+    if m <= 2:
+        return True
+    units = [k for k in range(1, m) if gcd(k, m) == 1]
+    gens = [p for p in prime_factors(table.exponent) if m % p != 0]
+    reached = {1}
+    frontier = [1]
+    while frontier:
+        x = frontier.pop()
+        for p in gens:
+            y = (x * p) % m
+            if y not in reached:
+                reached.add(y)
+                frontier.append(y)
+    if len(reached) != len(units):
+        return None
+    return all(table.classes[j].power(p) == j for p in gens)
+
+
+def class_rational_by_galois(table, j):
+    """True iff the column is fixed by every Galois map of the exponent field."""
+    col = table.column(j)
+    n = table.exponent
+    return all(v.galois(k) == v for k in range(2, n + 1) if gcd(k, n) == 1
+               for v in col)
+
+
 def test_rationality_cross_checks_agree():
     for spec in ("SL(2,2)", "GL(2,3)", "SL(2,5)", "PSL(2,7)"):
         t = character_table_dixon(group_from_spec(spec))
@@ -241,3 +280,172 @@ def test_build_table_needs_one_identity_class():
     for infos, found in (([(1, 2, {}), (1, 2, {})], 0), ([(1, 1, {}), (1, 1, {})], 2)):
         with pytest.raises(ValueError, match="found %d" % found):
             build_table_mapped("C2", 2, 2, infos, rows)
+
+
+# ---------------------------------------------------------------------------
+# orthogonality by one split prime against the exact pairwise check
+
+FIXTURES = ("c2.ctb", "s3.ctb", "gl2_3.ctb", "sl2_5.ctb", "psl2_7.ctb")
+GENERIC = ([("GL2", q) for q in (3, 4, 5, 7, 8, 9, 11, 13)]
+           + [(fam, q) for fam in ("SL2", "PGL2") for q in (3, 5, 7, 11, 13)])
+DIXON_SPECS = ("SL(2,2)", "GL(2,3)", "SL(2,5)", "PSL(2,7)")
+SOURCES = ([("fixture", name) for name in FIXTURES]
+           + [("generic", fq) for fq in GENERIC]
+           + [("dixon", spec) for spec in DIXON_SPECS])
+
+
+@cache
+def source_table(kind, key):
+    if kind == "fixture":
+        return parse_ctb(resources.files("rigikit.data").joinpath(key).read_text())
+    if kind == "generic":
+        return build_family(*key).table
+    return character_table_dixon(group_from_spec(key))
+
+
+def exact_orthogonality(table):
+    """The exact pairwise checks, with the arguments `validate` gives them."""
+    nr, k = len(table.rows), table.n_classes
+    return (
+        _check_orthogonality("row_orthogonality", table.rows,
+                             [c.size for c in table.classes], [table.order] * nr,
+                             range(nr), "rows"),
+        _check_orthogonality("column_orthogonality",
+                             [table.column(j) for j in range(k)], [1] * nr,
+                             [table.centralizer_order(j) for j in range(k)],
+                             [c.name for c in table.classes], "classes"))
+
+
+def validated_orthogonality(table):
+    return tuple(c for c in validate(table).items if c.name.endswith("_orthogonality"))
+
+
+def modular_verdicts(table):
+    """(rows, columns) verdicts of the modular pass alone; the pass must apply."""
+    split = _split_prime(table)
+    assert split is not None
+    nr, k = len(table.rows), table.n_classes
+    return (
+        _residues_match(split, [c.size for c in table.classes], [table.order] * nr,
+                        False),
+        _residues_match(split, [1] * nr, [table.centralizer_order(j) for j in range(k)],
+                        True))
+
+
+def gram_bound(table):
+    """B of the proof, from the values' public coefficients: the larger of
+    the row and column bounds, with N_max = |G|."""
+    values = {v for row in table.rows for v in row}
+    d = lcm(*(c.denominator for v in values for c in v.coeffs.values()))
+    norm = {v: sum(abs(c * d) for c in v.coeffs.values()) for v in values}
+    by_class = [max(norm[v] for v in table.column(j)) for j in range(table.n_classes)]
+    by_row = [max(norm[v] for v in row) for row in table.rows]
+    return d * d * table.order + max(
+        sum(c.size * m * m for c, m in zip(table.classes, by_class)),
+        sum(m * m for m in by_row))
+
+
+def with_rows(table, rows):
+    return CharacterTable(name=table.name, order=table.order, exponent=table.exponent,
+                          classes=table.classes, rows=tuple(tuple(r) for r in rows))
+
+
+@pytest.mark.parametrize("kind,key", SOURCES, ids=[str(k) for _, k in SOURCES])
+def test_split_prime_verdict_equals_exact_check(kind, key):
+    table = source_table(kind, key)
+    exact = exact_orthogonality(table)
+    assert tuple(c.ok for c in exact) == modular_verdicts(table) == (True, True)
+    assert validated_orthogonality(table) == exact
+
+
+@pytest.mark.parametrize("kind,key", SOURCES, ids=[str(k) for _, k in SOURCES])
+def test_split_prime_is_one_mod_e_and_above_the_bound(kind, key):
+    table = source_table(kind, key)
+    ell = _split_prime(table)[0]
+    e = lcm(*(v.conductor for row in table.rows for v in row))
+    assert isprime(ell) and (ell - 1) % e == 0 and ell > gram_bound(table)
+
+
+def test_unit_generators_are_greedy_and_generate():
+    for n in range(1, 400):
+        units = {u for u in range(n) if gcd(u, n) == 1} or {0}
+        reached = {1 % n}
+        for g in _unit_generators(n):
+            assert g == min(units - reached)
+            while True:
+                grown = reached | {g * h % n for h in reached}
+                if grown == reached:
+                    break
+                reached = grown
+        assert reached == units, n
+
+
+def rational_rows(table):
+    return [r for r, row in enumerate(table.rows)
+            if r > 0 and all(v.is_rational() for v in row)]
+
+
+def test_stable_perturbation_is_caught_by_the_residues():
+    # a rational row stays Galois-fixed, so the modular pass applies and
+    # rejects; the exact check then names the same pair as before. Flipping
+    # the sign of one value keeps every Gram diagonal entry, so only the
+    # off-diagonal residues see it.
+    for kind, key in (("fixture", "s3.ctb"), ("fixture", "psl2_7.ctb"),
+                      ("generic", ("GL2", 5))):
+        table = source_table(kind, key)
+        r = rational_rows(table)[-1]
+        j = next(j for j in range(1, table.n_classes) if not table.rows[r][j].is_zero())
+        for bad in (_tweak_value(table, r, 1, cyc(1)),
+                    _tweak_value(table, r, j, -2 * table.rows[r][j])):
+            assert modular_verdicts(bad) == (False, False)
+            got = validated_orthogonality(bad)
+            assert got == exact_orthogonality(bad)
+            assert not any(c.ok for c in got) and all(c.detail for c in got)
+
+
+def test_values_with_denominators_pass_by_the_residues():
+    # two rational rows of equal norm mixed by the rational rotation
+    # (3, 4; 4, -3)/5 keep both orthogonality relations, with D = 5
+    s3 = source_table("fixture", "s3.ctb")
+    x, y = s3.rows[1], s3.rows[2]
+    mixed = with_rows(s3, [s3.rows[0],
+                           [(3 * u + 4 * v) / 5 for u, v in zip(x, y)],
+                           [(4 * u - 3 * v) / 5 for u, v in zip(x, y)]])
+    assert _split_prime(mixed)[1] == 25
+    assert modular_verdicts(mixed) == (True, True)
+    assert validated_orthogonality(mixed) == exact_orthogonality(mixed)
+    assert all(c.ok for c in exact_orthogonality(mixed))
+
+
+def test_unstable_or_repeated_rows_take_the_exact_check():
+    psl = source_table("fixture", "psl2_7.ctb")
+    r = next(r for r, row in enumerate(psl.rows) if not row[-1].is_rational())
+    unstable = _tweak_value(psl, r, psl.n_classes - 1, cyc(1))
+    s3 = source_table("fixture", "s3.ctb")
+    broken = _tweak_value(s3, 2, 1, zeta(3))
+    repeated = with_rows(s3, s3.rows + (s3.rows[1],))
+    for table in (unstable, broken, repeated):
+        assert _split_prime(table) is None
+        got = validated_orthogonality(table)
+        assert got == exact_orthogonality(table)
+        assert not all(c.ok for c in got)
+
+
+SMALL = [("fixture", name) for name in FIXTURES] + [
+    ("generic", ("SL2", 5)), ("generic", ("PGL2", 5)), ("generic", ("GL2", 4))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_rational_row_perturbations_agree_with_exact_check(data):
+    table = source_table(*data.draw(st.sampled_from(SMALL)))
+    rows = [list(row) for row in table.rows]
+    for _ in range(data.draw(st.integers(1, 3))):
+        r = data.draw(st.sampled_from(rational_rows(table)))
+        j = data.draw(st.integers(0, table.n_classes - 1))
+        delta = Fraction(data.draw(st.integers(-3, 3)), data.draw(st.integers(1, 3)))
+        rows[r][j] = rows[r][j] + delta
+    bad = with_rows(table, rows)
+    assert validated_orthogonality(bad) == exact_orthogonality(bad)
+    if len(set(bad.rows)) == len(bad.rows):
+        assert _split_prime(bad) is not None

@@ -223,3 +223,26 @@ def test_root_outside_exponent_field_exit_2(tmp_path):
             assert proc.returncode == 2, (root, argv)
             assert proc.stdout == "" and proc.stderr.startswith("error:"), (root, argv)
             assert "line 11" in proc.stderr, (root, argv)
+
+
+def test_generator_file_moduli_and_fields(tmp_path):
+    # out of process, so that a hang in the primality test fails the test
+    env = dict(os.environ, PYTHONPATH=str(Path(rigikit.__file__).parents[1]))
+    gens = tmp_path / "gens.txt"
+    big = 1000000000000000003  # prime
+    too_big = 3317044064679887385961983  # past the exact primality test
+    for text, status, says in (
+            ("matrix 2 %d\n1 0\n0 1\n" % big, 0, ""),
+            ("matrix 2 %d\n1 0\n0 1\n" % too_big, 2, "%d is prime" % too_big),
+            ("matrix 2 x\n1 0\n0 1\n", 2, "modulus 'x' is not an integer at line 1"),
+            ("matrix 2 5\n1 y\n0 1\n", 2, "entry 2 'y' is not an integer at line 2")):
+        gens.write_text(text)
+        proc = subprocess.run([sys.executable, "-m", "rigikit", "dixon", "@%s" % gens],
+                              env=env, capture_output=True, text=True, timeout=10)
+        assert proc.returncode == status, text
+        if status:
+            assert proc.stdout == "" and proc.stderr.startswith("error:"), text
+            assert says in proc.stderr, text
+        else:
+            assert proc.stdout.splitlines()[2:] == ["order 1", "exponent 1", "classes 1",
+                                                    "class 1A size=1 order=1", "char X1 1"]

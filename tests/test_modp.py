@@ -3,11 +3,12 @@
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from sympy import GF, isprime, primefactors, totient
+from sympy import GF, isprime, prevprime, primefactors, totient
 from sympy.polys.matrices import DomainMatrix
 
 from rigikit.dixon import DixonError, _solve_in_basis
 from rigikit.modp import (
+    PRIME_TEST_BOUND,
     element_of_order,
     euler_phi,
     gauss_jordan,
@@ -122,6 +123,30 @@ def test_integer_functions_against_sympy():
         assert prime_factors(n) == tuple(primefactors(n))
         assert euler_phi(n) == totient(n)
     assert not is_prime(0) and not is_prime(-7)
+
+
+# strong pseudoprimes to every prime base up to 5, 7, 11, 13, 23 and 37
+STRONG_PSEUDOPRIMES = (25326001, 3215031751, 2152302898747, 3474749660383,
+                       3825123056546413051, 318665857834031151167461)
+
+
+def test_miller_rabin_against_sympy():
+    for start in (10 ** 6, 2 ** 32 - 500, 10 ** 12, 10 ** 18, PRIME_TEST_BOUND - 1000):
+        for n in range(start, start + 1000):
+            assert is_prime(n) == isprime(n), n
+    for n in STRONG_PSEUDOPRIMES:
+        assert not isprime(n) and not is_prime(n), n
+    assert is_prime(prevprime(PRIME_TEST_BOUND))
+    for n in (PRIME_TEST_BOUND, PRIME_TEST_BOUND + 1, 10 ** 30):
+        with pytest.raises(ValueError, match="exact only below"):
+            is_prime(n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 10 ** 6), st.integers(2, 10 ** 12))
+def test_miller_rabin_on_products_and_primes(a, b):
+    for n in (a, b, a * b, a * b + 1):
+        assert is_prime(n) == isprime(n), n
 
 
 def test_prime_one_mod_and_element_order():

@@ -1,7 +1,9 @@
 import random
+from collections import Counter
 
 import pytest
 
+from rigikit.modp import euler_phi
 from rigikit.smallgrp import (
     GroupTooLargeError,
     UnsupportedSpectrumError,
@@ -216,6 +218,11 @@ matrix 2 5
             parse_generator_file("matrix %d 3\n" % n)
     with pytest.raises(ValueError, match="singular"):
         closure(parse_generator_file("matrix 2 3\n1 1\n0 1\nmatrix 2 3\n1 0\n0 0\n"))
+    for text, named in (("matrix 2 x\n1 0\n0 1\n", "modulus 'x' .* line 1"),
+                        ("matrix y 5\n", "size 'y' .* line 1"),
+                        ("# comment\nmatrix 2 5\n1 y\n0 1\n", "entry 2 'y' .* line 3")):
+        with pytest.raises(ValueError, match=named):
+            parse_generator_file(text)
 
 
 def test_projective_canonicalization():
@@ -279,3 +286,12 @@ def test_recorded_arrays_tree_and_classes(conjugated_group):
         assert [c.indices for c in cc] == _classes_by_products(g)
         for c in cc:
             assert c.rep == els[c.indices[0]] and c.size == len(c.indices)
+            assert all(els[u].order() == c.order for u in c.indices)
+
+
+def test_class_orders_of_a_cyclic_group():
+    # every power of the generator gets its order from one walk
+    g = closure([make_element([[5, 1], [2, 0]], 257)])
+    assert g.order == 1376
+    orders = Counter(c.order for c in conjugacy_classes(g))
+    assert orders == {d: euler_phi(d) for d in range(1, 1377) if 1376 % d == 0}
