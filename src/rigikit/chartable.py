@@ -416,6 +416,7 @@ def parse_ctb(text) -> CharacterTable:
     # the roots E(2m, k) for odd m | exponent; any other root is rejected
     # before the arithmetic at its order begins
     root_bound = lcm(2, exponent)
+    parsed: Dict[str, Cyclotomic] = {}  # a table repeats few distinct values
     rows: List[Tuple[Cyclotomic, ...]] = []
     char_names: List[str] = []
     while True:
@@ -443,11 +444,14 @@ def parse_ctb(text) -> CharacterTable:
                 raise CTBSyntaxError(
                     "E(%d,k) in char %s: %d does not divide lcm(2, exponent) = %d"
                     % (n, cname, n, root_bound), ln)
+        keys = [p.strip() for p in pieces]
         try:
-            row = tuple(parse_value(p) for p in pieces)
+            for key, p in zip(keys, pieces):
+                if key not in parsed:
+                    parsed[key] = parse_value(p)
         except ValueError as exc:
             raise CTBSyntaxError("bad value in char %s: %s" % (cname, exc), ln) from None
-        rows.append(row)
+        rows.append(tuple(map(parsed.__getitem__, keys)))
         char_names.append(cname)
     if not rows:
         raise CTBSyntaxError("table has no character rows", pos)

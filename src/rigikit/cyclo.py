@@ -22,13 +22,19 @@ Q(zeta_{n/p}), one prime p | n at a time, in integer arithmetic:
 Internally a value keeps integer numerators and one common denominator,
 so the frequent basis reductions run in pure integer arithmetic; the
 public coefficient view is in `fractions.Fraction`.
+
+Every sum of values (`Cyclotomic.__add__`, `parse_value`, the character
+sums of `dl_rank1` and `rigidity`) is one `linear_sum`: the terms are
+embedded at the lcm conductor over one denominator, added in integers and
+canonicalized once. The reduction mod Phi_n is sparse and reads the table
+of zeta_n^e only for e >= phi(n), so few low terms are cheap at any n.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Dict, Tuple, Union
+from typing import Dict, Iterable, Tuple, Union
 
 from .modp import element_of_order, euler_phi, prime_factors, prime_one_mod
 
@@ -135,30 +141,23 @@ def _galois_subgroup(n: int, d: int) -> Tuple[int, ...]:
 # integer-kernel canonicalization helpers
 
 
-def _reduce_int(n: int, raw: Dict[int, int]) -> list:
-    """Reduce an exponent dict (mod n) to power-basis coefficients; integer
-    coefficients in the canonicalization, any rationals in `raw_*`."""
+def _reduce_int(n: int, raw: Dict[int, Coeff]) -> Dict[int, Coeff]:
+    """Reduce an exponent dict (mod n) to its nonzero power-basis
+    coefficients (integers in the canonicalization, any rationals in
+    `raw_*`); only exponents >= phi(n) read the reduction table."""
     phi = euler_phi(n)
-    acc = [0] * phi
-    pending = None
+    acc: Dict[int, Coeff] = {}
     for e, c in raw.items():
         if not c:
             continue
         e %= n
         if e < phi:
-            acc[e] += c
+            acc[e] = acc.get(e, 0) + c
         else:
-            if pending is None:
-                pending = []
-            pending.append((e, c))
-    if pending:
-        red = _reduction_table(n)
-        for e, c in pending:
-            row = red[e]
-            for i in range(phi):
-                if row[i]:
-                    acc[i] += c * row[i]
-    return acc
+            for i, r in enumerate(_reduction_table(n)[e]):
+                if r:
+                    acc[i] = acc.get(i, 0) + c * r
+    return {e: c for e, c in acc.items() if c}
 
 
 def _subfield_fast_test(n: int, num: Dict[int, int], d: int) -> bool:
@@ -188,14 +187,12 @@ def _descend_coprime(n: int, num: Dict[int, int], p: int):
         a = e * p_inv % d
         trace[a] = trace.get(a, 0) + (c * (p - 1) if e * d_inv % p == 0 else -c)
     sub = {}
-    for a, t in enumerate(_reduce_int(d, trace)):
-        if t:
-            q, r = divmod(t, p - 1)
-            if r:
-                return None
-            sub[a] = q
-    back = _reduce_int(n, {a * p: c for a, c in sub.items()})
-    if {e: c for e, c in enumerate(back) if c} != num:
+    for a, t in _reduce_int(d, trace).items():
+        q, r = divmod(t, p - 1)
+        if r:
+            return None
+        sub[a] = q
+    if _reduce_int(n, {a * p: c for a, c in sub.items()}) != num:
         return None
     return sub
 
@@ -212,7 +209,7 @@ def _shrink_int(n: int, num: Dict[int, int], den: int):
                 num = {e // p: c for e, c in num.items()}
                 if d % 4 == 2:
                     d, raw = _fold_even_conductor(d, num)
-                    num = {e: c for e, c in enumerate(_reduce_int(d, raw)) if c}
+                    num = _reduce_int(d, raw)
             elif _subfield_fast_test(n, num, d):
                 sub = _descend_coprime(n, num, p)
                 if sub is None:
@@ -321,23 +318,7 @@ class Cyclotomic:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if self._n == other._n:
-            m, den = self._n, lcm(self._den, other._den)
-            fa, fb = den // self._den, den // other._den
-            num = {e: c * fa for e, c in self._num.items()}
-            for e, c in other._num.items():
-                num[e] = num.get(e, 0) + c * fb
-            num = {e: c for e, c in num.items() if c}
-            return Cyclotomic(*_normalize_content(*_shrink_int(m, num, den)))
-        m = lcm(self._n, other._n)
-        den = lcm(self._den, other._den)
-        sa, sb = m // self._n, m // other._n
-        fa, fb = den // self._den, den // other._den
-        raw = {e * sa: c * fa for e, c in self._num.items()}
-        for e, c in other._num.items():
-            key = e * sb
-            raw[key] = raw.get(key, 0) + c * fb
-        return _canonical_int(m, raw, den)
+        return linear_sum(((1, self), (1, other)))
 
     __radd__ = __add__
 
@@ -423,9 +404,7 @@ class Cyclotomic:
             raise ValueError("galois exponent %d not coprime to conductor %d" % (k, n))
         if n == 1 or k == 1:
             return self
-        raw = {(e * k) % n: c for e, c in self._num.items()}
-        vec = _reduce_int(n, raw)
-        num = {i: v for i, v in enumerate(vec) if v}
+        num = _reduce_int(n, {(e * k) % n: c for e, c in self._num.items()})
         # a Galois image has the same minimal conductor, so no shrink
         return Cyclotomic(*_normalize_content(n, num, self._den))
 
@@ -462,8 +441,7 @@ def _canonical_int(n: int, raw: Dict[int, int], den: int) -> Cyclotomic:
     """Canonicalize an integer exponent dict over a common denominator."""
     if n % 4 == 2:
         n, raw = _fold_even_conductor(n, raw)
-    vec = _reduce_int(n, raw)
-    num = {i: v for i, v in enumerate(vec) if v}
+    num = _reduce_int(n, raw)
     return Cyclotomic(*_normalize_content(*_shrink_int(n, num, den)))
 
 
@@ -503,16 +481,44 @@ def cyc(x: Union[int, Fraction, Cyclotomic]) -> Cyclotomic:
 
 def from_terms(n: int, terms: Dict[int, Coeff]) -> Cyclotomic:
     """Sum of c_e * zeta_n^e over the given exponent map, canonicalized."""
-    den = 1
-    for c in terms.values():
-        if isinstance(c, Fraction):
-            den = lcm(den, c.denominator)
+    den = lcm(*(c.denominator for c in terms.values()))
     raw: Dict[int, int] = {}
     for e, c in terms.items():
-        f = Fraction(c)
         key = e % n
-        raw[key] = raw.get(key, 0) + int(f * den)
+        raw[key] = raw.get(key, 0) + c.numerator * (den // c.denominator)
     return _canonical_int(n, raw, den)
+
+
+def linear_sum(pairs: Iterable[Tuple[Coeff, Cyclotomic]]) -> Cyclotomic:
+    """Sum of c * v over (rational c, Cyclotomic v) pairs, canonicalized
+    once. A lone term is only scaled; when every term has the lcm conductor
+    m its exponents are already reduced mod Phi_m, so the reduction is
+    skipped."""
+    terms = []
+    m = den = 1
+    for c, v in pairs:
+        if c and v._num:
+            d = c.denominator * v._den
+            terms.append((c.numerator, d, v))
+            m = lcm(m, v._n)
+            den = lcm(den, d)
+    if not terms:
+        return ZERO
+    if len(terms) == 1:
+        c, d, v = terms[0]
+        return Cyclotomic(*_normalize_content(
+            v._n, {e: x * c for e, x in v._num.items()}, d))
+    raw: Dict[int, int] = {}
+    reduced = True
+    for c, d, v in terms:
+        step = m // v._n
+        reduced = reduced and step == 1
+        c *= den // d
+        for e, x in v._num.items():
+            e *= step
+            raw[e] = raw.get(e, 0) + x * c
+    num = {e: x for e, x in raw.items() if x} if reduced else _reduce_int(m, raw)
+    return Cyclotomic(*_normalize_content(*_shrink_int(m, num, den)))
 
 
 # ---------------------------------------------------------------------------
@@ -548,10 +554,7 @@ def raw_conjugate(d: Dict[int, Coeff], m: int) -> Dict[int, Coeff]:
 
 
 def raw_equals_rational(m: int, raw: Dict[int, Coeff], value: Coeff) -> bool:
-    vec = _reduce_int(m, raw)
-    if any(vec[1:]):
-        return False
-    return vec[0] == value
+    return _reduce_int(m, raw) == ({0: value} if value else {})
 
 
 # ---------------------------------------------------------------------------
@@ -613,13 +616,10 @@ def parse_value(text: str) -> Cyclotomic:
     if depth != 0:
         raise ValueSyntaxError("unbalanced parenthesis in %r" % text)
     terms.append(cur)
-    total = _parse_term(terms[0], text)
-    for term in terms[1:]:
-        total = total + _parse_term(term, text)
-    return total
+    return linear_sum(_parse_term(term, text) for term in terms)
 
 
-def _parse_term(term: str, context: str) -> Cyclotomic:
+def _parse_term(term: str, context: str) -> Tuple[Coeff, Cyclotomic]:
     t = term
     sign = 1
     if t and t[0] in "+-":
@@ -630,12 +630,10 @@ def _parse_term(term: str, context: str) -> Cyclotomic:
         raise ValueSyntaxError("dangling sign in %r" % context)
     if "*" in t:
         coeff_text, _, root_text = t.partition("*")
-        coeff = _parse_rat(coeff_text, context)
-        root = _parse_root(root_text, context)
-        return cyc(sign * coeff) * root
+        return sign * _parse_rat(coeff_text, context), _parse_root(root_text, context)
     if t.startswith("E"):
-        return cyc(sign) * _parse_root(t, context)
-    return cyc(sign * _parse_rat(t, context))
+        return sign, _parse_root(t, context)
+    return sign * _parse_rat(t, context), ONE
 
 
 def _parse_rat(t: str, context: str) -> Fraction:

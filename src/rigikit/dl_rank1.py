@@ -16,7 +16,7 @@ from math import gcd, lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .chartable import CharacterTable, CheckReport, CheckResult, build_table_mapped
-from .cyclo import Cyclotomic, cyc, from_terms, zeta
+from .cyclo import Cyclotomic, cyc, from_terms, linear_sum, zeta
 from .modp import prime_factors
 
 Label = Tuple  # ("central", a) | ("unipotent", ...) | ("split", ...) | ("nonsplit", ...)
@@ -114,10 +114,8 @@ class Rank1Family:
         return self.label_to_row[label]
 
     def dl_value(self, dl: DLCharacter, class_index: int) -> Cyclotomic:
-        total = cyc(0)
-        for row, coeff in dl.decomposition.items():
-            total = total + cyc(coeff) * self.table.rows[row][class_index]
-        return total
+        return linear_sum((c, self.table.rows[r][class_index])
+                          for r, c in dl.decomposition.items())
 
     def semisimple_class_indices(self) -> List[int]:
         out = []
@@ -578,11 +576,15 @@ def torus_characters(fam: Rank1Family, torus: str):
     return torus_elements(fam, torus)  # same parameter space
 
 
-def theta_value(fam: Rank1Family, torus: str, theta, t) -> Cyclotomic:
-    n = _torus_modulus(fam, torus)
+def _theta_exponent(fam: Rank1Family, torus: str, theta, t) -> int:
+    """k with theta(t) = zeta_n^k, n the torus modulus."""
     if fam.family == "GL2" and torus == "split":
-        return zeta(n, theta[0] * t[0] + theta[1] * t[1])
-    return zeta(n, theta * t)
+        return theta[0] * t[0] + theta[1] * t[1]
+    return theta * t
+
+
+def theta_value(fam: Rank1Family, torus: str, theta, t) -> Cyclotomic:
+    return zeta(_torus_modulus(fam, torus), _theta_exponent(fam, torus, theta, t))
 
 
 def weyl_on_torus(fam: Rank1Family, torus: str, t):
@@ -705,13 +707,15 @@ def torus_character_sum(fam: Rank1Family, torus: str, H, s):
     The sum vanishes whenever some theta in H is nontrivial on s.
     """
     j = torus_element_class(fam, torus, s)
-    total = cyc(0)
+    n = _torus_modulus(fam, torus)
     qualified = False
-    one = cyc(1)
+    multiplicity: Dict[int, int] = {}
     for theta in H:
-        if theta_value(fam, torus, theta, s) != one:
+        if _theta_exponent(fam, torus, theta, s) % n:
             qualified = True
-        total = total + fam.dl_value(dl_character(fam, torus, theta), j)
+        for row, coeff in dl_character(fam, torus, theta).decomposition.items():
+            multiplicity[row] = multiplicity.get(row, 0) + coeff
+    total = linear_sum((c, fam.table.rows[r][j]) for r, c in multiplicity.items())
     return total, qualified
 
 
@@ -844,9 +848,7 @@ def semisimple_value_on_unipotent(fam: Rank1Family, datum: DualSemisimpleDatum,
         )
     sign = 1 if unsigned["one"] > 0 else -1
     predicted = sign * unsigned[alg]
-    actual = cyc(0)
-    for r in datum.ss_rows:
-        actual = actual + fam.table.rows[r][class_index]
+    actual = linear_sum((1, fam.table.rows[r][class_index]) for r in datum.ss_rows)
     if not (actual.is_rational() and actual.to_rational() == predicted):
         raise IdentityViolation(
             "semisimple value mismatch for %s at class %s: table %s, "

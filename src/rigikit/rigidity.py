@@ -14,10 +14,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import mul
 from typing import NamedTuple, Sequence, Tuple
 
 from .chartable import CharacterTable, class_is_rational
-from .cyclo import Cyclotomic, cyc, format_value
+from .cyclo import Cyclotomic, cyc, format_value, linear_sum
 
 
 class ClassTriple(NamedTuple):
@@ -32,18 +34,10 @@ class InconsistentTableError(RuntimeError):
 
 def _character_sum(table: CharacterTable, indices: Sequence[int],
                    skip_row: int = -1) -> Cyclotomic:
-    total = cyc(0)
     r = len(indices)
-    for row_no, row in enumerate(table.rows):
-        if row_no == skip_row:
-            continue
-        term = row[indices[0]]
-        for j in indices[1:]:
-            term = term * row[j]
-        deg = row[0].to_rational()
-        term = term * cyc(Fraction(1) / deg ** (r - 2)) if r > 2 else term
-        total = total + term
-    return total
+    return linear_sum(
+        (row[0].to_rational() ** (2 - r), reduce(mul, map(row.__getitem__, indices)))
+        for row_no, row in enumerate(table.rows) if row_no != skip_row)
 
 
 def frobenius_count_multi(table: CharacterTable, indices: Sequence[int]) -> int:

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy import isprime
 
+from rigikit import chartable
 from rigikit.chartable import (
     CTBSyntaxError,
     CharacterTable,
@@ -24,7 +25,7 @@ from rigikit.chartable import (
     same_character_data,
     validate,
 )
-from rigikit.cyclo import cyc, zeta
+from rigikit.cyclo import cyc, parse_value, zeta
 from rigikit.dixon import character_table_dixon
 from rigikit.dl_rank1 import build_family
 from rigikit.modp import prime_factors
@@ -84,6 +85,25 @@ def test_malformed_char_line_names_line():
     with pytest.raises(CTBSyntaxError) as err:
         parse_ctb(bad)
     assert "X3" in str(err.value) and "line" in str(err.value)
+
+
+def test_parse_reads_each_distinct_value_once(monkeypatch):
+    table = build_family("GL2", 5).table
+    text = emit_ctb(table)
+    calls = []
+
+    def counting(value_text):
+        calls.append(value_text)
+        return parse_value(value_text)
+    monkeypatch.setattr(chartable, "parse_value", counting)
+    assert parse_ctb(text).rows == table.rows
+    assert len(calls) == len({c.strip() for c in calls})
+    # a bad value is reported at the first line that holds it
+    bad = S3_TEXT.replace("char X2 1 ; -1 ; 1", "char X2 1 ; zz ; 1").replace(
+        "char X3 2 ; 0 ; -1", "char X3 2 ; zz ; -1")
+    with pytest.raises(CTBSyntaxError) as err:
+        parse_ctb(bad)
+    assert "X2" in str(err.value) and err.value.line == 11
 
 
 def test_wrong_value_count():

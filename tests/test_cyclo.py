@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -14,6 +15,7 @@ from rigikit.cyclo import (
     euler_phi,
     format_value,
     from_terms,
+    linear_sum,
     parse_value,
     zeta,
 )
@@ -131,6 +133,26 @@ def test_lone_root_parses_without_arithmetic_at_its_order(monkeypatch):
     assert str(parse_value("-2*E(100000000,3)")) == "-2*E(100000000,3)"
 
 
+def test_sparse_sum_at_huge_order_skips_the_reduction_table(monkeypatch):
+    # exponents below phi(n) need neither the n-row table of zeta_n^e
+    # mod Phi_n nor a vector of phi(n) coefficients
+    table = cyclo._reduction_table
+
+    def guarded(n):
+        if n == 10 ** 8:
+            raise AssertionError("reduction table built at the root's order")
+        return table(n)
+    monkeypatch.setattr(cyclo, "_reduction_table", guarded)
+    tracemalloc.start()
+    try:
+        assert str(parse_value("1 + E(100000000,1)")) == "1 + E(100000000,1)"
+        assert str(parse_value("E(100000000,3) - 2")) == "-2 + E(100000000,3)"
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_grammar_errors():
     for bad in ["", "E(5)", "E(x,1)", "1 + + 2", "E(5,1", "2**E(5,1)", "1/0"]:
         with pytest.raises(ValueSyntaxError):
@@ -176,10 +198,37 @@ def test_cyclotomic_polynomial_against_sympy():
         assert list(cyclotomic_polynomial(n)) == expected
 
 
+def _check_against_fixed_field(value, n, terms):
+    """The conductor of `value` must be the least m | n whose Galois
+    subgroup {k = 1 (mod m)} fixes sum c_e zeta_n^e mod Phi_n, the value
+    must be in the power basis of its conductor, and re-embedded at n it
+    must equal that sum mod Phi_n."""
+    divisors = [m for m in range(1, n + 1) if n % m == 0]
+    units = [k for k in range(1, n + 1) if gcd(k, n) == 1]
+    scale = lcm(*(Fraction(c).denominator for c in terms.values()))
+    phi_n = cyclotomic_poly(n, X, polys=True)
+    poly = _zz_poly(terms, scale)
+    fixed = {}
+
+    def fixes(k):
+        if k not in fixed:
+            image = _zz_poly({e * k % n: c for e, c in terms.items()}, scale)
+            fixed[k] = (image - poly).rem(phi_n).is_zero
+        return fixed[k]
+
+    f = next(m for m in divisors
+             if all(fixes(k) for k in units if (k - 1) % m == 0))
+    if f % 4 == 2:
+        f //= 2
+    assert value.conductor == f, (n, terms, str(value))
+    assert all(e < euler_phi(f) for e in value.coeffs), (n, terms, str(value))
+    step = n // f
+    embedded = _zz_poly({e * step: c for e, c in value.coeffs.items()}, scale)
+    assert (embedded - poly).rem(phi_n).is_zero, (n, terms, str(value))
+
+
 def test_minimal_conductor_against_fixed_field_oracle():
-    """Orbit sums over {k = 1 (mod d)} land in Q(zeta_d); the conductor must
-    be the least m | n whose Galois subgroup fixes the value mod Phi_n, and
-    the canonical value re-embedded at n must equal the input mod Phi_n."""
+    """Orbit sums over {k = 1 (mod d)} land in Q(zeta_d)."""
     rng = random.Random(2026)
     conductors = [m for m in range(1, 121) if m % 4 != 2]
     for _ in range(120):
@@ -194,27 +243,52 @@ def test_minimal_conductor_against_fixed_field_oracle():
             if (k - 1) % d == 0:
                 for e, c in base.items():
                     terms[e * k % n] = terms.get(e * k % n, 0) + c
-        value = from_terms(n, terms)
+        _check_against_fixed_field(from_terms(n, terms), n, terms)
 
-        scale = lcm(*(Fraction(c).denominator for c in terms.values()))
-        phi_n = cyclotomic_poly(n, X, polys=True)
-        poly = _zz_poly(terms, scale)
-        fixed = {}
 
-        def fixes(k):
-            if k not in fixed:
-                image = _zz_poly({e * k % n: c for e, c in terms.items()}, scale)
-                fixed[k] = (image - poly).rem(phi_n).is_zero
-            return fixed[k]
+def _sum_terms(pairs, n):
+    """sum c * v as an exponent map at n, with no cyclo arithmetic."""
+    terms = {}
+    for c, v in pairs:
+        step = n // v.conductor
+        for e, x in v.coeffs.items():
+            terms[e * step] = terms.get(e * step, 0) + Fraction(c) * x
+    return terms
 
-        f = next(m for m in divisors
-                 if all(fixes(k) for k in units if (k - 1) % m == 0))
-        if f % 4 == 2:
-            f //= 2
-        assert value.conductor == f, (n, terms, str(value))
-        step = n // f
-        embedded = _zz_poly({e * step: c for e, c in value.coeffs.items()}, scale)
-        assert (embedded - poly).rem(phi_n).is_zero, (n, terms, str(value))
+
+def test_linear_sum_against_fixed_field_oracle():
+    rng = random.Random(8)
+    conductors = [m for m in range(1, 121) if m % 4 != 2]
+
+    def rat(num, den):
+        return Fraction(rng.randint(-num, num), rng.randint(1, den))
+
+    def value(m):
+        return from_terms(m, {rng.randrange(m): rat(3, 4) for _ in range(rng.randint(1, 3))})
+
+    cases = []
+    for _ in range(60):
+        n = rng.choice(conductors)
+        ms = [rng.choice([m for m in conductors if n % m == 0])
+              for _ in range(rng.randint(1, 4))]
+        cases.append([(rat(5, 6), value(m)) for m in ms])
+    v, w = value(60), value(8)
+    cases += [
+        [],
+        [(0, v), (Fraction(2, 3), cyc(0))],
+        [(Fraction(-3, 2), v)],  # single term
+        [(Fraction(1, 3), v), (2, w), (Fraction(-1, 3), v), (-2, w)],  # cancels
+        [(1, zeta(7, k)) for k in range(7)],  # rational total
+        [(3, v), (1, w.conjugate()), (Fraction(1, 2), v.conjugate()), (2, w)],
+    ]
+    for pairs in cases:
+        n = lcm(1, *(v.conductor for _, v in pairs))
+        total = linear_sum(pairs)
+        _check_against_fixed_field(total, n, _sum_terms(pairs, n))
+        assert total == sum((cyc(c) * v for c, v in pairs), cyc(0))
+    assert linear_sum([]) == cyc(0)
+    assert linear_sum([(1, zeta(7, k)) for k in range(7)]) == cyc(0)
+    assert linear_sum([(1, zeta(3)), (1, zeta(3, 2))]) == cyc(-1)
 
 
 def _qq_poly_at(value, n):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from rigikit.chartable import same_character_data, validate
@@ -151,6 +153,26 @@ def test_vanishing_sum_trivial_subgroup_documents_precondition():
     total, qualified = torus_character_sum(fam, "split", [(0, 0)], (1, 0))
     assert not qualified
     assert not total.is_zero()
+
+
+def test_vanishing_sum_failures_name_the_element_and_the_sum():
+    fam = build_family("GL2", 5)
+    rows = [list(row) for row in fam.table.rows]
+    # conjugate one irrational value on a split class and one of
+    # conductor 24 on a nonsplit class
+    for kind, least in (("split", 2), ("nonsplit", 5)):
+        r, j = next((r, j) for r, row in enumerate(rows) for j, v in enumerate(row)
+                    if v.conductor >= least and fam.class_labels[j][0] == kind)
+        rows[r][j] = rows[r][j].conjugate()
+    table = dataclasses.replace(fam.table, rows=tuple(map(tuple, rows)))
+    report = vanishing_sum_report(dataclasses.replace(fam, table=table))
+    assert not report.ok and len(report.items) == 38
+    assert [(c.name, c.detail) for c in report.failures()] == [
+        ("sum_split_s(0, 3)", "sum 2*E(4,1)"),
+        ("sum_split_s(3, 0)", "sum 2*E(4,1)"),
+        ("sum_nonsplit_s7", "sum -2*E(24,1) + 2*E(24,3) - 2*E(24,5) - 4*E(24,7)"),
+        ("sum_nonsplit_s11", "sum -2*E(24,1) + 2*E(24,3) - 2*E(24,5) - 4*E(24,7)"),
+    ]
 
 
 def test_semisimple_values_on_unipotent():

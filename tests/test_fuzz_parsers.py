@@ -4,10 +4,12 @@ returns a table or raises `CTBSyntaxError`, and a generator file either
 gives a group (closure and conjugacy classes) or raises `ValueError` or
 `GroupTooLargeError`, within a bounded time.
 
-Values are held in the power basis of their conductor, so a root E(n, k)
-costs time and memory linear in n: the inputs below keep the lcm of their
-root orders at most ROOT_ORDER_BOUND. The fuzzing is about which
-exceptions escape; large conductors are a separate, known cost.
+Values are held in the power basis of their conductor. The reduction is
+sparse, but a root E(n, k) with k >= phi(n) still builds the n-row table
+of zeta_n^e mod Phi_n, which costs time and memory growing with n: the
+inputs below keep the lcm of their root orders at most ROOT_ORDER_BOUND.
+The fuzzing is about which exceptions escape; large conductors are a
+separate, known cost.
 """
 
 import re
