@@ -99,7 +99,7 @@ class CharacterTable:
         for i, c in enumerate(self.classes):
             if c.name == name:
                 return i
-        raise KeyError("no class named %r in table %s" % (name, self.name))
+        raise ValueError("no class named %r in table %s" % (name, self.name))
 
     def column(self, j: int) -> Tuple[Cyclotomic, ...]:
         return tuple(row[j] for row in self.rows)

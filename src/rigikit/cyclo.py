@@ -17,7 +17,12 @@ Q(zeta_{n/p}), one prime p | n at a time, in integer arithmetic:
   a = e/p mod d and b = e/d mod p, and the relative trace sends that term
   to (p-1) zeta_d^a when b = 0 and to -zeta_d^a otherwise. The value lies
   in Q(zeta_d) iff its trace divided by p-1 (exact, since the power basis
-  is an integral basis) expands back to it.
+  is an integral basis) expands back to it. These two integer checks are
+  the whole decision; nothing is computed modulo an auxiliary prime.
+
+A primitive root of unity needs no descent: zeta_n^k with gcd(k, n) = 1
+has conductor n, or n/2 when n = 2 (mod 4), so `zeta` only folds and
+reduces it.
 
 Internally a value keeps integer numerators and one common denominator,
 so the frequent basis reductions run in pure integer arithmetic; the
@@ -36,7 +41,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Dict, Iterable, Tuple, Union
 
-from .modp import element_of_order, euler_phi, prime_factors, prime_one_mod
+from .modp import euler_phi, prime_factors
 
 Rational = Fraction
 Coeff = Union[int, Fraction]
@@ -49,8 +54,6 @@ Coeff = Union[int, Fraction]
 
 _PHI_CACHE: Dict[int, Tuple[int, ...]] = {}
 _RED_CACHE: Dict[int, Tuple[Tuple[int, ...], ...]] = {}
-_OMEGA_CACHE: Dict[int, Tuple[int, Tuple[int, ...]]] = {}
-_GALOIS_SUBGROUP_CACHE: Dict[Tuple[int, int], Tuple[int, ...]] = {}
 
 
 def _poly_divexact(num: list, den: list) -> list:
@@ -111,32 +114,6 @@ def _reduction_table(n: int) -> Tuple[Tuple[int, ...], ...]:
     return result
 
 
-def _omega_table(n: int) -> Tuple[int, Tuple[int, ...]]:
-    """A prime l = 1 (mod n) above 2^20 and the power table of an order-n
-    element of F_l; a fast homomorphic image of Z[zeta_n]."""
-    cached = _OMEGA_CACHE.get(n)
-    if cached is not None:
-        return cached
-    ell = prime_one_mod(n, 1 << 20)
-    omega = element_of_order(n, ell)
-    table = [1] * n
-    for e in range(1, n):
-        table[e] = table[e - 1] * omega % ell
-    result = (ell, tuple(table))
-    _OMEGA_CACHE[n] = result
-    return result
-
-
-def _galois_subgroup(n: int, d: int) -> Tuple[int, ...]:
-    """Units k mod n with k = 1 (mod d): the Galois group fixing Q(zeta_d)."""
-    key = (n, d)
-    cached = _GALOIS_SUBGROUP_CACHE.get(key)
-    if cached is None:
-        cached = tuple(k for k in range(1 + d, n, d) if gcd(k, n) == 1)
-        _GALOIS_SUBGROUP_CACHE[key] = cached
-    return cached
-
-
 # ---------------------------------------------------------------------------
 # integer-kernel canonicalization helpers
 
@@ -158,22 +135,6 @@ def _reduce_int(n: int, raw: Dict[int, Coeff]) -> Dict[int, Coeff]:
                 if r:
                     acc[i] = acc.get(i, 0) + c * r
     return {e: c for e, c in acc.items() if c}
-
-
-def _subfield_fast_test(n: int, num: Dict[int, int], d: int) -> bool:
-    """Cheap necessary test for membership in Q(zeta_d); may false-positive
-    (callers verify exactly), never false-negatives."""
-    ell, table = _omega_table(n)
-    base = 0
-    for e, c in num.items():
-        base = (base + c * table[e]) % ell
-    for k in _galois_subgroup(n, d):
-        acc = 0
-        for e, c in num.items():
-            acc = (acc + c * table[(e * k) % n]) % ell
-        if acc != base:
-            return False
-    return True
 
 
 def _descend_coprime(n: int, num: Dict[int, int], p: int):
@@ -210,13 +171,11 @@ def _shrink_int(n: int, num: Dict[int, int], den: int):
                 if d % 4 == 2:
                     d, raw = _fold_even_conductor(d, num)
                     num = _reduce_int(d, raw)
-            elif _subfield_fast_test(n, num, d):
+            else:
                 sub = _descend_coprime(n, num, p)
                 if sub is None:
                     continue
                 num = sub
-            else:
-                continue
             n = d
             break
         else:
@@ -466,9 +425,9 @@ def zeta(n: int, k: int = 1) -> Cyclotomic:
     n, k = n // g, k // g
     if n == 1:
         return ONE
-    if n % 4 != 2 and k < euler_phi(n):
-        return Cyclotomic(n, {k: 1}, 1)
-    return _canonical_int(n, {k: 1}, 1)
+    # a primitive n-th root has conductor n, or n/2 when n = 2 (mod 4)
+    n, raw = _fold_even_conductor(n, {k: 1})
+    return Cyclotomic(n, _reduce_int(n, raw), 1)
 
 
 def cyc(x: Union[int, Fraction, Cyclotomic]) -> Cyclotomic:

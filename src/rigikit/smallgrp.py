@@ -51,11 +51,7 @@ class GroupElement:
 
     def __mul__(self, other: "GroupElement") -> "GroupElement":
         p = self.p
-        bt = tuple(zip(*other.entries))
-        prod = tuple(
-            tuple(sum(a * b for a, b in zip(row, col)) % p for col in bt)
-            for row in self.entries
-        )
+        prod = _mat_mul_entries(self.entries, other.entries, p)
         if self.projective:
             prod = _projective_scale(prod, p)
         return GroupElement(prod, p, self.projective, _canonical=True)
@@ -451,13 +447,12 @@ def so_generators(m: int, p: int) -> List[GroupElement]:
         d[i][i] = g
         d[dual(i)][dual(i)] = pow(g, -1, p)
         gens.append(make_element(d, p))
-    if m >= 2:
-        # even permutation swapping two hyperbolic pairs; in SO minus Omega
-        perm = list(range(dim))
-        perm[0], perm[dim - 1] = perm[dim - 1], perm[0]
-        perm[1], perm[dim - 2] = perm[dim - 2], perm[1]
-        w = [[1 if perm[a] == b else 0 for b in range(dim)] for a in range(dim)]
-        gens.append(make_element(w, p))
+    # even permutation swapping two hyperbolic pairs; in SO minus Omega
+    perm = list(range(dim))
+    perm[0], perm[dim - 1] = perm[dim - 1], perm[0]
+    perm[1], perm[dim - 2] = perm[dim - 2], perm[1]
+    w = [[1 if perm[a] == b else 0 for b in range(dim)] for a in range(dim)]
+    gens.append(make_element(w, p))
     return gens
 
 
@@ -509,7 +504,11 @@ def group_from_spec(spec: str, cap: int = DEFAULT_CLOSURE_CAP) -> FiniteGroup:
             args = text[len(kind) + 1:-1].split(",")
             if len(args) != 2:
                 raise ValueError("group spec needs two arguments: %r" % spec)
-            n, p = int(args[0]), int(args[1])
+            try:
+                n, p = int(args[0]), int(args[1])
+            except ValueError:
+                raise ValueError("group spec needs integer arguments: %r"
+                                 % spec) from None
             if not is_prime(p):
                 raise ValueError("group spec needs a prime field: %r" % spec)
             if kind == "SL":

@@ -73,6 +73,7 @@ def test_unknown_class_name_exit_2(capsys):
     status, _, err = run(capsys, [
         "structconst", fixture_path("psl2_7.ctb"), "2A", "3A", "9Z"])
     assert status == 2
+    assert err == "error: no class named '9Z' in table PSL2(7)\n"
 
 
 def test_dixon_emits_parseable_deterministic_table(capsys):

@@ -153,6 +153,47 @@ def test_sparse_sum_at_huge_order_skips_the_reduction_table(monkeypatch):
     assert peak < 1 << 20
 
 
+def test_root_at_huge_prime_order_needs_no_power_table():
+    # the p || n descent is exact in integers and does no work of size n
+    tracemalloc.start()
+    try:
+        assert str(parse_value("1 + E(1000003,1)")) == "1 + E(1000003,1)"
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_trace_divisibility_rejects_before_the_reexpansion(monkeypatch):
+    # at n = 3 * 1000003 and p = 3 the trace of 1 + zeta_n does not divide
+    # by 2; expanding a quotient back would read zeta_n^(1 + 2 * 1000003)
+    # from the n-row reduction table
+    table = cyclo._reduction_table
+
+    def guarded(n):
+        if n == 3000009:
+            raise AssertionError("reduction table built at the root's order")
+        return table(n)
+    monkeypatch.setattr(cyclo, "_reduction_table", guarded)
+    assert str(parse_value("1 + E(3000009,1)")) == "1 + E(3000009,1)"
+
+
+def test_zeta_matches_the_full_canonicalization():
+    # zeta builds a primitive root at its known conductor with no descent
+    for n in range(1, 401):
+        for k in range(n):
+            assert zeta(n, k) == from_terms(n, {k: 1}), (n, k)
+
+
+def test_reexpansion_alone_rejects_a_descent():
+    # at p = 3 the trace of -2 zeta_15^7 divides by p - 1 = 2, but it
+    # expands back to another value, so the value stays at conductor 15
+    assert cyclo._descend_coprime(15, {7: -2}, 3) is None
+    value = from_terms(15, {7: -2})
+    assert value.conductor == 15
+    assert str(value) == "-2*E(15,7)"
+
+
 def test_grammar_errors():
     for bad in ["", "E(5)", "E(x,1)", "1 + + 2", "E(5,1", "2**E(5,1)", "1/0"]:
         with pytest.raises(ValueSyntaxError):

@@ -43,6 +43,14 @@ def test_closure_orders_match_formulas():
     assert group_from_spec("SO(4,3)").order == order_so_even_plus(2, 3) == 576
 
 
+def test_product_is_row_by_column():
+    a, b = [[1, 1], [0, 1]], [[1, 0], [1, 1]]
+    for projective in (False, True):
+        x, y = make_element(a, 5, projective), make_element(b, 5, projective)
+        assert x * y == make_element([[2, 1], [1, 1]], 5, projective)
+        assert y * x == make_element([[1, 1], [1, 2]], 5, projective)
+
+
 def test_trivial_group():
     g = closure([identity(2, 3)])
     assert g.order == 1
@@ -194,6 +202,8 @@ def test_group_spec_errors():
                 "PGL(0,5)"):
         with pytest.raises(ValueError):
             group_from_spec(bad)
+    with pytest.raises(ValueError, match=r"integer arguments: 'SL\(a,3\)'"):
+        group_from_spec("SL(a,3)")
 
 
 def test_generator_file_roundtrip():
