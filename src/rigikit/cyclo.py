@@ -14,11 +14,14 @@ Q(zeta_{n/p}), one prime p | n at a time, in integer arithmetic:
   iff every exponent with a nonzero coefficient is divisible by p; it is
   then e -> e/p (folded once more when n/p = 2 mod 4).
 - p || n, d = n/p: by CRT zeta_n^e = zeta_d^a * zeta_p^b with
-  a = e/p mod d and b = e/d mod p, and the relative trace sends that term
-  to (p-1) zeta_d^a when b = 0 and to -zeta_d^a otherwise. The value lies
-  in Q(zeta_d) iff its trace divided by p-1 (exact, since the power basis
-  is an integral basis) expands back to it. These two integer checks are
-  the whole decision; nothing is computed modulo an auxiliary prime.
+  a = e/p mod d and b = e/d mod p, so the value is sum_b X_b zeta_p^b with
+  X_b in Q(zeta_d), and {zeta_p^b : 0 < b < p} is a basis of Q(zeta_n)
+  over Q(zeta_d). The value lies in Q(zeta_d) iff X_1 = ... = X_{p-1},
+  and it is then X_0 - X_1.
+
+`_is_zero` decides X_b = X_{b+1} by these two splittings, recursively on
+the sparse exponent dict with no reduction mod Phi, so rejecting a value
+costs time in its number of terms, whatever the conductor.
 
 A primitive root of unity needs no descent: zeta_n^k with gcd(k, n) = 1
 has conductor n, or n/2 when n = 2 (mod 4), so `zeta` only folds and
@@ -137,25 +140,59 @@ def _reduce_int(n: int, raw: Dict[int, Coeff]) -> Dict[int, Coeff]:
     return {e: c for e, c in acc.items() if c}
 
 
-def _descend_coprime(n: int, num: Dict[int, int], p: int):
-    """Reduced exponents of the value in Q(zeta_{n/p}) for a prime p prime
-    to n/p, or None when it does not lie there: the relative trace divided
-    by p - 1, verified by expanding it back into Q(zeta_n)."""
+def _is_zero(n: int, terms: Dict[int, int]) -> bool:
+    """Whether sum c * zeta_n^e over terms (exponents in [0, n)) is zero.
+    Fewer terms than the least prime p | n never vanish, by induction over
+    the splittings below."""
+    if not terms:
+        return True
+    if n == 1:
+        return False
+    p = prime_factors(n)[0]
+    if len(terms) < p:
+        return False
+    d = n // p
+    if d % p == 0:
+        # zeta_n^e = zeta_n^(e mod p) * zeta_d^(e // p); basis zeta_n^r, r < p
+        parts: Dict[int, Dict[int, int]] = {}
+        for e, c in terms.items():
+            parts.setdefault(e % p, {})[e // p] = c
+        return all(_is_zero(d, x) for x in parts.values())
+    return _parts_agree(d, _crt_parts(n, p, terms), 0, p)
+
+
+def _crt_parts(n: int, p: int, terms: Dict[int, int]) -> Dict[int, Dict[int, int]]:
+    """The terms as X_b over b, for p prime to d = n/p: zeta_n^e is
+    zeta_d^a * zeta_p^b with a = e/p mod d and b = e/d mod p."""
     d = n // p
     p_inv, d_inv = pow(p, -1, d), pow(d, -1, p)
-    trace: Dict[int, int] = {}
-    for e, c in num.items():
-        a = e * p_inv % d
-        trace[a] = trace.get(a, 0) + (c * (p - 1) if e * d_inv % p == 0 else -c)
-    sub = {}
-    for a, t in _reduce_int(d, trace).items():
-        q, r = divmod(t, p - 1)
-        if r:
-            return None
-        sub[a] = q
-    if _reduce_int(n, {a * p: c for a, c in sub.items()}) != num:
+    parts: Dict[int, Dict[int, int]] = {}
+    for e, c in terms.items():
+        parts.setdefault(e * d_inv % p, {})[e * p_inv % d] = c
+    return parts
+
+
+def _parts_agree(d: int, parts: Dict[int, Dict[int, int]], lo: int, hi: int) -> bool:
+    """Whether the values parts[b] of Q(zeta_d) (missing = 0) are equal for
+    lo <= b < hi; parts has no other keys."""
+    if len(parts) < hi - lo:
+        return all(_is_zero(d, x) for x in parts.values())
+    return all(parts[b] == parts[b + 1] or _is_zero(d, _minus(parts[b], parts[b + 1]))
+               for b in range(lo, hi - 1))
+
+
+def _minus(x: Dict[int, int], y: Dict[int, int]) -> Dict[int, int]:
+    return {e: c for e in x.keys() | y.keys() if (c := x.get(e, 0) - y.get(e, 0))}
+
+
+def _descend_coprime(n: int, num: Dict[int, int], p: int):
+    """Reduced exponents of the value in Q(zeta_{n/p}) for a prime p prime
+    to n/p, or None when it does not lie there."""
+    parts = _crt_parts(n, p, num)
+    x0 = parts.pop(0, {})
+    if not _parts_agree(n // p, parts, 1, p):
         return None
-    return sub
+    return _reduce_int(n // p, _minus(x0, parts.get(1, {})))
 
 
 def _shrink_int(n: int, num: Dict[int, int], den: int):

@@ -19,6 +19,7 @@ from rigikit.cyclo import (
     parse_value,
     zeta,
 )
+from rigikit.modp import prime_factors
 
 
 def test_roots_of_unity_basics():
@@ -164,18 +165,44 @@ def test_root_at_huge_prime_order_needs_no_power_table():
     assert peak < 1 << 20
 
 
-def test_trace_divisibility_rejects_before_the_reexpansion(monkeypatch):
-    # at n = 3 * 1000003 and p = 3 the trace of 1 + zeta_n does not divide
-    # by 2; expanding a quotient back would read zeta_n^(1 + 2 * 1000003)
-    # from the n-row reduction table
+def test_descent_at_huge_order_builds_no_reduction_table(monkeypatch):
+    # none of these descends at n = 3 * 1000003: the trace of 1 + zeta_n
+    # does not divide by p - 1 = 2, the trace of 2 + 2 zeta_n does, and
+    # zeta_n^1000000 has its Q(zeta_1000003) part at exponent phi(1000003);
+    # a dense check would build the table at n or at n / 3
     table = cyclo._reduction_table
 
     def guarded(n):
-        if n == 3000009:
-            raise AssertionError("reduction table built at the root's order")
+        if n in (3000009, 1000003):
+            raise AssertionError("reduction table built at order %d" % n)
         return table(n)
     monkeypatch.setattr(cyclo, "_reduction_table", guarded)
-    assert str(parse_value("1 + E(3000009,1)")) == "1 + E(3000009,1)"
+    for text in ("1 + E(3000009,1)", "2 + 2*E(3000009,1)",
+                 "1 + E(3000009,1000000)"):
+        assert str(parse_value(text)) == text
+
+
+def test_is_zero_against_the_reduction_mod_phi():
+    rng = random.Random(5)
+    zeros = 0
+    for _ in range(3000):
+        n = rng.randint(1, 210)
+        raw = {}
+        # sums of all p-th roots zeta_n^e * zeta_p^j vanish
+        for _ in range(rng.randint(0, 3)):
+            p = rng.choice(prime_factors(n) or (1,))
+            e, c = rng.randrange(n), rng.randint(-3, 3)
+            for j in range(p):
+                key = (e + j * n // p) % n
+                raw[key] = raw.get(key, 0) + c
+        if rng.random() < 0.5:
+            key = rng.randrange(n)
+            raw[key] = raw.get(key, 0) + rng.choice((-1, 1))
+        raw = {e: c for e, c in raw.items() if c}
+        expected = not cyclo._reduce_int(n, raw)
+        zeros += expected
+        assert cyclo._is_zero(n, raw) == expected, (n, raw)
+    assert 500 < zeros < 2500
 
 
 def test_zeta_matches_the_full_canonicalization():
@@ -185,10 +212,11 @@ def test_zeta_matches_the_full_canonicalization():
             assert zeta(n, k) == from_terms(n, {k: 1}), (n, k)
 
 
-def test_reexpansion_alone_rejects_a_descent():
-    # at p = 3 the trace of -2 zeta_15^7 divides by p - 1 = 2, but it
-    # expands back to another value, so the value stays at conductor 15
+def test_trace_divisible_value_does_not_descend():
+    # at p = 3 the trace of -2 zeta_15^7 divides by p - 1 = 2, but its parts
+    # over zeta_3 differ, so the value stays at conductor 15
     assert cyclo._descend_coprime(15, {7: -2}, 3) is None
+    assert cyclo._descend_coprime(15, {3: 1}, 3) == {1: 1}
     value = from_terms(15, {7: -2})
     assert value.conductor == 15
     assert str(value) == "-2*E(15,7)"
