@@ -45,7 +45,7 @@ from .cyclo import (
     raw_equals_rational,
     raw_mul,
 )
-from .modp import element_of_order, euler_phi, prime_factors, prime_one_mod
+from .modp import element_of_order, prime_factors, prime_one_mod, primitive_root
 
 
 class CTBSyntaxError(ValueError):
@@ -635,21 +635,19 @@ def validate(table: CharacterTable, orthogonality: bool = True) -> CheckReport:
 
 
 def _unit_generators(n: int) -> List[int]:
-    """Generators of (Z/n)^x, taken greedily: each one is the least unit
-    that the earlier ones do not reach."""
-    reached = {1 % n}
+    """Generators of (Z/n)^x, per p^a || n: for odd p a primitive root g mod
+    p, or g + p when g^(p-1) = 1 (mod p^2), which generates mod p^a; for p = 2,
+    -1 (a >= 2) and 5 (a >= 3). Each is lifted by CRT to 1 mod n/p^a."""
     gens: List[int] = []
-    u = 1
-    while len(reached) < euler_phi(n):
-        u += 1
-        if u in reached or gcd(u, n) != 1:
-            continue
-        gens.append(u)
-        grown, power = set(reached), u
-        while power not in reached:
-            grown.update(power * h % n for h in reached)
-            power = power * u % n
-        reached = grown
+    for p in prime_factors(n):
+        pa = gcd(n, p ** n.bit_length())  # p^a || n
+        if p == 2:
+            local = [-1, 5][:(pa >= 4) + (pa >= 8)]
+        else:
+            g = primitive_root(p)
+            local = [g + p if pow(g, p - 1, p * p) == 1 else g]
+        rest = n // pa
+        gens += [1 + rest * ((g - 1) * pow(rest, -1, pa) % pa) for g in local]
     return gens
 
 

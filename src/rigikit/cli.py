@@ -270,6 +270,10 @@ def main(argv=None) -> int:
             dixon.DixonError, rigidity.InconsistentTableError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    except MemoryError:
+        print("error: out of memory: the input is too large (for example a CTB "
+              "exponent with a squarefree part in the millions)", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

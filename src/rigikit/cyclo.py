@@ -34,14 +34,20 @@ public coefficient view is in `fractions.Fraction`.
 Every sum of values (`Cyclotomic.__add__`, `parse_value`, the character
 sums of `dl_rank1` and `rigidity`) is one `linear_sum`: the terms are
 embedded at the lcm conductor over one denominator, added in integers and
-canonicalized once. The reduction mod Phi_n is sparse and reads the table
-of zeta_n^e only for e >= phi(n), so few low terms are cheap at any n.
+canonicalized once. The reduction mod Phi_n works at the radical r of n:
+Phi_n(x) = Phi_r(x^s) with s = n/r (Washington, "Introduction to
+Cyclotomic Fields", GTM 83, section 2), so zeta_n^e for e = q*s + t, t < s,
+is zeta_n^t * zeta_r^q: a basis element when q < phi(r), else row q of the
+table of zeta_r^q mod Phi_r (phi(r) <= q < r) spread over the exponents
+i*s + t. Only a huge squarefree part of n needs a large table.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from functools import cache
+from itertools import combinations
+from math import gcd, lcm, prod
 from typing import Dict, Iterable, Tuple, Union
 
 from .modp import euler_phi, prime_factors
@@ -50,71 +56,58 @@ Rational = Fraction
 Coeff = Union[int, Fraction]
 
 # ---------------------------------------------------------------------------
-# cached per-conductor data
-#
-# Caches are only ever filled with values that are a pure function of the
-# key, so concurrent reads and redundant concurrent inserts are harmless.
-
-_PHI_CACHE: Dict[int, Tuple[int, ...]] = {}
-_RED_CACHE: Dict[int, Tuple[Tuple[int, ...], ...]] = {}
+# per-conductor data, memoized: each is a pure function of its argument
 
 
-def _poly_divexact(num: list, den: list) -> list:
-    """Exact division of integer polynomials (coefficient lists, low first)."""
-    num = list(num)
-    out = [0] * (len(num) - len(den) + 1)
-    for i in range(len(out) - 1, -1, -1):
-        c = num[len(den) - 1 + i]
-        if c % den[-1] != 0:
-            raise ArithmeticError("inexact polynomial division")
-        q = c // den[-1]
-        out[i] = q
-        if q:
-            for j, d in enumerate(den):
-                num[i + j] -= q * d
-    if any(num):
-        raise ArithmeticError("nonzero remainder in exact polynomial division")
-    return out
+@cache
+def _radical(n: int) -> Tuple[int, int, int]:
+    """(r, s, phi(r)) for r the radical of n and s = n/r."""
+    r = prod(prime_factors(n))
+    return r, n // r, euler_phi(r)
 
 
+@cache
 def cyclotomic_polynomial(n: int) -> Tuple[int, ...]:
-    """Coefficients of Phi_n, constant term first."""
-    cached = _PHI_CACHE.get(n)
-    if cached is not None:
-        return cached
-    poly = [-1] + [0] * (n - 1) + [1]  # x^n - 1
-    for d in range(1, n):
-        if n % d == 0:
-            poly = _poly_divexact(poly, list(cyclotomic_polynomial(d)))
-    result = tuple(poly)
-    _PHI_CACHE[n] = result
-    return result
+    """Coefficients of Phi_n, constant term first: Phi_n(x) = Phi_r(x^s),
+    and Phi_r is the product of (x^(r/d) - 1)^mu(d) over d | r, taken one
+    binomial at a time with every multiplication before the exact
+    divisions, so that each step stays a polynomial."""
+    r, s, phi = _radical(n)
+    primes = prime_factors(r)
+    poly = [1]
+    for odd in (0, 1):
+        for k in range(odd, len(primes) + 1, 2):
+            for ps in combinations(primes, k):
+                m = r // prod(ps)
+                if odd:  # p = q * (x^m - 1): q_i = q_(i-m) - p_i
+                    q = [0] * m
+                    for c in poly[:-m]:
+                        q.append(q[-m] - c)
+                    poly = q[m:]
+                else:
+                    poly = [a - b for a, b in zip([0] * m + poly, poly + [0] * m)]
+    out = [0] * (phi * s + 1)
+    out[::s] = poly
+    return tuple(out)
 
 
-def _reduction_table(n: int) -> Tuple[Tuple[int, ...], ...]:
-    """Row e = coefficients of zeta_n^e in the power basis mod Phi_n."""
-    cached = _RED_CACHE.get(n)
-    if cached is not None:
-        return cached
-    phi = euler_phi(n)
-    mod = cyclotomic_polynomial(n)  # monic, degree phi
-    support = [(i, c) for i, c in enumerate(mod[:phi]) if c]
+@cache
+def _reduction_table(r: int) -> Tuple[Tuple[int, ...], ...]:
+    """Row q - phi(r) = the nonzero (index, coefficient) pairs of zeta_r^q
+    in the power basis mod Phi_r, for phi(r) <= q < r; r is squarefree."""
+    phi = euler_phi(r)
+    low = cyclotomic_polynomial(r)[:phi]
+    support = [(i, c) for i, c in enumerate(low) if c]
+    cur = [-c for c in low]  # x^phi
     rows = []
-    cur = [0] * phi
-    cur[0] = 1
-    rows.append(tuple(cur))
-    for _ in range(1, n):
-        top = cur[phi - 1]
-        nxt = [0] * phi
-        nxt[1:phi] = cur[0:phi - 1]
+    for _ in range(phi, r):
+        rows.append(tuple((i, c) for i, c in enumerate(cur) if c))
+        top = cur[-1]
+        cur = [0] + cur[:-1]
         if top:
             for i, c in support:
-                nxt[i] -= top * c
-        cur = nxt
-        rows.append(tuple(cur))
-    result = tuple(rows)
-    _RED_CACHE[n] = result
-    return result
+                cur[i] -= top * c
+    return tuple(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -124,19 +117,20 @@ def _reduction_table(n: int) -> Tuple[Tuple[int, ...], ...]:
 def _reduce_int(n: int, raw: Dict[int, Coeff]) -> Dict[int, Coeff]:
     """Reduce an exponent dict (mod n) to its nonzero power-basis
     coefficients (integers in the canonicalization, any rationals in
-    `raw_*`); only exponents >= phi(n) read the reduction table."""
-    phi = euler_phi(n)
+    `raw_*`), at the radical of n as the module docstring says."""
+    r, s, phi = _radical(n)
     acc: Dict[int, Coeff] = {}
     for e, c in raw.items():
         if not c:
             continue
         e %= n
-        if e < phi:
+        if e < phi * s:
             acc[e] = acc.get(e, 0) + c
         else:
-            for i, r in enumerate(_reduction_table(n)[e]):
-                if r:
-                    acc[i] = acc.get(i, 0) + c * r
+            q, t = divmod(e, s)
+            for i, x in _reduction_table(r)[q - phi]:
+                e = i * s + t
+                acc[e] = acc.get(e, 0) + c * x
     return {e: c for e, c in acc.items() if c}
 
 

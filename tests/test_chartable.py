@@ -386,18 +386,23 @@ def test_split_prime_is_one_mod_e_and_above_the_bound(kind, key):
     assert isprime(ell) and (ell - 1) % e == 0 and ell > gram_bound(table)
 
 
-def test_unit_generators_are_greedy_and_generate():
-    for n in range(1, 400):
+def test_unit_generators_generate():
+    for n in range(1, 2000):
         units = {u for u in range(n) if gcd(u, n) == 1} or {0}
-        reached = {1 % n}
-        for g in _unit_generators(n):
-            assert g == min(units - reached)
-            while True:
-                grown = reached | {g * h % n for h in reached}
-                if grown == reached:
-                    break
-                reached = grown
+        gens = _unit_generators(n)
+        reached, todo = {1 % n}, [1 % n]
+        while todo:
+            h = todo.pop()
+            for g in gens:
+                if g * h % n not in reached:
+                    reached.add(g * h % n)
+                    todo.append(g * h % n)
         assert reached == units, n
+    # 5, the least primitive root mod 40487, has order 40486 mod 40487^2,
+    # so the generator there must be lifted to 5 + 40487
+    n, phi = 40487 ** 2, 40486 * 40487
+    (g,) = _unit_generators(n)
+    assert all(pow(g, phi // q, n) != 1 for q in prime_factors(phi))
 
 
 def rational_rows(table):

@@ -1,4 +1,5 @@
 import os
+import resource
 import subprocess
 import sys
 from importlib import resources
@@ -224,6 +225,31 @@ def test_root_outside_exponent_field_exit_2(tmp_path):
             assert proc.returncode == 2, (root, argv)
             assert proc.stdout == "" and proc.stderr.startswith("error:"), (root, argv)
             assert "line 11" in proc.stderr, (root, argv)
+
+
+def test_huge_conductors_under_a_memory_cap(tmp_path):
+    # out of process, under an address-space cap and a timeout, so that a
+    # table of size n or phi(n) fails the test instead of stalling the suite;
+    # 1 + E(20011,1) is not Galois-stable, so it takes the exact check
+    cap = 512 << 20
+    env = dict(os.environ, PYTHONPATH=str(Path(rigikit.__file__).parents[1]))
+    target = tmp_path / "huge.ctb"
+    for exponent, value, status, says in (
+            (20011, "1 + E(20011,1)", 1, "FAIL: fails for rows 0 and 0"),
+            (10 ** 8, "E(100000000,99999999)", 1, "row_orthogonality        pass"),
+            (3000009, "E(3000009,2999999)", 2, "")):
+        target.write_text("CTB 1\nname T\norder 1\nexponent %d\nclasses 1\n"
+                          "class 1A size=1 order=1\nchar X1 %s\n" % (exponent, value))
+        proc = subprocess.run(
+            [sys.executable, "-m", "rigikit", "validate", str(target)], env=env,
+            capture_output=True, text=True, timeout=20,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
+        assert proc.returncode == status, (exponent, proc.stderr)
+        assert "Traceback" not in proc.stderr, exponent
+        if status == 1:
+            assert says in proc.stdout, (exponent, proc.stdout)
+        else:
+            assert proc.stdout == "" and proc.stderr.startswith("error: out of memory")
 
 
 def test_generator_file_moduli_and_fields(tmp_path):

@@ -182,6 +182,27 @@ def test_descent_at_huge_order_builds_no_reduction_table(monkeypatch):
         assert str(parse_value(text)) == text
 
 
+def test_reduction_reads_tables_only_at_squarefree_orders(monkeypatch):
+    # zeta_n^e with e >= phi(n) reduces at the radical r of n, in a table
+    # of the r - phi(r) rows of zeta_r^q for q >= phi(r)
+    table = cyclo._reduction_table
+
+    def guarded(r):
+        if any(r % (p * p) == 0 for p in prime_factors(r)):
+            raise AssertionError("reduction table built at order %d" % r)
+        rows = table(r)
+        assert len(rows) == r - euler_phi(r)
+        return rows
+    monkeypatch.setattr(cyclo, "_reduction_table", guarded)
+    inv = parse_value("E(100000000,99999999)")
+    assert str(inv) == ("E(100000000,9999999) - E(100000000,19999999)"
+                        " + E(100000000,29999999) - E(100000000,39999999)")
+    assert inv * zeta(10 ** 8) == cyc(1)
+    value = parse_value("1 + E(20011,20010)")
+    assert value.conductor == 20011
+    assert value.coeffs == {e: -1 for e in range(1, 20010)}
+
+
 def test_is_zero_against_the_reduction_mod_phi():
     rng = random.Random(5)
     zeros = 0
@@ -265,6 +286,18 @@ def test_cyclotomic_polynomial_against_sympy():
     for n in range(1, 300):
         expected = cyclotomic_poly(n, X, polys=True).all_coeffs()[::-1]
         assert list(cyclotomic_polynomial(n)) == expected
+
+
+def test_reduce_int_against_sympy_rem():
+    rng = random.Random(10)
+    for n in [*range(1, 301), 360]:
+        phi_n = cyclotomic_poly(n, X, polys=True)
+        trials = 12 if n in (8, 9, 16, 18, 24, 27, 72, 168, 180, 360) else 2
+        for _ in range(trials):
+            raw = {rng.randrange(n): rng.randint(-5, 5) for _ in range(rng.randint(1, 8))}
+            rem = _zz_poly(raw, 1).rem(phi_n)
+            expected = {e: int(c) for (e,), c in rem.terms() if c}
+            assert cyclo._reduce_int(n, raw) == expected, (n, raw)
 
 
 def _check_against_fixed_field(value, n, terms):
