@@ -1,11 +1,12 @@
 """Character tables: data model, CTB v1 text format, validation.
 
 Tables are immutable after construction. Layout is canonical: the identity
-class comes first, then classes sort by ascending element order, size and a
-value-based tie-break; the trivial character comes first, then rows sort by
-ascending degree and lexicographic value sequence. Canonicalizing makes
-independently produced tables of the same group compare equal structurally,
-as long as the residual tie search stays within TIE_SEARCH_BOUND orderings.
+class comes first, then classes sort by ascending element order and size;
+the trivial character comes first, then rows sort by ascending degree.
+Classes and rows these keys leave tied are ordered by a canonical form of
+the values and power maps (`canonical_layout`), so isomorphic tables, with
+power maps preserved, get identical layouts whatever order their classes
+and rows were produced in.
 
 Orthogonality by one split prime. `validate` proves row and column
 orthogonality modulo one prime l = 1 (mod e), e the lcm of the value
@@ -28,11 +29,11 @@ subfields of cyclotomic fields", AAECC 8 (1997).)
 
 from __future__ import annotations
 
-import itertools
 import re
+from collections import Counter
 from dataclasses import dataclass
 from math import gcd, lcm
-from operator import mul
+from operator import add, mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .cyclo import (
@@ -135,81 +136,92 @@ def _dense_ranks(keys: List) -> List[int]:
     return [rank[k] for k in keys]
 
 
-# residual ties are settled by trying every ordering of the tied classes
-# while there are at most this many (8!); beyond it the layout falls back
-# to the presentation order of each tie group
-TIE_SEARCH_BOUND = 40320
-
-
 def canonical_layout(
     class_keys: List[tuple],
     row_keys: List[tuple],
-    value_keys: List[List[tuple]],
+    ids: List[List[int]],
+    power_maps: List[Tuple[Tuple[int, int], ...]],
 ) -> Tuple[List[int], List[int]]:
     """Return (class index order, row index order) for the canonical layout.
 
-    `value_keys[r][i]` is a total-order key for the value of row r at class i.
-    Refines the initial keys Weisfeiler-Leman style with value multisets and
-    settles residual ties by a bounded search minimizing the value matrix.
+    `ids[r][i]` numbers the value of row r at class i, in the values' order;
+    `power_maps[i]` holds the sorted (prime, class index) pairs of class i.
+    Individualization-refinement (McKay and Piperno, "Practical graph
+    isomorphism, II", J. Symb. Comp. 60 (2014)): the key colors are refined
+    by values and power maps, each class of the first tied cell is
+    individualized in turn and refined again, and the layout is the leaf with
+    the least certificate, the values and power maps in leaf order. Equal
+    certificates give table automorphisms; a child in the orbit of an
+    explored sibling under those fixing the path is skipped, as its subtree
+    gives the same certificates.
     """
-    k = len(class_keys)
-    nr = len(row_keys)
-    c_rank = _dense_ranks(class_keys)
-    r_rank = _dense_ranks(row_keys)
-    while True:
-        new_c = [
-            (c_rank[i], tuple(sorted((r_rank[r], value_keys[r][i]) for r in range(nr))))
-            for i in range(k)
-        ]
-        new_r = [
-            (r_rank[r], tuple(sorted((c_rank[i], value_keys[r][i]) for i in range(k))))
-            for r in range(nr)
-        ]
-        nc_rank = _dense_ranks(new_c)
-        nr_rank = _dense_ranks(new_r)
-        if nc_rank == c_rank and nr_rank == r_rank:
-            break
-        c_rank, r_rank = nc_rank, nr_rank
+    k, nr = len(class_keys), len(row_keys)
+    nv = 1 + max(map(max, ids))
+    cols = [[row[i] for row in ids] for i in range(k)]
 
-    def tie_groups(rank: List[int]) -> List[List[int]]:
-        groups: Dict[int, List[int]] = {}
-        for i, rk in enumerate(rank):
-            groups.setdefault(rk, []).append(i)
-        return [groups[rk] for rk in sorted(groups)]
+    def refine(c_col, r_col):
+        # a round re-signs each member of a tied cell: a class by its power
+        # classes' colors and its column's (row color, value) multiset, a row
+        # by its (class color, value) multiset, each pair as color * nv + id
+        while True:
+            c_size, r_size = Counter(c_col), Counter(r_col)
+            c_base = [c * nv for c in c_col]
+            r_base = [c * nv for c in r_col]
+            new_c = _dense_ranks([
+                (c,) if c_size[c] == 1 else
+                (c, tuple((p, c_col[j]) for p, j in power_maps[i]),
+                 tuple(sorted(map(add, r_base, cols[i]))))
+                for i, c in enumerate(c_col)])
+            new_r = _dense_ranks([
+                (c,) if r_size[c] == 1 else (c, tuple(sorted(map(add, c_base, ids[r]))))
+                for r, c in enumerate(r_col)])
+            if new_c == c_col and new_r == r_col:
+                return c_col, r_col
+            c_col, r_col = new_c, new_r
 
-    c_groups = tie_groups(c_rank)
-    combos = 1
-    for g in c_groups:
-        for m in range(2, len(g) + 1):
-            combos *= m
-        if combos > TIE_SEARCH_BOUND:
-            break
+    leaves: Dict[tuple, List[int]] = {}  # certificate -> first leaf's class order
+    automorphisms: List[Dict[int, int]] = []
+    best = None
 
-    def row_order_for(class_order: List[int]) -> Tuple[List[int], tuple]:
-        decorated = sorted(
-            range(nr),
-            key=lambda r: (r_rank[r], tuple(value_keys[r][i] for i in class_order), r),
-        )
-        matrix = tuple(
-            tuple(value_keys[r][i] for i in class_order) for r in decorated
-        )
-        return decorated, matrix
+    def search(c_col, r_col, path):
+        nonlocal best
+        c_col, r_col = refine(c_col, r_col)
+        cell = min((c for c, m in Counter(c_col).items() if m > 1), default=None)
+        if cell is not None:
+            explored: List[int] = []
+            for v in [i for i, c in enumerate(c_col) if c == cell]:
+                fixing = [g for g in automorphisms if all(g[x] == x for x in path)]
+                if v not in _orbit(explored, fixing):
+                    search(_dense_ranks([(c, i != v) for i, c in enumerate(c_col)]),
+                           r_col, path + [v])
+                    explored.append(v)
+            return
+        class_order = sorted(range(k), key=c_col.__getitem__)
+        # rows tied in color and values are identical, so their order is moot
+        rows = [tuple(row[i] for i in class_order) for row in ids]
+        row_order = sorted(range(nr), key=lambda r: (r_col[r], rows[r]))
+        cert = (tuple(rows[r] for r in row_order),
+                tuple(tuple((p, c_col[j]) for p, j in power_maps[i]) for i in class_order))
+        first = leaves.setdefault(cert, class_order)
+        if first is not class_order:
+            automorphisms.append(dict(zip(first, class_order)))
+        if best is None or cert < best[0]:
+            best = (cert, class_order, row_order)
 
-    if combos <= TIE_SEARCH_BOUND:
-        best = None
-        for perm_parts in itertools.product(
-            *[itertools.permutations(g) for g in c_groups]
-        ):
-            class_order = [i for part in perm_parts for i in part]
-            row_order, matrix = row_order_for(class_order)
-            cand = (matrix, tuple(class_order))
-            if best is None or cand < best[0]:
-                best = (cand, class_order, row_order)
-        return best[1], best[2]
-    # fallback: deterministic for a fixed presentation, not cross-canonical
-    class_order = [i for g in c_groups for i in g]
-    row_order, _ = row_order_for(class_order)
-    return class_order, row_order
+    search(_dense_ranks(class_keys), _dense_ranks(row_keys), [])
+    return best[1], best[2]
+
+
+def _orbit(points: List[int], generators: List[Dict[int, int]]) -> set:
+    """The union of the orbits of `points` under the group generated."""
+    orbit, todo = set(points), list(points)
+    while todo:
+        x = todo.pop()
+        for g in generators:
+            if g[x] not in orbit:
+                orbit.add(g[x])
+                todo.append(g[x])
+    return orbit
 
 
 _LETTERS = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
@@ -240,19 +252,20 @@ def build_table_mapped(
     and rows are permuted to the canonical layout and classes are named
     `<order><letter>`.
     """
-    value_keys = [[v.sort_key() for v in row] for row in rows]
+    values = sorted({v for row in rows for v in row}, key=Cyclotomic.sort_key)
+    value_id = {v: i for i, v in enumerate(values)}
+    ids = [[value_id[v] for v in row] for row in rows]
     class_keys = [(co, cs) for (cs, co, _pm) in class_infos]
     identities = [i for i, key in enumerate(class_keys) if key == (1, 1)]
     if len(identities) != 1:
         raise ValueError("expected exactly one class of element order 1 and "
                          "size 1, found %d" % len(identities))
     ident = identities[0]
-    one = cyc(1)
-    row_keys = []
-    for row in rows:
-        trivial = all(v == one for v in row)
-        row_keys.append((0 if trivial else 1, row[ident].to_integer()))
-    class_order, row_order = canonical_layout(class_keys, row_keys, value_keys)
+    one = value_id.get(cyc(1))
+    row_keys = [(0 if all(x == one for x in row_ids) else 1, row[ident].to_integer())
+                for row, row_ids in zip(rows, ids)]
+    power_maps = [tuple(sorted(pm.items())) for _cs, _co, pm in class_infos]
+    class_order, row_order = canonical_layout(class_keys, row_keys, ids, power_maps)
     old_to_new = {old: new for new, old in enumerate(class_order)}
 
     by_order: Dict[int, int] = {}
@@ -312,10 +325,10 @@ def emit_ctb(table: CharacterTable) -> str:
             "class %s size=%d order=%d%s" % (c.name, c.size, c.order,
                                              (" " + pows) if pows else "")
         )
+    # a table repeats few distinct values
+    text = {v: format_value(v) for v in {v for row in table.rows for v in row}}
     for r, row in enumerate(table.rows):
-        lines.append(
-            "char X%d %s" % (r + 1, " ; ".join(format_value(v) for v in row))
-        )
+        lines.append("char X%d %s" % (r + 1, " ; ".join(map(text.__getitem__, row))))
     return "\n".join(lines) + "\n"
 
 
@@ -367,6 +380,7 @@ def parse_ctb(text) -> CharacterTable:
     class_sizes: List[int] = []
     class_orders: List[int] = []
     class_pows: List[Dict[int, str]] = []
+    class_lines: List[int] = []
     for _ in range(n_classes):
         line, ln = next_line()
         if line is None or not line.startswith("class "):
@@ -399,6 +413,7 @@ def parse_ctb(text) -> CharacterTable:
         class_sizes.append(size)
         class_orders.append(corder)
         class_pows.append(pows)
+        class_lines.append(ln)
 
     name_to_index = {n: i for i, n in enumerate(class_names)}
     power_maps: List[Tuple[Tuple[int, int], ...]] = []
@@ -408,7 +423,7 @@ def parse_ctb(text) -> CharacterTable:
             if target not in name_to_index:
                 raise CTBSyntaxError(
                     "unknown class name %r in power map of %s" % (target, class_names[i]),
-                    0)
+                    class_lines[i])
             resolved[p] = name_to_index[target]
         power_maps.append(tuple(sorted(resolved.items())))
 

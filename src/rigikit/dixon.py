@@ -10,8 +10,7 @@ exponent) chosen larger than twice the square root of the group order.
 Each value lifts to an exact cyclotomic at its own class order m:
 omega^(exponent/m) has order m mod l, and the multiplicity of each m-th
 root of unity is recovered by a discrete Fourier inversion of length m mod
-l. Output is in canonical table layout (see `chartable.canonical_layout`
-for where that layout stops being independent of the presentation).
+l. Output is in canonical table layout (`chartable.canonical_layout`).
 """
 
 from __future__ import annotations

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import gcd, lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -262,7 +263,7 @@ def _gl2_value(row: RowLabel, cls: Label, q: int) -> Cyclotomic:
             return zeta(n1, (i + j) * cls[1])
         if kind == "split":
             a, b = cls[1]
-            return zeta(n1, i * a + j * b) + zeta(n1, j * a + i * b)
+            return _root_sum(n1, i * a + j * b, j * a + i * b)
         return cyc(0)
     # cuspidal, parameter e0 with values through zeta_{q^2-1}
     e0 = row[1]
@@ -273,7 +274,17 @@ def _gl2_value(row: RowLabel, cls: Label, q: int) -> Cyclotomic:
     if kind == "split":
         return cyc(0)
     e = cls[1]
-    return -(zeta(n2, e0 * e) + zeta(n2, e0 * e * q))
+    return -_root_sum(n2, e0 * e, e0 * e * q)
+
+
+def _root_sum(n: int, a: int, b: int) -> Cyclotomic:
+    """zeta_n^a + zeta_n^b, built once per pair of exponents mod n."""
+    return _reduced_root_sum(n, *sorted((a % n, b % n)))
+
+
+@cache
+def _reduced_root_sum(n: int, a: int, b: int) -> Cyclotomic:
+    return zeta(n, a) + zeta(n, b)
 
 
 def _assemble(family: str, q: int, order: int, labels: List[Label],
@@ -282,9 +293,8 @@ def _assemble(family: str, q: int, order: int, labels: List[Label],
     """The canonical table of one family at q and its label maps.
 
     `labels`, `sizes` and `orders` list the classes and `row_labels` the
-    characters, each in a fixed construction order (the canonical layout's
-    fallback depends on it); `power_label(label, r)` labels the class of
-    x^r and `value(row label, class label)` is a character value.
+    characters, each in any order; `power_label(label, r)` labels the class
+    of x^r and `value(row label, class label)` is a character value.
     """
     label_pos = {lab: i for i, lab in enumerate(labels)}
     exponent = lcm(*orders)

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from functools import cache
 from importlib import resources
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy import isprime
 
-from rigikit import chartable
+from rigikit import chartable, dl_rank1
 from rigikit.chartable import (
     CTBSyntaxError,
     CharacterTable,
@@ -19,6 +20,7 @@ from rigikit.chartable import (
     _split_prime,
     _unit_generators,
     build_table_mapped,
+    canonical_layout,
     class_is_rational,
     emit_ctb,
     parse_ctb,
@@ -275,14 +277,16 @@ def test_trivial_row_detection():
     assert t.centralizer_order(1) == 2
 
 
-def _rebuild(table, class_order):
-    """build_table_mapped on a table's data, classes listed in class_order."""
+def _rebuild(table, class_order, row_order=None):
+    """build_table_mapped on a table's data, classes listed in class_order
+    and rows in row_order."""
     new_of = {old: new for new, old in enumerate(class_order)}
     infos = []
     for old in class_order:
         c = table.classes[old]
         infos.append((c.size, c.order, {p: new_of[i] for p, i in c.power_maps}))
-    rows = [[row[old] for old in class_order] for row in table.rows]
+    row_order = range(len(table.rows)) if row_order is None else row_order
+    rows = [[table.rows[r][old] for old in class_order] for r in row_order]
     return build_table_mapped(table.name, table.order, table.exponent, infos, rows)[0]
 
 
@@ -474,3 +478,74 @@ def test_rational_row_perturbations_agree_with_exact_check(data):
     assert validated_orthogonality(bad) == exact_orthogonality(bad)
     if len(set(bad.rows)) == len(bad.rows):
         assert _split_prime(bad) is not None
+
+
+# ---------------------------------------------------------------------------
+# the canonical layout does not depend on the presentation
+
+LAYOUT_SOURCES = ([("fixture", name) for name in FIXTURES]
+                  + [("generic", ("GL2", q)) for q in (3, 4, 5, 7, 8, 9)]
+                  + [("generic", (fam, q)) for fam in ("SL2", "PGL2")
+                     for q in (3, 5, 7, 11, 13)]
+                  + [("dixon", spec) for spec in DIXON_SPECS])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_layout_ignores_class_and_row_order(data):
+    table = source_table(*data.draw(st.sampled_from(LAYOUT_SOURCES)))
+    class_order = data.draw(st.permutations(range(table.n_classes)))
+    row_order = data.draw(st.permutations(range(len(table.rows))))
+    assert emit_ctb(_rebuild(table, class_order, row_order)) == emit_ctb(table)
+
+
+def test_gl2_layout_ignores_the_construction_order(monkeypatch):
+    class_list = dl_rank1._gl2_class_list
+    for q in (7, 8):
+        expected = emit_ctb(build_family("GL2", q).table)
+        for seed in range(4):
+            def shuffled(q, seed=seed):
+                classes = list(zip(*class_list(q)))
+                random.Random(seed).shuffle(classes)
+                return tuple(map(list, zip(*classes)))
+            with monkeypatch.context() as m:
+                m.setattr(dl_rank1, "_gl2_class_list", shuffled)
+                assert emit_ctb(build_family("GL2", q).table) == expected, (q, seed)
+
+
+def test_layout_of_ties_refinement_cannot_split():
+    # an identity and six classes of equal keys and values whose power maps
+    # form a 4-cycle 1 -> 4 -> 6 -> 5 -> 1 with tails 2 -> 5 and 3 -> 4:
+    # refinement splits nothing, the leaves differ by where the first
+    # individualized class lies, and only the least certificate, found
+    # under sound pruning, is independent of the presentation; the layout
+    # (each class's power class, in new indices) is pinned, so that a
+    # change of the canonical form shows
+    power = {0: 0, 1: 4, 2: 5, 3: 4, 4: 6, 5: 1, 6: 5}
+    layouts = set()
+    for seed in range(6):
+        label = list(range(1, 7))
+        random.Random(seed).shuffle(label)
+        label = [0] + label  # class x is presented at position label[x]
+        pm = [None] * 7
+        for x, y in power.items():
+            pm[label[x]] = ((2, label[y]),)
+        class_order, _ = canonical_layout([(1, 1)] + [(2, 1)] * 6, [(0, 1)],
+                                          [[0] * 7], pm)
+        pos = {old: new for new, old in enumerate(class_order)}
+        layouts.add(tuple(pos[pm[old][0][1]] for old in class_order))
+    assert layouts == {(0, 2, 5, 2, 3, 4, 4)}
+
+
+@pytest.mark.parametrize("fixture,builds", [
+    ("c2.ctb", [("dixon", "GL(1,3)")]),
+    ("s3.ctb", [("dixon", "SL(2,2)")]),
+    ("gl2_3.ctb", [("dixon", "GL(2,3)"), ("generic", ("GL2", 3))]),
+    ("sl2_5.ctb", [("dixon", "SL(2,5)"), ("generic", ("SL2", 5))]),
+    ("psl2_7.ctb", [("dixon", "PSL(2,7)")]),
+])
+def test_fixtures_equal_their_builds_byte_for_byte(fixture, builds):
+    shipped = resources.files("rigikit.data").joinpath(fixture).read_text().splitlines()
+    for build in builds:
+        # only the name line may differ
+        assert emit_ctb(source_table(*build)).splitlines()[2:] == shipped[2:], build

@@ -209,6 +209,16 @@ def test_inconsistent_table_exit_2(tmp_path, capsys):
     assert out == "" and err.startswith("error:")
 
 
+def test_unknown_power_map_target_names_its_class_line(tmp_path, capsys):
+    text = Path(fixture_path("s3.ctb")).read_text()
+    target = tmp_path / "pow.ctb"
+    target.write_text(text.replace("class 2A size=3 order=2 pow2=1A",
+                                   "class 2A size=3 order=2 pow2=9Z"))
+    status, out, err = run(capsys, ["validate", str(target)])
+    assert status == 2 and out == ""
+    assert err == "error: unknown class name '9Z' in power map of 2A (line 7)\n"
+
+
 def test_root_outside_exponent_field_exit_2(tmp_path):
     # run out of process so that a hang at the root's order fails the test
     # instead of stalling the suite

@@ -160,9 +160,8 @@ def test_vanishing_sum_failures_name_the_element_and_the_sum():
     rows = [list(row) for row in fam.table.rows]
     # conjugate one irrational value on a split class and one of
     # conductor 24 on a nonsplit class
-    for kind, least in (("split", 2), ("nonsplit", 5)):
-        r, j = next((r, j) for r, row in enumerate(rows) for j, v in enumerate(row)
-                    if v.conductor >= least and fam.class_labels[j][0] == kind)
+    for row, cls in ((("lin", 1), ("split", (0, 3))), (("cusp", 7), ("nonsplit", 7))):
+        r, j = fam.label_to_row[row], fam.label_to_class[cls]
         rows[r][j] = rows[r][j].conjugate()
     table = dataclasses.replace(fam.table, rows=tuple(map(tuple, rows)))
     report = vanishing_sum_report(dataclasses.replace(fam, table=table))
