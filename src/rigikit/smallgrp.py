@@ -1,13 +1,25 @@
 """Concrete finite matrix groups over prime fields.
 
 Elements are immutable matrices over GF(p), optionally taken modulo scalars
-(projective groups scale so the first nonzero entry is 1, which makes the
-byte encoding a canonical identity). `closure` enumerates a group
-breadth-first, in a deterministic order, and keeps one right-multiplication
-position array per generator and its search tree (Schreier vectors: Holt,
-Eick and O'Brien, Handbook of Computational Group Theory, ch. 4). Left
-multiplications are read off the tree, so conjugacy classes run on
-positions, with no matrix products.
+(projective groups scale so the first nonzero entry is 1). The `key` of an
+element, a canonical identity, is the tuple of its row codes: a row v has
+the code sum v_i p^(n-1-i). `closure`, `class_orbit` and
+`direct_triple_count` multiply on these codes through lazily filled tables,
+the "grease" tables of Parker's Meat-Axe (Computational Group Theory,
+Durham 1982): x g takes T_g[r] for each row code r of x, where
+T_g[c] = code(v g), and g x g^-1 also maps the columns through
+L_g[c] = code(g v). Tables grow with the rows met, never to p^n entries.
+
+`closure` enumerates a group breadth-first, in a deterministic order, and
+keeps one right-multiplication position array per generator and its search
+tree (Schreier vectors: Holt, Eick and O'Brien, Handbook of Computational
+Group Theory, ch. 4). Left multiplications are read off the tree, so
+conjugacy classes run on positions, with no matrix products.
+
+`direct_triple_count` takes no inverses: for z in C3, x^-1 z^-1 lies in C2
+iff its inverse z x, and so its conjugate x z, lies in C2^-1. Quadratic
+unipotents are closed under inversion, as (y^-1 - 1)^2 = y^-2 (y - 1)^2,
+so the lemma drivers test x z with `is_quadratic_unipotent` itself.
 """
 
 from __future__ import annotations
@@ -15,7 +27,8 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass, field
 from math import gcd
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from operator import mul
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .modp import is_prime, mat_det, mat_inv, mat_rank, primitive_root
 
@@ -46,8 +59,7 @@ class GroupElement:
         self.p = p
         self.entries = entries
         self.projective = projective
-        self.key = bytes(v for row in entries for v in row) if p < 256 else \
-            tuple(v for row in entries for v in row)
+        self.key = tuple(_row_code(row, p) for row in entries)
 
     def __mul__(self, other: "GroupElement") -> "GroupElement":
         p = self.p
@@ -61,9 +73,6 @@ class GroupElement:
         if self.projective:
             inv = _projective_scale(inv, self.p)
         return GroupElement(inv, self.p, self.projective, _canonical=True)
-
-    def is_identity(self) -> bool:
-        return self == identity(self.n, self.p, self.projective)
 
     def order(self) -> int:
         e = identity(self.n, self.p, self.projective)
@@ -99,6 +108,77 @@ def _projective_scale(entries, p):
                 inv = pow(v, -1, p)
                 return tuple(tuple(x * inv % p for x in row2) for row2 in entries)
     return entries
+
+
+def _row_code(row, p: int) -> int:
+    c = 0
+    for v in row:
+        c = c * p + v
+    return c
+
+
+class _Lazy(dict):
+    """key -> fill(key), each value computed on its first lookup."""
+
+    __slots__ = ("fill",)
+
+    def __init__(self, fill):
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, key):
+        value = self[key] = self.fill(key)
+        return value
+
+
+class _RowCodes:
+    """Products of n x n matrices over GF(p) (mod scalars when projective)
+    held as tuples of row codes, each product one table lookup per row."""
+
+    def __init__(self, n: int, p: int, projective: bool):
+        self.n, self.p, self.projective = n, p, projective
+        self.digits = _Lazy(lambda c: tuple(c // p ** (n - 1 - i) % p for i in range(n)))
+        self.code = _Lazy(lambda v: _row_code(v, p))
+        # projective rescaling: c -> inverse of the first nonzero entry of its
+        # row, and s -> the table c -> code(s v)
+        self.lead = _Lazy(
+            lambda c: pow(next((d for d in self.digits[c] if d), 1), -1, p))
+        self.scaled = _Lazy(lambda s: _Lazy(
+            lambda c: _row_code([s * d % p for d in self.digits[c]], p)))
+
+    def right(self, entries) -> _Lazy:
+        """T[c] = code(v g) for the matrix g with these entries."""
+        digits, p = self.digits, self.p
+        cols = tuple(zip(*entries))
+        return _Lazy(lambda c: _row_code(
+            [sum(map(mul, digits[c], col)) % p for col in cols], p))
+
+    def left(self, entries) -> _Lazy:
+        """L[c] = code(g v), for the column v with code c."""
+        return self.right(tuple(zip(*entries)))
+
+    def canonical(self, rows: Tuple[int, ...]) -> Tuple[int, ...]:
+        if self.projective:
+            s = self.lead[next((c for c in rows if c), 0)]
+            if s != 1:
+                return tuple(map(self.scaled[s].__getitem__, rows))
+        return rows
+
+    def conjugate(self, rows: Tuple[int, ...], right_inverse: _Lazy,
+                  left: _Lazy) -> Tuple[int, ...]:
+        """Row codes of g x g^-1: the rows of x through the right table of
+        g^-1, then, transposed, through the left table of g."""
+        digits, code = self.digits.__getitem__, self.code.__getitem__
+        cols = map(code, zip(*map(digits, map(right_inverse.__getitem__, rows))))
+        return self.canonical(
+            tuple(map(code, zip(*map(digits, map(left.__getitem__, cols))))))
+
+    def element(self, rows: Tuple[int, ...]) -> "GroupElement":
+        """The element with these (canonical) row codes."""
+        x = GroupElement.__new__(GroupElement)
+        x.n, x.p, x.projective, x.key = self.n, self.p, self.projective, rows
+        x.entries = tuple(map(self.digits.__getitem__, rows))
+        return x
 
 
 def identity(n: int, p: int, projective: bool = False) -> GroupElement:
@@ -166,23 +246,27 @@ def closure(generators: Sequence[GroupElement], cap: int = DEFAULT_CLOSURE_CAP,
             raise ValueError("generators live in different matrix groups")
         if not g.det():
             raise ValueError("generator %d is singular" % (no + 1))
+    codes = _RowCodes(n, p, projective)
+    canonical = codes.canonical
     e = identity(n, p, projective)
     elements = [e]
     index = {e.key: 0}
     right = [array("i") for _ in gens]
+    steps = [(codes.right(g.entries).__getitem__, r) for g, r in zip(gens, right)]
     parent, via = array("i", [0]), array("i", [0])
     for u, x in enumerate(elements):  # the list grows as it is walked
-        for gno, g in enumerate(gens):
-            y = x * g
-            v = index.get(y.key)
+        rows = x.key
+        for gno, (table, r) in enumerate(steps):
+            y = canonical(tuple(map(table, rows)))
+            v = index.get(y)
             if v is None:
-                v = index[y.key] = len(elements)
-                elements.append(y)
+                v = index[y] = len(elements)
+                elements.append(codes.element(y))
                 parent.append(u)
                 via.append(gno)
                 if len(elements) > cap:
                     raise GroupTooLargeError("group closure", cap)
-            right[gno].append(v)
+            r.append(v)
     return FiniteGroup(kind=kind, n=n, p=p, generators=tuple(gens),
                        elements=elements, index=index, right=right,
                        parent=parent, via=via)
@@ -244,23 +328,21 @@ def _record_power_orders(group: FiniteGroup, g: GroupElement,
 def class_orbit(rep: GroupElement, generators: Sequence[GroupElement],
                 cap: int = DEFAULT_ORBIT_CAP) -> List[GroupElement]:
     """Conjugation orbit of rep under the group the generators generate,
-    without enumerating that group."""
-    gens = [(g, g.inverse()) for g in generators]
+    without enumerating that group, breadth first: x -> g x g^-1 for each
+    generator g in turn."""
+    codes = _RowCodes(rep.n, rep.p, rep.projective)
+    gens = [(codes.right(g.inverse().entries), codes.left(g.entries))
+            for g in generators]
     orbit = [rep]
     seen = {rep.key}
-    frontier = [rep]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g, ginv in gens:
-                y = g * x * ginv
-                if y.key not in seen:
-                    seen.add(y.key)
-                    orbit.append(y)
-                    nxt.append(y)
-                    if len(orbit) > cap:
-                        raise GroupTooLargeError("conjugation orbit", cap)
-        frontier = nxt
+    for x in orbit:  # the list grows as it is walked
+        for right_inverse, left in gens:
+            y = codes.conjugate(x.key, right_inverse, left)
+            if y not in seen:
+                seen.add(y)
+                orbit.append(codes.element(y))
+                if len(orbit) > cap:
+                    raise GroupTooLargeError("conjugation orbit", cap)
     return orbit
 
 
@@ -279,10 +361,6 @@ class JordanType:
             if ev == eigenvalue:
                 return part
         return ()
-
-    @property
-    def eigenvalue_spectrum(self) -> Tuple[Tuple[int, int], ...]:
-        return tuple((ev, sum(part)) for ev, part in self.partitions)
 
     def is_unipotent(self) -> bool:
         return all(ev == 1 for ev, _ in self.partitions)
@@ -342,12 +420,15 @@ def jordan_type(m: GroupElement) -> JordanType:
 
 
 def is_quadratic_unipotent(m: GroupElement) -> bool:
-    """Nontrivial unipotent with (m - 1)^2 = 0."""
-    if m.is_identity():
-        return False
-    a = _mat_add_scalar(m.entries, -1, m.p)
-    sq = _mat_mul_entries(a, a, m.p)
-    return not any(v for row in sq for v in row)
+    """Nontrivial unipotent with (m - 1)^2 = m^2 - 2m + 1 = 0; stops at the
+    first nonzero entry of the square."""
+    p, rows = m.p, m.entries
+    cols = tuple(zip(*rows))
+    for i, row in enumerate(rows):
+        for j, col in enumerate(cols):
+            if (sum(map(mul, row, col)) - 2 * row[j] + (i == j)) % p:
+                return False
+    return m != identity(m.n, p, m.projective)
 
 
 # ---------------------------------------------------------------------------
@@ -356,28 +437,26 @@ def is_quadratic_unipotent(m: GroupElement) -> bool:
 
 def direct_triple_count(
     c1_orbit: Iterable[GroupElement],
-    c2_predicate: Callable[[GroupElement], bool],
+    c2_inverse_predicate: Callable[[GroupElement], bool],
     z: GroupElement,
     c3_size: int,
 ) -> int:
     """Number of triples (x, y, z') in C1 x C2 x C3 with x*y*z' = 1.
 
     For the fixed representative z the triples with third entry z are the
-    x in C1 with x^-1 * z^-1 in C2; the class of z contributes this count
-    once per member, hence the c3_size factor.
+    x in C1 with y = x^-1 z^-1 in C2, that is with x*z in C2^-1 (see the
+    module docstring). `c2_inverse_predicate` is asked about x*z, made by
+    one right-table lookup per row of x: it must test membership of the
+    class of inverses C2^-1, not of C2. The class of z contributes this
+    count once per member, hence the c3_size factor.
     """
-    zinv = z.inverse()
+    codes = _RowCodes(z.n, z.p, z.projective)
+    table = codes.right(z.entries).__getitem__
     hits = 0
     for x in c1_orbit:
-        y = x.inverse() * zinv
-        if c2_predicate(y):
+        if c2_inverse_predicate(codes.element(codes.canonical(tuple(map(table, x.key))))):
             hits += 1
     return c3_size * hits
-
-
-def class_membership_predicate(members: Set[GroupElement]) -> Callable[[GroupElement], bool]:
-    keys = {m.key for m in members}
-    return lambda x: x.key in keys
 
 
 # ---------------------------------------------------------------------------
@@ -456,19 +535,6 @@ def so_generators(m: int, p: int) -> List[GroupElement]:
     return gens
 
 
-def gram_antidiagonal(dim: int, p: int) -> Tuple[Tuple[int, ...], ...]:
-    return tuple(
-        tuple(1 if i + j == dim - 1 else 0 for j in range(dim)) for i in range(dim)
-    )
-
-
-def preserves_form(x: GroupElement, gram) -> bool:
-    p = x.p
-    xt = tuple(zip(*x.entries))
-    left = _mat_mul_entries(_mat_mul_entries(xt, gram, p), x.entries, p)
-    return left == gram
-
-
 def order_gl(n: int, q: int) -> int:
     total = 1
     for i in range(n):
@@ -478,21 +544,6 @@ def order_gl(n: int, q: int) -> int:
 
 def order_sl(n: int, q: int) -> int:
     return order_gl(n, q) // (q - 1)
-
-
-def order_psl(n: int, q: int) -> int:
-    return order_sl(n, q) // gcd(n, q - 1)
-
-
-def order_pgl(n: int, q: int) -> int:
-    return order_gl(n, q) // (q - 1)
-
-
-def order_so_even_plus(m: int, q: int) -> int:
-    total = q ** (m * (m - 1)) * (q ** m - 1)
-    for i in range(1, m):
-        total *= q ** (2 * i) - 1
-    return total
 
 
 def group_from_spec(spec: str, cap: int = DEFAULT_CLOSURE_CAP) -> FiniteGroup:

@@ -34,7 +34,6 @@ from rigikit.regunip import (
 )
 from rigikit.rigidity import ClassTriple, frobenius_count, nontrivial_sum, rigidity_verdict
 from rigikit.smallgrp import (
-    class_membership_predicate,
     conjugacy_classes,
     direct_triple_count,
     group_from_spec,
@@ -88,9 +87,9 @@ def test_criterion_2_psl27_rigidity():
     n = frobenius_count(table, tri)
     assert n == 168 == table.order
     orbit = [group.elements[i] for i in class_map[tri.c1].indices]
-    members = {group.elements[i] for i in class_map[tri.c2].indices}
+    c2_inverse = {group.elements[i].inverse().key for i in class_map[tri.c2].indices}
     direct = direct_triple_count(
-        orbit, class_membership_predicate(members),
+        orbit, lambda m: m.key in c2_inverse,
         class_map[tri.c3].rep, class_map[tri.c3].size)
     assert direct == n
     assert nontrivial_sum(table, tri).is_zero()

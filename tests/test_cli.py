@@ -237,9 +237,18 @@ def test_root_outside_exponent_field_exit_2(tmp_path):
             assert "line 11" in proc.stderr, (root, argv)
 
 
+def _memory_and_cpu_caps(address_space, cpu_seconds):
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
+        resource.setrlimit(resource.RLIMIT_CPU, (cpu_seconds, cpu_seconds))
+    return limit
+
+
 def test_huge_conductors_under_a_memory_cap(tmp_path):
-    # out of process, under an address-space cap and a timeout, so that a
-    # table of size n or phi(n) fails the test instead of stalling the suite;
+    # out of process, under an address-space cap and a CPU-time cap, so that
+    # a table of size n or phi(n) fails the test instead of stalling the
+    # suite; the cap is on CPU time, not wall time, so that a busy machine
+    # does not fail it, and the long wall timeout only stops a hang.
     # 1 + E(20011,1) is not Galois-stable, so it takes the exact check
     cap = 512 << 20
     env = dict(os.environ, PYTHONPATH=str(Path(rigikit.__file__).parents[1]))
@@ -252,8 +261,8 @@ def test_huge_conductors_under_a_memory_cap(tmp_path):
                           "class 1A size=1 order=1\nchar X1 %s\n" % (exponent, value))
         proc = subprocess.run(
             [sys.executable, "-m", "rigikit", "validate", str(target)], env=env,
-            capture_output=True, text=True, timeout=20,
-            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
+            capture_output=True, text=True, timeout=300,
+            preexec_fn=_memory_and_cpu_caps(cap, 20))
         assert proc.returncode == status, (exponent, proc.stderr)
         assert "Traceback" not in proc.stderr, exponent
         if status == 1:

@@ -1,19 +1,22 @@
 import random
 from collections import Counter
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from rigikit.dixon import character_table_dixon_mapped
 from rigikit.modp import euler_phi
+from rigikit.rigidity import ClassTriple, frobenius_count
 from rigikit.smallgrp import (
+    _RowCodes,
     GroupTooLargeError,
     UnsupportedSpectrumError,
-    class_membership_predicate,
     class_orbit,
     closure,
     conjugacy_classes,
     direct_triple_count,
-    gl_generators,
-    gram_antidiagonal,
     group_from_spec,
     identity,
     is_quadratic_unipotent,
@@ -22,17 +25,57 @@ from rigikit.smallgrp import (
     lemma_so_triple_count,
     make_element,
     order_gl,
-    order_pgl,
-    order_psl,
     order_sl,
-    order_so_even_plus,
     parse_generator_file,
-    preserves_form,
     regular_unipotent_sl,
     sl_generators,
     sl_regular_unipotent_class_size,
     so_generators,
 )
+
+
+# --- oracles: order formulas, forms and class membership --------------------
+
+
+def order_psl(n, q):
+    return order_sl(n, q) // gcd(n, q - 1)
+
+
+def order_pgl(n, q):
+    return order_gl(n, q) // (q - 1)
+
+
+def order_so_even_plus(m, q):
+    total = q ** (m * (m - 1)) * (q ** m - 1)
+    for i in range(1, m):
+        total *= q ** (2 * i) - 1
+    return total
+
+
+def gram_antidiagonal(dim):
+    return [[1 if i + j == dim - 1 else 0 for j in range(dim)] for i in range(dim)]
+
+
+def preserves_form(x, gram):
+    """x^T gram x == gram over GF(p), by plain integer products."""
+    n, p, a = x.n, x.p, x.entries
+    left = [[sum(a[k][i] * gram[k][l] * a[l][j] for k in range(n) for l in range(n)) % p
+             for j in range(n)] for i in range(n)]
+    return left == gram
+
+
+def class_membership_predicate(members):
+    keys = {m.key for m in members}
+    return lambda x: x.key in keys
+
+
+def quadratic_unipotent(m):
+    """m != 1 and (m - 1)^2 = 0, by plain integer products."""
+    n, p = m.n, m.p
+    a = [[(m.entries[i][j] - (i == j)) % p for j in range(n)] for i in range(n)]
+    square = [[sum(a[i][k] * a[k][j] for k in range(n)) % p for j in range(n)]
+              for i in range(n)]
+    return any(map(any, a)) and not any(map(any, square))
 
 
 def test_closure_orders_match_formulas():
@@ -126,7 +169,7 @@ def test_jordan_types():
     inv = make_element([[2, 0, 0, 0], [0, 2, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], 3)
     jt = jordan_type(inv)
     assert jt.partition(1) == (1, 1) and jt.partition(-1) == (1, 1)
-    assert jt.eigenvalue_spectrum == ((1, 2), (-1, 2))
+    assert [(ev, sum(part)) for ev, part in jt.partitions] == [(1, 2), (-1, 2)]
     with pytest.raises(UnsupportedSpectrumError):
         jordan_type(make_element([[2, 0], [0, 4]], 7))
 
@@ -148,8 +191,8 @@ def test_direct_triple_count_representative_independent():
     c2a, c3a = by_size[21], by_size[56]
     sevens = [c for c in cc if c.order == 7]
     orbit = [psl.elements[i] for i in c2a.indices]
-    members = {psl.elements[i] for i in c3a.indices}
-    pred = class_membership_predicate(members)
+    inverses = {psl.elements[i].inverse() for i in c3a.indices}
+    pred = class_membership_predicate(inverses)
     rng = random.Random(9)
     for c7 in sevens:
         counts = set()
@@ -171,7 +214,7 @@ def test_sl_regular_unipotent_class_size_formula():
 
 def test_so4_generators_preserve_form():
     for p in (3, 5):
-        gram = gram_antidiagonal(4, p)
+        gram = gram_antidiagonal(4)
         for gen in so_generators(2, p):
             assert preserves_form(gen, gram)
             assert gen.det() == 1
@@ -305,3 +348,101 @@ def test_class_orders_of_a_cyclic_group():
     assert g.order == 1376
     orders = Counter(c.order for c in conjugacy_classes(g))
     assert orders == {d: euler_phi(d) for d in range(1, 1377) if 1376 % d == 0}
+
+
+# --- the row-code kernel against GroupElement arithmetic ---------------------
+
+
+def _check_row_codes(codes, x, g):
+    """The code product x g and the code conjugate g x g^-1 against
+    GroupElement arithmetic, and the quadratic unipotent test on x and on
+    both results against the plain-integer oracle."""
+    product = codes.element(codes.canonical(
+        tuple(map(codes.right(g.entries).__getitem__, x.key))))
+    assert product == x * g and product.entries == (x * g).entries
+    conjugate = codes.element(codes.conjugate(
+        x.key, codes.right(g.inverse().entries), codes.left(g.entries)))
+    expected = g * x * g.inverse()
+    assert conjugate == expected and conjugate.entries == expected.entries
+    for m in (x, product, conjugate):
+        assert is_quadratic_unipotent(m) == quadratic_unipotent(m)
+
+
+@st.composite
+def invertible(draw, n, p, projective):
+    """A row permutation times a unit lower and an invertible upper
+    triangular factor: every invertible matrix has this form."""
+    entry, unit = st.integers(0, p - 1), st.integers(1, p - 1)
+    perm = draw(st.permutations(range(n)))
+    factors = (
+        [[int(perm[i] == j) for j in range(n)] for i in range(n)],
+        [[draw(entry) if j < i else int(i == j) for j in range(n)] for i in range(n)],
+        [[draw(entry) if j > i else draw(unit) if i == j else 0 for j in range(n)]
+         for i in range(n)])
+    x = identity(n, p, projective)
+    for rows in factors:
+        x = x * make_element(rows, p, projective)
+    return x
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_row_codes_match_group_elements(data):
+    n = data.draw(st.integers(1, 4))
+    p = data.draw(st.sampled_from([2, 3, 5, 7, 11, 13]))
+    projective = data.draw(st.booleans())
+    codes = _RowCodes(n, p, projective)
+    g = data.draw(invertible(n, p, projective))
+    x = data.draw(invertible(n, p, projective))
+    if n > 1 and data.draw(st.booleans()):
+        # a conjugate of 1 + E_{1n}, so that the predicate also meets its true case
+        q = identity(n, p, projective).entries
+        q = make_element([[v + (i == 0 and j == n - 1) for j, v in enumerate(row)]
+                          for i, row in enumerate(q)], p, projective)
+        x = x * q * x.inverse()
+        # mod scalars the rescaled conjugate is unipotent only up to a scalar
+        assert projective or quadratic_unipotent(x)
+    _check_row_codes(codes, x, g)
+
+
+def test_row_codes_on_conjugated_groups(conjugated_group):
+    rng = random.Random(23)
+    for kind, n, p in (("PSL", 2, 7), ("PSL", 2, 13), ("GL", 2, 3), ("SO", 4, 3)):
+        g = conjugated_group(kind, n, p, rng)
+        codes = _RowCodes(n, p, kind == "PSL")
+        others = list(g.generators) + rng.sample(g.elements, 2)
+        for x in rng.sample(g.elements, min(g.order, 200)):
+            for h in others:
+                _check_row_codes(codes, x, h)
+
+
+def _triple_counts(group):
+    """(direct_triple_count, frobenius_count) for every class triple, the
+    predicate testing C2^-1 as direct_triple_count asks."""
+    table, class_map = character_table_dixon_mapped(group)
+    els = group.elements
+    out = {}
+    k = table.n_classes
+    for c1 in range(k):
+        orbit = [els[i] for i in class_map[c1].indices]
+        for c2 in range(k):
+            inverses = class_membership_predicate(
+                {els[i].inverse() for i in class_map[c2].indices})
+            for c3 in range(k):
+                z = class_map[c3]
+                names = tuple(table.classes[c].name for c in (c1, c2, c3))
+                out[names] = (direct_triple_count(orbit, inverses, z.rep, z.size),
+                              frobenius_count(table, ClassTriple(c1, c2, c3)))
+    return out
+
+
+def test_direct_triple_count_against_character_table(conjugated_group):
+    rng = random.Random(31)
+    for kind, n, p in (("PSL", 2, 7), ("GL", 2, 3), ("SL", 2, 5)):
+        counts = _triple_counts(conjugated_group(kind, n, p, rng))
+        assert all(direct == frobenius for direct, frobenius in counts.values()), kind
+        assert sum(1 for direct, _ in counts.values() if direct) > len(counts) // 4
+        if kind == "PSL":
+            # 7A is not real (7A^-1 = 7B): testing C2 in place of C2^-1 swaps these
+            assert counts["2A", "7A", "7A"] == (168, 168)
+            assert counts["2A", "7B", "7A"] == (0, 0)
