@@ -93,9 +93,6 @@ class CharacterTable:
     def degrees(self) -> Tuple[Cyclotomic, ...]:
         return tuple(row[0] for row in self.rows)
 
-    def degree_int(self, r: int) -> int:
-        return self.rows[r][0].to_integer()
-
     def class_index(self, name: str) -> int:
         for i, c in enumerate(self.classes):
             if c.name == name:

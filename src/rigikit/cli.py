@@ -150,8 +150,10 @@ def cmd_dixon(args) -> int:
     if args.group.startswith("@"):
         text = Path(args.group[1:]).read_text()
         gens = smallgrp.parse_generator_file(text, projective=args.projective)
-        group = smallgrp.closure(gens, cap=args.cap,
-                                 kind="PSL" if args.projective else "GL")
+        # generators span some subgroup: name only the ambient group
+        group = smallgrp.closure(
+            gens, cap=args.cap,
+            kind="subgroup of %s" % ("PGL" if args.projective else "GL"))
     else:
         group = smallgrp.group_from_spec(args.group, cap=args.cap)
     table = dixon.character_table_dixon(group)

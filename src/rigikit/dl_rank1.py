@@ -6,6 +6,12 @@ Everything is exact. GL2 allows prime powers q >= 3; SL2 and PGL2 are
 restricted to odd primes so the four half-degree SL2 characters carry the
 classical quadratic Gauss sum of Q(zeta_q). PGL2 is derived from the GL2
 data by factoring out the center, not written down separately.
+
+Only the tables, their power maps and the R_{T,theta} decompositions are
+written down per family. Class kinds come from element orders, torus
+elements are classed through the power map, and the dual-group data are
+read off the Lusztig series: the constituents of the R_{T,theta} that a
+semisimple class of the dual group names.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import gcd, lcm
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .chartable import CharacterTable, CheckReport, CheckResult, build_table_mapped
 from .cyclo import Cyclotomic, cyc, from_terms, linear_sum, zeta
@@ -90,6 +96,8 @@ class Rank1Family:
     q: int
     p: int
     table: CharacterTable
+    labels: List[Label]  # the builder's class labels, in its order
+    power_label: Callable[[Label, int], Label]  # label of the class of x^r
     class_labels: Dict[int, Label]
     label_to_class: Dict[Label, int]
     label_to_row: Dict[RowLabel, int]
@@ -108,47 +116,21 @@ class Rank1Family:
     def centralizer_pprime(self, j: int) -> int:
         return _pprime(self.table.centralizer_order(j), self.p)
 
-    def class_of_label(self, label: Label) -> int:
-        return self.label_to_class[label]
-
-    def row_of_label(self, label: RowLabel) -> int:
-        return self.label_to_row[label]
-
     def dl_value(self, dl: DLCharacter, class_index: int) -> Cyclotomic:
         return linear_sum((c, self.table.rows[r][class_index])
                           for r, c in dl.decomposition.items())
 
     def semisimple_class_indices(self) -> List[int]:
-        out = []
-        for j in range(self.table.n_classes):
-            if self.class_labels[j][0] in ("central", "split", "nonsplit"):
-                out.append(j)
-        return out
+        """The classes of p'-order."""
+        return [j for j, c in enumerate(self.table.classes) if c.order % self.p]
 
     def unipotent_class_indices(self) -> List[Tuple[int, str]]:
-        """(class index, algebraic label 'one'|'regular') pairs."""
-        out = []
-        for j, lab in self.class_labels.items():
-            if lab[0] == "central" and _central_is_identity(self, lab):
-                out.append((j, "one"))
-            elif lab[0] == "unipotent" and _unipotent_is_pure(self, lab):
-                out.append((j, "regular"))
-        return sorted(out)
-
-
-def _central_is_identity(fam: Rank1Family, lab: Label) -> bool:
-    if fam.family == "GL2":
-        return lab[1] == 0
-    return lab == ("central", 0)
-
-
-def _unipotent_is_pure(fam: Rank1Family, lab: Label) -> bool:
-    # GL2 unipotent classes carry a central part; only a = 0 is unipotent.
-    if fam.family == "GL2":
-        return lab[1] == 0
-    if fam.family == "SL2":
-        return lab[1] in ("c", "d")  # ("unipotent", "c"/"d") without z
-    return True  # PGL2 has a single unipotent class
+        """(class index, algebraic label) for the classes of p-power order:
+        'one' at the identity, 'regular' otherwise (at rank 1 every
+        nontrivial unipotent element is regular)."""
+        return [(j, "one" if c.order == 1 else "regular")
+                for j, c in enumerate(self.table.classes)
+                if _pprime(c.order, self.p) == 1]
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +291,7 @@ def _assemble(family: str, q: int, order: int, labels: List[Label],
     class_labels = {new: labels[old] for new, old in enumerate(class_order)}
     return Rank1Family(
         family=family, q=q, p=_characteristic(q), table=table,
-        class_labels=class_labels,
+        labels=labels, power_label=power_label, class_labels=class_labels,
         label_to_class={lab: i for i, lab in class_labels.items()},
         label_to_row={row_labels[old]: new for new, old in enumerate(row_order)},
     )
@@ -560,19 +542,9 @@ def _torus_modulus(fam: Rank1Family, torus: str) -> int:
 
 
 def torus_element_class(fam: Rank1Family, torus: str, t) -> int:
-    """Class index of a torus element given by its parameter."""
-    if fam.family == "GL2":
-        # a torus parameter is an unreduced class label: reduce it as x^1
-        return fam.label_to_class[_gl2_class_of_power((torus, t), 1, fam.q)]
-    n = _torus_modulus(fam, torus)
-    e = _fold(t, n)
-    if e == 0:
-        lab = ("central", 0)
-    elif fam.family == "SL2" and e == n // 2:
-        lab = ("central", 1)
-    else:
-        lab = (torus, e)
-    return fam.label_to_class[lab]
+    """Class index of a torus element given by its parameter: the
+    parameter is an unreduced class label, reduced as x^1."""
+    return fam.label_to_class[fam.power_label((torus, t), 1)]
 
 
 def torus_elements(fam: Rank1Family, torus: str):
@@ -603,14 +575,6 @@ def weyl_on_torus(fam: Rank1Family, torus: str, t):
     if fam.family != "GL2":
         return (-t) % n
     return (t[1], t[0]) if torus == "split" else (t * fam.q) % n
-
-
-def theta_is_regular(fam: Rank1Family, torus: str, theta) -> bool:
-    """theta is not fixed by the Weyl element."""
-    n = _torus_modulus(fam, torus)
-    if fam.family == "GL2" and torus == "split":
-        return theta[0] % n != theta[1] % n
-    return weyl_on_torus(fam, torus, theta) != theta % n
 
 
 # (family, torus) -> (row kind of the regular thetas, constituents with
@@ -655,10 +619,6 @@ def dl_character(fam: Rank1Family, torus: str, theta) -> DLCharacter:
     else:
         dec = {row[(regular_kind, i)]: sign}
     return DLCharacter(torus=torus, theta=theta, decomposition=dec)
-
-
-def dl_inner_product(a: DLCharacter, b: DLCharacter) -> int:
-    return sum(c * b.decomposition.get(r, 0) for r, c in a.decomposition.items())
 
 
 # ---------------------------------------------------------------------------
@@ -749,91 +709,52 @@ def vanishing_sum_report(fam: Rank1Family) -> CheckReport:
 
 
 def dual_data(famG: Rank1Family, famGstar: Rank1Family) -> List[DualSemisimpleDatum]:
-    """Semisimple classes of famGstar matched to character data of famG.
+    """Semisimple classes of famGstar matched to character data of famG,
+    read off the Lusztig series.
 
     Supported dual pairs: (GL2, GL2) self-dual and (SL2, PGL2) / (PGL2, SL2)
-    at the same q. The matching follows the shared cyclic parametrizations;
-    degrees against centralizer orders are asserted on the way (this is the
+    at the same q. A semisimple class t of famGstar, taken in the builder's
+    order, names a character theta of each torus that contains it: both tori
+    for a central t, its own torus otherwise. Its Lusztig series is the set
+    of constituents of those R_{T,theta}: the members of least degree make
+    up the semisimple character, those of greatest degree the regular one.
+    Degrees against centralizer orders are asserted on the way (this is the
     symmetry identity at s = 1).
     """
-    q = famG.q
-    if famGstar.q != q:
+    if famGstar.q != famG.q:
         raise ValueError("dual pair must share q")
     pair = (famG.family, famGstar.family)
+    if pair not in (("GL2", "GL2"), ("SL2", "PGL2"), ("PGL2", "SL2")):
+        raise ValueError("unsupported dual pair %s" % (pair,))
     out: List[DualSemisimpleDatum] = []
-    row = famG.label_to_row
-
-    def datum(dual_label, weyl_order, twist, ss_rows, reg_rows,
-              theta_split, theta_nonsplit):
-        j = famGstar.label_to_class[dual_label]
+    for lab in famGstar.labels:
+        kind = lab[0]
+        if kind == "unipotent":
+            continue
+        if kind == "central":
+            thetas = {torus: _central_torus_param(famGstar, torus, lab)
+                      for torus in ("split", "nonsplit")}
+        else:
+            thetas = {kind: lab[1]}
+        series: Dict[int, int] = {}  # row -> degree, in insertion order
+        for torus, theta in thetas.items():
+            for r in dl_character(famG, torus, theta).decomposition:
+                series[r] = famG.table.rows[r][0].to_integer()
+        low, high = min(series.values()), max(series.values())
+        j = famGstar.label_to_class[lab]
         cent = famGstar.centralizer_pprime(j)
-        d = DualSemisimpleDatum(
-            dual_label=dual_label, dual_class_index=j, weyl_order=weyl_order,
-            twist=twist, centralizer_pprime=cent,
-            ss_rows=tuple(ss_rows), reg_rows=tuple(reg_rows),
-            theta_split=theta_split, theta_nonsplit=theta_nonsplit)
-        deg = famG.table.rows[d.ss_rows[0]][0].to_integer()
-        if cent * deg != famG.order_pprime():
+        if cent * low != famG.order_pprime():
             raise IdentityViolation(
                 "dual matching failed at s = 1 for %s: %d * %d != %d"
-                % (dual_label, cent, deg, famG.order_pprime()))
-        return d
-
-    if pair == ("GL2", "GL2"):
-        n1 = q - 1
-        for k in range(n1):
-            out.append(datum(("central", k), 2, None,
-                             [row[("lin", k)]], [row[("stlin", k)]],
-                             (k, k), k * (q + 1)))
-        for i in range(n1):
-            for j in range(i + 1, n1):
-                out.append(datum(("split", (i, j)), 1, "split",
-                                 [row[("prin", (i, j))]], [row[("prin", (i, j))]],
-                                 (i, j), None))
-        for r in _nonsplit_reps(q):
-            out.append(datum(("nonsplit", r), 1, "nonsplit",
-                             [row[("cusp", r)]], [row[("cusp", r)]],
-                             None, r))
-        return out
-    if pair == ("SL2", "PGL2"):
-        n1, n2 = q - 1, q + 1
-        out.append(datum(("central", 0), 2, None,
-                         [row[("triv",)]], [row[("st",)]], 0, 0))
-        for d in range(1, (q - 1) // 2 + 1):
-            if d == n1 // 2:
-                out.append(datum(("split", d), 1, "split",
-                                 [row[("xi", 0)], row[("xi", 1)]],
-                                 [row[("xi", 0)], row[("xi", 1)]],
-                                 d, None))
-            else:
-                out.append(datum(("split", d), 1, "split",
-                                 [row[("prin", d)]], [row[("prin", d)]],
-                                 d, None))
-        for m in range(1, (q + 1) // 2 + 1):
-            if m == n2 // 2:
-                out.append(datum(("nonsplit", m), 1, "nonsplit",
-                                 [row[("eta", 0)], row[("eta", 1)]],
-                                 [row[("eta", 0)], row[("eta", 1)]],
-                                 None, m))
-            else:
-                out.append(datum(("nonsplit", m), 1, "nonsplit",
-                                 [row[("disc", m)]], [row[("disc", m)]],
-                                 None, m))
-        return out
-    if pair == ("PGL2", "SL2"):
-        out.append(datum(("central", 0), 2, None,
-                         [row[("triv",)]], [row[("st",)]], 0, 0))
-        out.append(datum(("central", 1), 2, None,
-                         [row[("sgn",)]], [row[("sgnst",)]],
-                         (q - 1) // 2, (q + 1) // 2))
-        for l in range(1, (q - 1) // 2):
-            out.append(datum(("split", l), 1, "split",
-                             [row[("prin", l)]], [row[("prin", l)]], l, None))
-        for m in range(1, (q + 1) // 2):
-            out.append(datum(("nonsplit", m), 1, "nonsplit",
-                             [row[("cusp", m)]], [row[("cusp", m)]], None, m))
-        return out
-    raise ValueError("unsupported dual pair %s" % (pair,))
+                % (lab, cent, low, famG.order_pprime()))
+        out.append(DualSemisimpleDatum(
+            dual_label=lab, dual_class_index=j, weyl_order=len(thetas),
+            twist=kind if len(thetas) == 1 else None, centralizer_pprime=cent,
+            ss_rows=tuple(r for r, d in series.items() if d == low),
+            reg_rows=tuple(r for r, d in series.items() if d == high),
+            theta_split=thetas.get("split"),
+            theta_nonsplit=thetas.get("nonsplit")))
+    return out
 
 
 def semisimple_value_on_unipotent(fam: Rank1Family, datum: DualSemisimpleDatum,

@@ -205,7 +205,7 @@ class ConjugacyClass:
 
 @dataclass
 class FiniteGroup:
-    kind: str  # SL | GL | SO | PSL | PGL
+    kind: str  # SL | GL | SO | PSL | PGL, or "subgroup of GL" / "subgroup of PGL"
     n: int
     p: int
     generators: Tuple[GroupElement, ...]

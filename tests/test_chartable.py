@@ -73,7 +73,7 @@ def test_parse_order2():
 
 def test_parse_s3_matches_dixon_oracle():
     t = parse_ctb(S3_TEXT)
-    assert [t.degree_int(r) for r in range(3)] == [1, 1, 2]
+    assert [t.rows[r][0].to_integer() for r in range(3)] == [1, 1, 2]
     assert same_character_data(t, s3_dixon())
 
 

@@ -93,7 +93,11 @@ def test_dixon_generator_file(tmp_path, capsys):
     gens.write_text("matrix 2 3\n1 1\n0 1\nmatrix 2 3\n0 2\n1 0\n")
     status, out, _ = run(capsys, ["dixon", "@%s" % gens])
     assert status == 0
-    assert "order 24" in out
+    # SL(2,3) generators: the table names the ambient group, not the group
+    assert out.splitlines()[1:3] == ["name subgroup of GL(2,3)", "order 24"]
+    status, out, _ = run(capsys, ["dixon", "@%s" % gens, "--projective"])
+    assert status == 0
+    assert out.splitlines()[1:3] == ["name subgroup of PGL(2,3)", "order 12"]
 
 
 def test_dl_emit_and_checks(capsys):

@@ -25,19 +25,19 @@ def test_parameters_smallest_qualifying_prime():
 
 def test_s3_table():
     t = character_table_dixon(group_from_spec("SL(2,2)"))
-    assert sorted(t.degree_int(r) for r in range(3)) == [1, 1, 2]
+    assert sorted(t.rows[r][0].to_integer() for r in range(3)) == [1, 1, 2]
     assert validate(t).ok
 
 
 def test_degrees_sl25_psl27():
     t = character_table_dixon(group_from_spec("SL(2,5)"))
-    assert [t.degree_int(r) for r in range(9)] == [1, 2, 2, 3, 3, 4, 4, 5, 6]
+    assert [t.rows[r][0].to_integer() for r in range(9)] == [1, 2, 2, 3, 3, 4, 4, 5, 6]
     assert validate(t).ok
     t7 = character_table_dixon(group_from_spec("PSL(2,7)"))
-    assert [t7.degree_int(r) for r in range(6)] == [1, 3, 3, 6, 7, 8]
+    assert [t7.rows[r][0].to_integer() for r in range(6)] == [1, 3, 3, 6, 7, 8]
     assert validate(t7).ok
     # the two degree-3 rows carry values of conductor 7
-    deg3 = [r for r in range(6) if t7.degree_int(r) == 3]
+    deg3 = [r for r in range(6) if t7.rows[r][0].to_integer() == 3]
     assert {max(v.conductor for v in t7.rows[r]) for r in deg3} == {7}
 
 

@@ -10,21 +10,32 @@ from rigikit.dl_rank1 import (
     build_family,
     coset_values_report,
     dl_character,
-    dl_inner_product,
     dl_value_via_cosets,
     dual_data,
     dual_symmetry_report,
     gauss_sum,
     semisimple_value_on_unipotent,
     theta_independence,
-    theta_is_regular,
     torus_character_sum,
     torus_characters,
+    torus_element_class,
+    torus_elements,
     unipotent_values_report,
     vanishing_sum_report,
     weyl_on_torus,
 )
 from rigikit.smallgrp import group_from_spec
+
+
+def dl_inner_product(a, b) -> int:
+    """<R_a, R_b> from two decompositions into irreducible rows."""
+    return sum(c * b.decomposition.get(r, 0) for r, c in a.decomposition.items())
+
+
+def theta_is_regular(fam, torus, theta) -> bool:
+    """theta, reduced as torus_characters lists it, is not fixed by the
+    Weyl element."""
+    return weyl_on_torus(fam, torus, theta) != theta
 
 
 def test_class_counts_and_orders():
@@ -83,11 +94,11 @@ def test_gauss_sum_squares():
 
 def test_sl2_half_characters_carry_gauss_values():
     fam = build_family("SL2", 5)
-    xi0 = fam.table.rows[fam.row_of_label(("xi", 0))]
-    c = fam.class_of_label(("unipotent", "c"))
+    xi0 = fam.table.rows[fam.label_to_row[("xi", 0)]]
+    c = fam.label_to_class[("unipotent", "c")]
     assert xi0[c].conductor == 5
     # the pair sums to an integer on unipotent classes
-    xi1 = fam.table.rows[fam.row_of_label(("xi", 1))]
+    xi1 = fam.table.rows[fam.label_to_row[("xi", 1)]]
     assert (xi0[c] + xi1[c]) == cyc(1)
 
 
@@ -183,7 +194,7 @@ def test_semisimple_values_on_unipotent():
     assert unipotent_values_report(pgl7, sl7).ok
     # spec values: regular split t at u = 1 has degree q + 1 = 6
     data = {d.dual_label: d for d in dual_data(gl5, gl5)}
-    one = gl5.class_of_label(("central", 0))
+    one = gl5.label_to_class[("central", 0)]
     reg_split = data[("split", (0, 1))]
     assert semisimple_value_on_unipotent(gl5, reg_split, one) == cyc(6)
     seen = set()
@@ -203,7 +214,7 @@ def test_semisimple_value_mismatch_raises():
         centralizer_pprime=datum.centralizer_pprime,
         ss_rows=datum.ss_rows, reg_rows=datum.reg_rows,
         theta_split=datum.theta_split, theta_nonsplit=datum.theta_nonsplit)
-    one = fam.class_of_label(("central", 0))
+    one = fam.label_to_class[("central", 0)]
     with pytest.raises(IdentityViolation):
         semisimple_value_on_unipotent(fam, bad, one)
 
@@ -213,7 +224,7 @@ def test_coset_value_formula():
     assert coset_values_report(gl5, gl5).ok
     # s = diag(2,1) split regular: value alpha(2)beta(1) + alpha(1)beta(2)
     data = {d.dual_label: d for d in dual_data(gl5, gl5)}
-    s_class = gl5.class_of_label(("split", (0, 1)))  # exponents of (1, 2)
+    s_class = gl5.label_to_class[("split", (0, 1))]  # exponents of (1, 2)
     d = data[("split", (0, 1))]
     v = dl_value_via_cosets(gl5, s_class, d, "split")
     from rigikit.cyclo import zeta
@@ -250,6 +261,88 @@ def test_dual_data_counts_match():
         assert len(dual_data(pgl, sl)) == len(sl.semisimple_class_indices()) == q
     gl = build_family("GL2", 5)
     assert len(dual_data(gl, gl)) == len(gl.semisimple_class_indices()) == 5 * 4
+
+
+def _dual_data_by_row_label(famG, famGstar):
+    row_label = {r: lab for lab, r in famG.label_to_row.items()}
+    return [(d.dual_label, d.weyl_order, d.twist,
+             [row_label[r] for r in d.ss_rows], [row_label[r] for r in d.reg_rows],
+             d.theta_split, d.theta_nonsplit)
+            for d in dual_data(famG, famGstar)]
+
+
+def test_dual_data_pinned_by_row_label():
+    # the Lusztig series of each semisimple class of the dual group, written
+    # out by hand at small q for the three dual pairs, in the builders' order
+    sl5, pgl5 = build_family("SL2", 5), build_family("PGL2", 5)
+    assert _dual_data_by_row_label(sl5, pgl5) == [
+        (("central", 0), 2, None, [("triv",)], [("st",)], 0, 0),
+        (("split", 1), 1, "split", [("prin", 1)], [("prin", 1)], 1, None),
+        (("split", 2), 1, "split", [("xi", 0), ("xi", 1)],
+         [("xi", 0), ("xi", 1)], 2, None),
+        (("nonsplit", 1), 1, "nonsplit", [("disc", 1)], [("disc", 1)], None, 1),
+        (("nonsplit", 2), 1, "nonsplit", [("disc", 2)], [("disc", 2)], None, 2),
+        (("nonsplit", 3), 1, "nonsplit", [("eta", 0), ("eta", 1)],
+         [("eta", 0), ("eta", 1)], None, 3),
+    ]
+    assert _dual_data_by_row_label(pgl5, sl5) == [
+        (("central", 0), 2, None, [("triv",)], [("st",)], 0, 0),
+        (("central", 1), 2, None, [("sgn",)], [("sgnst",)], 2, 3),
+        (("split", 1), 1, "split", [("prin", 1)], [("prin", 1)], 1, None),
+        (("nonsplit", 1), 1, "nonsplit", [("cusp", 1)], [("cusp", 1)], None, 1),
+        (("nonsplit", 2), 1, "nonsplit", [("cusp", 2)], [("cusp", 2)], None, 2),
+    ]
+    gl3 = build_family("GL2", 3)
+    assert _dual_data_by_row_label(gl3, gl3) == [
+        (("central", 0), 2, None, [("lin", 0)], [("stlin", 0)], (0, 0), 0),
+        (("central", 1), 2, None, [("lin", 1)], [("stlin", 1)], (1, 1), 4),
+        (("split", (0, 1)), 1, "split", [("prin", (0, 1))], [("prin", (0, 1))],
+         (0, 1), None),
+    ] + [(("nonsplit", r), 1, "nonsplit", [("cusp", r)], [("cusp", r)], None, r)
+         for r in (1, 2, 5)]
+
+
+def _rank1_families():
+    for q in (3, 4, 5, 7, 8, 9, 11, 13):
+        yield build_family("GL2", q)
+    for q in (3, 5, 7, 11, 13):
+        yield build_family("SL2", q)
+        yield build_family("PGL2", q)
+
+
+def test_class_kinds_match_label_kinds():
+    # oracle: the kind of each builder label; the identity is ("central", 0)
+    # and the unipotent labels without a central part are GL2's a = 0, SL2's
+    # c and d, and PGL2's single class
+    pure_unipotent = {("unipotent", 0), ("unipotent", "c"), ("unipotent", "d"),
+                      ("unipotent",)}
+    for fam in _rank1_families():
+        labels = [fam.class_labels[j] for j in range(fam.table.n_classes)]
+        assert fam.semisimple_class_indices() == [
+            j for j, lab in enumerate(labels) if lab[0] != "unipotent"]
+        assert fam.unipotent_class_indices() == sorted(
+            [(fam.label_to_class[("central", 0)], "one")]
+            + [(j, "regular") for j, lab in enumerate(labels)
+               if lab in pure_unipotent]), (fam.family, fam.q)
+
+
+def test_torus_element_classes_fold_the_parameter():
+    # oracle for SL2 and PGL2: t and -t are conjugate; 0 is the identity and,
+    # in SL2, n/2 is the central element -1
+    for fam in _rank1_families():
+        if fam.family == "GL2":
+            continue
+        for torus in ("split", "nonsplit"):
+            n = fam.q - 1 if torus == "split" else fam.q + 1
+            for t in torus_elements(fam, torus):
+                e = min(t % n, -t % n)
+                if e == 0:
+                    lab = ("central", 0)
+                elif fam.family == "SL2" and e == n // 2:
+                    lab = ("central", 1)
+                else:
+                    lab = (torus, e)
+                assert torus_element_class(fam, torus, t) == fam.label_to_class[lab]
 
 
 def test_generic_tables_match_dixon_oracle():
