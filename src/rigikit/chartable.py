@@ -33,7 +33,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from math import gcd, lcm
-from operator import add, mul
+from operator import add
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .cyclo import (
@@ -725,14 +725,25 @@ def _split_prime(table: CharacterTable):
 
 def _residues_match(split, weights, norms, transpose: bool) -> bool:
     """The weighted Gram matrix of the rows (or, transposed, the columns)
-    is D^2 diag(norms) mod l."""
+    is D^2 diag(norms) mod l.
+
+    Each Gram row is one big-integer sum: coordinate j of every vector b is
+    packed into Y_j, b-th byte field first, and sum_j (x_j w_j mod l) * Y_j
+    holds Gram entry (a, b) exactly in field b, as a field holds the largest
+    entry, len(weights) * (l - 1)^2, and so never carries into the next."""
     ell, dd, at, inv = split
     if transpose:
         at, inv = list(zip(*at)), list(zip(*inv))
+    width = (len(weights) * (ell - 1) ** 2).bit_length() // 8 + 1
+    packed = [int.from_bytes(b"".join(v.to_bytes(width, "little") for v in coord),
+                             "little") for coord in zip(*inv)]
+    size = width * len(inv)
     for a, x in enumerate(at):
-        x = [u * w % ell for u, w in zip(x, weights)]
-        for b, y in enumerate(inv):
-            if sum(map(mul, x, y)) % ell != (dd * norms[a] % ell if a == b else 0):
+        row = sum(u * w % ell * y for u, w, y in zip(x, weights, packed))
+        fields = row.to_bytes(size, "little")
+        for b in range(len(inv)):
+            entry = int.from_bytes(fields[b * width:(b + 1) * width], "little")
+            if entry % ell != (dd * norms[a] % ell if a == b else 0):
                 return False
     return True
 

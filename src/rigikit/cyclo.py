@@ -39,7 +39,12 @@ Phi_n(x) = Phi_r(x^s) with s = n/r (Washington, "Introduction to
 Cyclotomic Fields", GTM 83, section 2), so zeta_n^e for e = q*s + t, t < s,
 is zeta_n^t * zeta_r^q: a basis element when q < phi(r), else row q of the
 table of zeta_r^q mod Phi_r (phi(r) <= q < r) spread over the exponents
-i*s + t. Only a huge squarefree part of n needs a large table.
+i*s + t. Only a huge squarefree part of n needs a large table: building
+it takes (r - phi(r)) * phi(r) list steps, and past TABLE_STEP_BOUND steps
+`_reduction_table` raises `MemoryError` before any work. Every r <= 5000
+and every prime r <= 10^7 is within the bound (the largest r <= 5000,
+4982, takes 6,195,280 steps, about 0.6 s); r = 3,000,009 = 3 * 1,000,003
+would take 2 * 10^12.
 """
 
 from __future__ import annotations
@@ -54,6 +59,8 @@ from .modp import euler_phi, prime_factors
 
 Rational = Fraction
 Coeff = Union[int, Fraction]
+
+TABLE_STEP_BOUND = 10 ** 7  # list steps of the largest reduction table built
 
 # ---------------------------------------------------------------------------
 # per-conductor data, memoized: each is a pure function of its argument
@@ -96,6 +103,9 @@ def _reduction_table(r: int) -> Tuple[Tuple[int, ...], ...]:
     """Row q - phi(r) = the nonzero (index, coefficient) pairs of zeta_r^q
     in the power basis mod Phi_r, for phi(r) <= q < r; r is squarefree."""
     phi = euler_phi(r)
+    if (r - phi) * phi > TABLE_STEP_BOUND:
+        raise MemoryError("reducing mod Phi_%d takes a table of %d rows of %d"
+                          % (r, r - phi, phi))
     low = cyclotomic_polynomial(r)[:phi]
     support = [(i, c) for i, c in enumerate(low) if c]
     cur = [-c for c in low]  # x^phi

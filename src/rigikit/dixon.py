@@ -27,7 +27,7 @@ from .smallgrp import FiniteGroup, conjugacy_classes
 PRIME_SEARCH_BOUND = 1_000_000
 
 
-class DixonError(RuntimeError):
+class DixonError(ValueError):
     pass
 
 

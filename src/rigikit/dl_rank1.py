@@ -824,29 +824,32 @@ def dl_value_via_cosets(fam: Rank1Family, s_class: int,
     if theta is None:
         raise ValueError("dual class %s has no torus of type %s"
                          % (datum.dual_label, torus))
-    dl = dl_character(fam, torus, theta)
+    return _coset_value(fam, s_class, datum, dl_character(fam, torus, theta))
+
+
+def _coset_value(fam: Rank1Family, s_class: int, datum: DualSemisimpleDatum,
+                 dl: DLCharacter) -> Cyclotomic:
+    """`dl_value_via_cosets` with R_{T,theta} already built."""
+    torus, theta = dl.torus, dl.theta
     table_value = fam.dl_value(dl, s_class)
     lab = fam.class_labels[s_class]
     if lab[0] not in ("central", "split", "nonsplit"):
         raise ValueError("class %s is not semisimple" % (lab,))
 
-    in_torus = lab[0] == "central" or lab[0] == torus
-    if not in_torus:
-        rhs = cyc(0)
-    elif lab[0] == "central":
+    if lab[0] == "central":
         s_param = _central_torus_param(fam, torus, lab)
         sign = 1 if torus == "split" else -1
         index = fam.order_pprime() // _pprime(fam.torus_order(torus), fam.p)
         rhs = cyc(sign * index) * theta_value(fam, torus, theta, s_param)
+    elif lab[0] != torus:
+        rhs = cyc(0)
     else:
         s_param = lab[1]  # split pair or nonsplit exponent
-        if datum.weyl_order == 2:
-            # one double coset, index factor |W(t)| = 2
-            rhs = cyc(2) * theta_value(fam, torus, theta, s_param)
-        else:
-            w_param = weyl_on_torus(fam, torus, s_param)
-            rhs = theta_value(fam, torus, theta, s_param) + \
-                theta_value(fam, torus, theta, w_param)
+        # one double coset with index factor |W(t)| = 2, or s and its Weyl image
+        w_param = s_param if datum.weyl_order == 2 else weyl_on_torus(fam, torus, s_param)
+        rhs = _root_sum(_torus_modulus(fam, torus),
+                        _theta_exponent(fam, torus, theta, s_param),
+                        _theta_exponent(fam, torus, theta, w_param))
     if rhs != table_value:
         raise IdentityViolation(
             "double-coset value mismatch at class %s, torus %s, theta %s: "
@@ -875,15 +878,18 @@ def coset_values_report(fam: Rank1Family, famGstar: Rank1Family) -> CheckReport:
     """Double-coset formula against table values for all semisimple classes
     and all dual data, both tori (value 0 when s misses the torus)."""
     items = []
+    semisimple = fam.semisimple_class_indices()
     for datum in dual_data(fam, famGstar):
         for torus in ("split", "nonsplit"):
-            if datum.theta_for(torus) is None:
+            theta = datum.theta_for(torus)
+            if theta is None:
                 continue
-            for j in fam.semisimple_class_indices():
+            dl = dl_character(fam, torus, theta)
+            for j in semisimple:
                 name = "valRT_%s_%s_%s" % (
                     datum.dual_label, torus, fam.table.classes[j].name)
                 try:
-                    dl_value_via_cosets(fam, j, datum, torus)
+                    _coset_value(fam, j, datum, dl)
                     items.append(CheckResult(name, True))
                 except IdentityViolation as exc:
                     items.append(CheckResult(name, False, str(exc)))

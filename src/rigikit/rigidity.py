@@ -28,7 +28,7 @@ class ClassTriple(NamedTuple):
     c3: int
 
 
-class InconsistentTableError(RuntimeError):
+class InconsistentTableError(ValueError):
     pass
 
 

@@ -33,7 +33,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 from .modp import is_prime, mat_det, mat_inv, mat_rank, primitive_root
 
 
-class GroupTooLargeError(RuntimeError):
+class GroupTooLargeError(ValueError):
     def __init__(self, what: str, cap: int):
         super().__init__("%s exceeded the cap of %d elements" % (what, cap))
         self.cap = cap

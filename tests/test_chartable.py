@@ -30,7 +30,7 @@ from rigikit.chartable import (
 from rigikit.cyclo import cyc, parse_value, zeta
 from rigikit.dixon import character_table_dixon
 from rigikit.dl_rank1 import build_family
-from rigikit.modp import prime_factors
+from rigikit.modp import element_of_order, prime_factors
 from rigikit.smallgrp import group_from_spec
 
 C2_TEXT = """\
@@ -407,6 +407,50 @@ def test_unit_generators_generate():
     n, phi = 40487 ** 2, 40486 * 40487
     (g,) = _unit_generators(n)
     assert all(pow(g, phi // q, n) != 1 for q in prime_factors(phi))
+
+
+def residues_match_by_loop(split, weights, norms, transpose):
+    """`_residues_match` as one modular dot product per Gram entry."""
+    ell, dd, at, inv = split
+    if transpose:
+        at, inv = list(zip(*at)), list(zip(*inv))
+    return all(sum(u * w * y for u, w, y in zip(x, weights, z)) % ell
+               == (dd * norms[a] % ell if a == b else 0)
+               for a, x in enumerate(at) for b, z in enumerate(inv))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_packed_gram_rows_agree_with_the_loop(data):
+    # a matching split from the characters of Z/m: at[a][j] = c_a w_j^-1
+    # omega^(a j) and inv[b][j] = omega^(-b j) have weighted Gram entries
+    # c_a m delta_ab; then one entry perturbed, or the whole matrix random
+    ell, m = data.draw(st.sampled_from([(7, 3), (13, 4), (31, 6), (101, 5), (337, 7),
+                                        (65537, 8), (1000000007, 2)]))
+    omega = element_of_order(m, ell)
+    weights = data.draw(st.lists(st.integers(1, ell - 1), min_size=m, max_size=m))
+    scale = data.draw(st.lists(st.integers(1, 10 ** 6), min_size=m, max_size=m))
+    dd = data.draw(st.integers(1, 50))
+    at = [[c * dd * pow(w, -1, ell) * pow(omega, a * j, ell) % ell
+           for j, w in enumerate(weights)] for a, c in enumerate(scale)]
+    inv = [[pow(omega, -b * j % m, ell) for j in range(m)] for b in range(m)]
+    norms = [c * m for c in scale]
+    how = data.draw(st.sampled_from(["match", "at", "inv", "random"]))
+    if how == "random":
+        at = data.draw(st.lists(st.lists(st.integers(0, ell - 1), min_size=m, max_size=m),
+                                min_size=m, max_size=m))
+    elif how != "match":
+        a, j = data.draw(st.integers(0, m - 1)), data.draw(st.integers(0, m - 1))
+        matrix = at if how == "at" else inv
+        matrix[a][j] = (matrix[a][j] + data.draw(st.integers(1, ell - 1))) % ell
+    transpose = data.draw(st.booleans())
+    if transpose:  # the same matrices read as columns
+        at, inv = [list(c) for c in zip(*at)], [list(c) for c in zip(*inv)]
+    split = (ell, dd, at, inv)
+    got = _residues_match(split, weights, norms, transpose)
+    assert got == residues_match_by_loop(split, weights, norms, transpose)
+    if how in ("match", "at", "inv"):
+        assert got == (how == "match")
 
 
 def rational_rows(table):

@@ -296,3 +296,102 @@ def test_generator_file_moduli_and_fields(tmp_path):
         else:
             assert proc.stdout.splitlines()[2:] == ["order 1", "exponent 1", "classes 1",
                                                     "class 1A size=1 order=1", "char X1 1"]
+
+
+def test_huge_squarefree_conductor_exits_2_under_a_large_cap(tmp_path):
+    # the reduction table at r = 3,000,009 is refused by its step bound before
+    # any work, so the verdict does not depend on where the address-space cap
+    # falls; the CPU cap makes "within seconds" part of the verdict
+    env = dict(os.environ, PYTHONPATH=str(Path(rigikit.__file__).parents[1]))
+    target = tmp_path / "huge.ctb"
+    target.write_text("CTB 1\nname T\norder 1\nexponent 3000009\nclasses 1\n"
+                      "class 1A size=1 order=1\nchar X1 E(3000009,2999999)\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "rigikit", "validate", str(target)], env=env,
+        capture_output=True, text=True, timeout=120,
+        preexec_fn=_memory_and_cpu_caps(2 << 30, 5))
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == "" and proc.stderr.startswith("error: out of memory")
+
+
+# ---------------------------------------------------------------------------
+# per-verb imports, seen from a fresh interpreter: pytest has already
+# imported every module, so only a new process shows what a verb loads
+
+LOADED_MODULES = (
+    "import contextlib, io, sys\n"
+    "import rigikit.cli\n"
+    "if sys.argv[1:]:\n"
+    "    with contextlib.redirect_stdout(io.StringIO()):\n"
+    "        assert rigikit.cli.main(sys.argv[1:]) == 0\n"
+    "print(' '.join(sorted(m for m in sys.modules if m.startswith('rigikit'))))\n")
+
+TABLE_VERB = {"chartable", "cyclo", "modp"}
+
+
+VERB_MODULES = [
+    ([], set()),
+    (["validate", "s3.ctb"], TABLE_VERB),
+    (["structconst", "s3.ctb", "2A", "2A", "3A"], TABLE_VERB | {"rigidity"}),
+    (["rigid", "s3.ctb", "2A", "2A", "3A"], TABLE_VERB | {"rigidity"}),
+    (["dixon", "SL(2,3)"], TABLE_VERB | {"dixon", "smallgrp"}),
+    (["dl", "--family", "SL2", "--q", "3"], TABLE_VERB | {"dl_rank1"}),
+    (["dualsym", "--pair", "GL2", "--q", "3"], TABLE_VERB | {"dl_rank1"}),
+    (["regunip", "--type", "G2", "--p", "7"], {"modp", "regunip"}),
+    (["lemma", "sl", "--n", "2", "--q", "3"], {"modp", "smallgrp"}),
+]
+
+
+@pytest.mark.parametrize("argv,loaded", VERB_MODULES,
+                         ids=[a[0] if a else "import" for a, _ in VERB_MODULES])
+def test_each_verb_loads_only_its_modules(argv, loaded):
+    env = dict(os.environ, PYTHONPATH=str(Path(rigikit.__file__).parents[1]))
+    argv = [fixture_path(a) if a.endswith(".ctb") else a for a in argv]
+    proc = subprocess.run([sys.executable, "-c", LOADED_MODULES, *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == sorted(
+        {"rigikit", "rigikit.cli"} | {"rigikit." + m for m in loaded})
+
+
+def test_top_level_reexports_resolve_on_use():
+    from rigikit import Cyclotomic, cyc, format_value, parse_value, zeta
+    assert isinstance(cyc(2), Cyclotomic) and rigikit.Rational(1, 2) * 2 == 1
+    assert format_value(parse_value("E(3,1)")) == format_value(zeta(3))
+    with pytest.raises(AttributeError):
+        rigikit.no_such_name
+
+
+@pytest.mark.parametrize("argv,out", [
+    pytest.param(["dixon", "SL(3,5)", "--cap", "100"], "", id="GroupTooLargeError"),
+    pytest.param(["structconst", "order7.ctb", "2A", "2A", "3A"], "",
+                 id="InconsistentTableError"),
+    pytest.param(["validate", "junk.ctb"], "", id="CTBSyntaxError"),
+    pytest.param(["regunip", "--type", "E8", "--p", "5", "--filter", "--pool", "pool.txt"],
+                 "order = 125\n", id="DescriptorError"),
+])
+def test_domain_errors_exit_2_out_of_process(tmp_path, argv, out):
+    (tmp_path / "order7.ctb").write_text(
+        Path(fixture_path("s3.ctb")).read_text().replace("order 6", "order 7"))
+    (tmp_path / "junk.ctb").write_text("CTB 9\n")
+    (tmp_path / "pool.txt").write_text("this is not a pool\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(rigikit.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "rigikit", *argv], env=env, cwd=tmp_path,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+    assert proc.stdout == out
+
+
+def test_parser_literals_match_the_modules():
+    from rigikit import regunip, smallgrp
+    from rigikit.cli import build_parser
+    parser = build_parser()
+    assert parser.parse_args(["dixon", "SL(2,3)"]).cap == smallgrp.DEFAULT_CLOSURE_CAP
+    assert parser.parse_args(["lemma", "sl", "--n", "2", "--q", "3"]).cap \
+        == smallgrp.DEFAULT_ORBIT_CAP
+    assert parser.parse_args(["lemma", "so", "--m", "2", "--q", "3"]).cap \
+        == smallgrp.DEFAULT_CLOSURE_CAP
+    verbs = next(a for a in parser._actions if a.dest == "command").choices
+    (gtype,) = (a for a in verbs["regunip"]._actions if a.dest == "gtype")
+    assert gtype.choices == sorted(regunip.EXCEPTIONAL_TYPES)
