@@ -730,7 +730,10 @@ def _residues_match(split, weights, norms, transpose: bool) -> bool:
     Each Gram row is one big-integer sum: coordinate j of every vector b is
     packed into Y_j, b-th byte field first, and sum_j (x_j w_j mod l) * Y_j
     holds Gram entry (a, b) exactly in field b, as a field holds the largest
-    entry, len(weights) * (l - 1)^2, and so never carries into the next."""
+    entry, len(weights) * (l - 1)^2, and so never carries into the next.
+
+    D^2 and the norms must be units mod l, as `_split_prime` makes them by
+    taking l > B >= D^2 |G|."""
     ell, dd, at, inv = split
     if transpose:
         at, inv = list(zip(*at)), list(zip(*inv))

@@ -7,6 +7,13 @@ class representative z_k, read off the closure's breadth-first tree
 positions, and a[i][j][k] counts the u in C_i^-1 with z_k*u in C_j. Common
 eigenspaces of the class matrices are split over a prime l = 1 (mod
 exponent) chosen larger than twice the square root of the group order.
+As l = 1 (mod exponent), l does not divide |G|, and the class matrices are
+diagonalizable over GF(l) with every eigenvalue in GF(l). So a subspace
+splits under one of them by matrix powers alone: for a shift s,
+(M + s)^((l - 1)/2) is 0, +1 or -1 on each eigenspace, and the three kernels
+part the subspace (the equal-degree split of Cantor and Zassenhaus, Math.
+Comp. 36, 1981, applied to matrices). `dixon` does no polynomial arithmetic.
+
 Each value lifts to an exact cyclotomic at its own class order m:
 omega^(exponent/m) has order m mod l, and the multiplicity of each m-th
 root of unity is recovered by a discrete Fourier inversion of length m mod
@@ -16,12 +23,14 @@ l. Output is in canonical table layout (`chartable.canonical_layout`).
 from __future__ import annotations
 
 from math import isqrt, lcm
+from operator import mul
 from typing import List, Tuple
 
 from .chartable import CharacterTable, build_table_mapped
 from .cyclo import from_terms
 from .modp import (
-    element_of_order, gauss_jordan, mat_det, nullspace, prime_factors, prime_one_mod)
+    element_of_order, gauss_jordan, mat_add_scalar, mat_mul, mat_pow, nullspace,
+    prime_factors, prime_one_mod)
 from .smallgrp import FiniteGroup, conjugacy_classes
 
 PRIME_SEARCH_BOUND = 1_000_000
@@ -83,118 +92,32 @@ def class_constants(group: FiniteGroup) -> List[List[List[int]]]:
     return _class_constants(group, *_ordered_classes(group))[0]
 
 
-def _charpoly_mod(a: List[List[int]], ell: int) -> List[int]:
-    """Characteristic polynomial of a (mod ell) via determinant interpolation."""
+def _split(a, ell: int):
+    """Coordinate bases of pieces that split the space under the square
+    matrix a over GF(l), or None when a is scalar.
+
+    a must be diagonalizable with every eigenvalue in GF(l). For a shift s,
+    h = (a + s)^((l - 1)/2) is 0, +1 or -1 on each eigenspace of a, so the
+    kernels of a + s, h - 1 and h + 1 add up to the whole space; the least s
+    that makes two of them nonzero splits it (s = -lambda does, for any
+    eigenvalue lambda). A kernel sum short of the dimension means a is not
+    diagonalizable over GF(l)."""
     d = len(a)
-    xs = list(range(d + 1))
-    ys = []
-    for x in xs:
-        m = [[((x if i == j else 0) - a[i][j]) % ell for j in range(d)]
-             for i in range(d)]
-        ys.append(mat_det(m, ell))
-    # Lagrange interpolation to coefficient form
-    coeffs = [0] * (d + 1)
-    for i, xi in enumerate(xs):
-        # basis polynomial prod_{j != i} (x - xj) / (xi - xj)
-        num = [1]
-        denom = 1
-        for j, xj in enumerate(xs):
-            if j == i:
-                continue
-            num = _polmul(num, [(-xj) % ell, 1], ell)
-            denom = denom * (xi - xj) % ell
-        scale = ys[i] * pow(denom, -1, ell) % ell
-        for t, c in enumerate(num):
-            coeffs[t] = (coeffs[t] + scale * c) % ell
-    return coeffs
-
-
-def _polmul(a, b, ell):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % ell
-    return out
-
-
-def _poldivmod(a, b, ell):
-    a = list(a)
-    db, lb = len(b) - 1, b[-1]
-    inv = pow(lb, -1, ell)
-    q = [0] * max(len(a) - db, 1)
-    for i in range(len(a) - 1, db - 1, -1):
-        c = a[i] * inv % ell
-        if c:
-            q[i - db] = c
-            for j in range(db + 1):
-                a[i - db + j] = (a[i - db + j] - c * b[j]) % ell
-    while len(a) > 1 and a[-1] == 0:
-        a.pop()
-    return q, a
-
-
-def _polgcd(a, b, ell):
-    a, b = list(a), list(b)
-    while len(b) > 1 or (len(b) == 1 and b[0]):
-        _, r = _poldivmod(a, b, ell)
-        a, b = b, r
-    inv = pow(a[-1], -1, ell)
-    return [c * inv % ell for c in a]
-
-
-def _polpow_mod(base, e, f, ell):
-    result = [1]
-    b = list(base)
-    _, b = _poldivmod(b, f, ell)
-    while e:
-        if e & 1:
-            result = _poldivmod(_polmul(result, b, ell), f, ell)[1]
-        e >>= 1
-        if e:
-            b = _poldivmod(_polmul(b, b, ell), f, ell)[1]
-    return result
-
-
-def _roots_mod(f: List[int], ell: int) -> List[int]:
-    """Roots in F_ell of a nonzero polynomial, deterministically."""
-    f = list(f)
-    while len(f) > 1 and f[-1] == 0:
-        f.pop()
-    inv = pow(f[-1], -1, ell)
-    f = [c * inv % ell for c in f]
-    xq = _polpow_mod([0, 1], ell, f, ell)  # x^ell mod f
-    sub = list(xq) + [0] * max(0, 2 - len(xq))
-    sub[1] = (sub[1] - 1) % ell
-    while len(sub) > 1 and sub[-1] == 0:
-        sub.pop()
-    if len(sub) == 1 and sub[0] == 0:
-        g = f  # f divides x^ell - x: it splits into distinct linear factors
-    else:
-        g = _polgcd(f, sub, ell)
-    roots: List[int] = []
-    stack = [g]
-    while stack:
-        h = stack.pop()
-        deg = len(h) - 1
-        if deg == 0:
-            continue
-        if deg == 1:
-            roots.append((-h[0]) * pow(h[1], -1, ell) % ell)
-            continue
-        for shift in range(ell):
-            # gcd with (x + shift)^((ell-1)/2) - 1 splits the linear factors
-            t = _polpow_mod([shift, 1], (ell - 1) // 2, h, ell)
-            t0 = list(t)
-            t0[0] = (t0[0] - 1) % ell
-            d = _polgcd(h, t0, ell) if any(t0) else [1]
-            if 0 < len(d) - 1 < deg:
-                stack.append(d)
-                stack.append(_poldivmod(h, d, ell)[0])
-                break
-        else:  # pragma: no cover
-            raise DixonError("failed to split polynomial of degree %d" % deg)
-    return sorted(roots)
+    if not any((a[r][c] - (a[0][0] if r == c else 0)) % ell
+               for r in range(d) for c in range(d)):
+        return None
+    for s in range(ell):
+        shifted = mat_add_scalar(a, s, ell)
+        h = mat_pow(shifted, (ell - 1) // 2, ell)
+        pieces = [b for b in (nullspace(shifted, ell),
+                              nullspace(mat_add_scalar(h, -1, ell), ell),
+                              nullspace(mat_add_scalar(h, 1, ell), ell)) if b]
+        if sum(map(len, pieces)) != d:
+            raise DixonError("class matrix is not semisimple mod %d" % ell)
+        if len(pieces) > 1:
+            return pieces
+    # not reached: a is not scalar, and s = -lambda splits it
+    raise DixonError("class matrices failed to split eigenspaces")
 
 
 def character_table_dixon(group: FiniteGroup) -> CharacterTable:
@@ -217,45 +140,25 @@ def character_table_dixon_mapped(group: FiniteGroup):
     # sum_t a[i,j,t] u_t = omega_i * u_j, so (M_i)[j][t] = a[i, j, t]
     mats, inverse_class = _class_constants(group, classes, class_of)
 
-    # split common eigenspaces, walking class matrices in class order
-    subspaces: List[List[List[int]]] = [
-        [[1 if i == j else 0 for j in range(k)] for i in range(k)]
-    ]
-    for i in range(1, k):
-        if all(len(s) == 1 for s in subspaces):
+    # split common eigenspaces, walking class matrices in class order: each
+    # subspace is split under M_i until M_i is scalar on every piece
+    subspaces = [[[int(i == j) for j in range(k)] for i in range(k)]]
+    for mat in mats[1:]:
+        if len(subspaces) == k:
             break
-        mat = mats[i]
-        new_spaces: List[List[List[int]]] = []
-        for basis in subspaces:
-            d = len(basis)
-            if d == 1:
-                new_spaces.append(basis)
-                continue
-            # restriction A of M_i to the invariant subspace: M b_j = sum A[t][j] b_t
-            images = [
-                [sum(mat[r][c] * vec[c] for c in range(k)) % ell for r in range(k)]
-                for vec in basis
-            ]
-            a_restr = _solve_in_basis(basis, images, ell)
-            eigs = _roots_mod(_charpoly_mod(a_restr, ell), ell)
-            if len(eigs) == 1:
-                new_spaces.append(basis)
-                continue
-            found = 0
-            for lam in eigs:
-                shifted = [[(a_restr[r][c] - (lam if r == c else 0)) % ell
-                            for c in range(d)] for r in range(d)]
-                eig_basis = []
-                for nv in nullspace(shifted, ell):
-                    vec = [sum(nv[j] * basis[j][r] for j in range(d)) % ell
-                           for r in range(k)]
-                    eig_basis.append(vec)
-                found += len(eig_basis)
-                new_spaces.append(eig_basis)
-            if found != d:
-                raise DixonError("class matrix %d is not semisimple mod %d" % (i, ell))
-        subspaces = new_spaces
-    if sum(len(s) for s in subspaces) != k or any(len(s) != 1 for s in subspaces):
+        done, work = [], subspaces
+        while work:
+            basis = work.pop()
+            if len(basis) > 1:
+                # restriction A of M_i to the subspace: M b_j = sum_t A[t][j] b_t
+                images = [[sum(map(mul, row, vec)) % ell for row in mat] for vec in basis]
+                pieces = _split(_solve_in_basis(basis, images, ell), ell)
+                if pieces:
+                    work.extend(mat_mul(piece, basis, ell) for piece in pieces)
+                    continue
+            done.append(basis)
+        subspaces = done
+    if len(subspaces) != k:
         raise DixonError("class matrices failed to split eigenspaces")
 
     # normalize eigenvectors at the identity class (index 0)

@@ -4,14 +4,16 @@ Deterministic Miller-Rabin primality, trial-division factoring (the
 integers factored here are group orders, exponents, element orders and
 conductors), the Euler phi function built on the factoring (both
 memoized: the same conductors are factored on every canonicalization),
-primes l = 1 (mod n) with an element of order n in GF(l), and one
-Gauss-Jordan elimination over GF(p) under the matrix inverse,
+primes l = 1 (mod n) with an element of order n in GF(l), the matrix
+product, power (by repeated squaring) and scalar shift a + s*I over GF(p),
+and one Gauss-Jordan elimination over GF(p) under the matrix inverse,
 determinant, rank and nullspace.
 """
 
 from __future__ import annotations
 
 from functools import cache
+from operator import mul
 from typing import List, Tuple
 
 
@@ -100,7 +102,28 @@ def primitive_root(p: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# linear algebra over GF(p); matrices are lists of rows, entries in range(p)
+# linear algebra over GF(p); matrices are sequences of rows of integers
+
+
+def mat_add_scalar(a, s: int, p: int) -> Tuple[Tuple[int, ...], ...]:
+    """a + s*I mod p, for a square matrix a."""
+    return tuple(tuple((v + s if i == j else v) % p for j, v in enumerate(row))
+                 for i, row in enumerate(a))
+
+
+def mat_mul(a, b, p: int) -> Tuple[Tuple[int, ...], ...]:
+    """The product a*b mod p."""
+    bt = tuple(zip(*b))
+    return tuple(tuple(sum(map(mul, row, col)) % p for col in bt) for row in a)
+
+
+def mat_pow(a, e: int, p: int) -> Tuple[Tuple[int, ...], ...]:
+    """a^e mod p for a square matrix a and e >= 1, by repeated squaring."""
+    if e == 1:
+        return tuple(tuple(v % p for v in row) for row in a)
+    half = mat_pow(a, e // 2, p)
+    square = mat_mul(half, half, p)
+    return mat_mul(square, a, p) if e & 1 else square
 
 
 def gauss_jordan(rows: List[List[int]], p: int, ncols: int) -> Tuple[List[int], int]:

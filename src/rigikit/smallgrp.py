@@ -30,7 +30,8 @@ from math import gcd
 from operator import mul
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .modp import is_prime, mat_det, mat_inv, mat_rank, primitive_root
+from .modp import (
+    is_prime, mat_add_scalar, mat_det, mat_inv, mat_mul, mat_pow, mat_rank, primitive_root)
 
 
 class GroupTooLargeError(ValueError):
@@ -63,7 +64,7 @@ class GroupElement:
 
     def __mul__(self, other: "GroupElement") -> "GroupElement":
         p = self.p
-        prod = _mat_mul_entries(self.entries, other.entries, p)
+        prod = mat_mul(self.entries, other.entries, p)
         if self.projective:
             prod = _projective_scale(prod, p)
         return GroupElement(prod, p, self.projective, _canonical=True)
@@ -73,15 +74,6 @@ class GroupElement:
         if self.projective:
             inv = _projective_scale(inv, self.p)
         return GroupElement(inv, self.p, self.projective, _canonical=True)
-
-    def order(self) -> int:
-        e = identity(self.n, self.p, self.projective)
-        x = self
-        k = 1
-        while x != e:
-            x = x * self
-            k += 1
-        return k
 
     def det(self) -> int:
         return mat_det(self.entries, self.p)
@@ -370,45 +362,23 @@ class UnsupportedSpectrumError(ValueError):
     pass
 
 
-def _mat_add_scalar(entries, scalar, p):
-    n = len(entries)
-    return tuple(
-        tuple((entries[i][j] + (scalar if i == j else 0)) % p for j in range(n))
-        for i in range(n)
-    )
-
-
-def _mat_mul_entries(a, b, p):
-    bt = tuple(zip(*b))
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) % p for col in bt)
-        for row in a
-    )
-
-
 def jordan_type(m: GroupElement) -> JordanType:
     """Jordan block partition; the spectrum must lie in {1, -1} over GF(p)."""
     n, p = m.n, m.p
     eigenvalues = [1] if p == 2 else [1, -1]
     # spectrum check: (m - 1)^n (m + 1)^n must vanish
-    a = _mat_add_scalar(m.entries, -1, p)
-    power = identity(n, p).entries
-    for _ in range(n):
-        power = _mat_mul_entries(power, a, p)
+    power = mat_pow(mat_add_scalar(m.entries, -1, p), n, p)
     if p != 2:
-        b = _mat_add_scalar(m.entries, 1, p)
-        for _ in range(n):
-            power = _mat_mul_entries(power, b, p)
+        power = mat_mul(power, mat_pow(mat_add_scalar(m.entries, 1, p), n, p), p)
     if any(v for row in power for v in row):
         raise UnsupportedSpectrumError(
             "matrix has eigenvalues outside {1, -1} over GF(%d)" % p)
     parts = []
     for ev in eigenvalues:
-        a = _mat_add_scalar(m.entries, -ev % p, p)
-        ranks = [n]
-        cur = identity(n, p).entries
-        for _ in range(n):
-            cur = _mat_mul_entries(cur, a, p)
+        a = cur = mat_add_scalar(m.entries, -ev, p)
+        ranks = [n, mat_rank(a, p)]
+        for _ in range(1, n):
+            cur = mat_mul(cur, a, p)
             ranks.append(mat_rank(cur, p))
         blocks = []
         for k in range(1, n + 1):

@@ -429,8 +429,11 @@ def test_packed_gram_rows_agree_with_the_loop(data):
                                         (65537, 8), (1000000007, 2)]))
     omega = element_of_order(m, ell)
     weights = data.draw(st.lists(st.integers(1, ell - 1), min_size=m, max_size=m))
-    scale = data.draw(st.lists(st.integers(1, 10 ** 6), min_size=m, max_size=m))
-    dd = data.draw(st.integers(1, 50))
+    # D^2 and the norms are units mod l, as `_split_prime` makes them: a
+    # multiple of l would zero a whole row of `at` and hide a perturbed entry
+    scale = data.draw(st.lists(st.integers(1, 10 ** 6).filter(lambda c: c % ell),
+                               min_size=m, max_size=m))
+    dd = data.draw(st.integers(1, 50).filter(lambda c: c % ell))
     at = [[c * dd * pow(w, -1, ell) * pow(omega, a * j, ell) % ell
            for j, w in enumerate(weights)] for a, c in enumerate(scale)]
     inv = [[pow(omega, -b * j % m, ell) for j in range(m)] for b in range(m)]

@@ -1,7 +1,16 @@
 import random
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from sympy import GF
+from sympy.polys.matrices import DomainMatrix
+
 from rigikit.chartable import emit_ctb, same_character_data, validate
 from rigikit.dixon import (
+    DixonError,
+    _solve_in_basis,
+    _split,
     character_table_dixon,
     character_table_dixon_mapped,
     class_constants,
@@ -147,3 +156,83 @@ def test_generic_families_and_psl2_13():
         for row in t.rows:
             for v, c in zip(row, t.classes):
                 assert c.order % v.conductor == 0, (t.name, c.name)
+
+
+# --- the eigenspace split, against sympy used only as an oracle -------------
+
+
+def _dm(rows, ell):
+    return DomainMatrix([[GF(ell)(v) for v in row] for row in rows],
+                        (len(rows), len(rows[0])), GF(ell))
+
+
+def _ints(m, ell):
+    return [[int(v) % ell for v in row] for row in m.to_list()]
+
+
+def _row_space(rows, ell):
+    return tuple(map(tuple, _ints(_dm(rows, ell).rref()[0], ell)))
+
+
+def _split_down(a, ell):
+    """Row bases of the pieces that `_split` reaches, applied again to the
+    restriction of a to each piece until a is scalar on every one."""
+    pieces = _split(a, ell)
+    if pieces is None:
+        return [[[int(i == j) for j in range(len(a))] for i in range(len(a))]]
+    assert len(pieces) > 1
+    out = []
+    for piece in pieces:
+        images = [[sum(x * y for x, y in zip(row, v)) % ell for row in a] for v in piece]
+        for sub in _split_down(_solve_in_basis(piece, images, ell), ell):
+            out.append(_ints(_dm(sub, ell) * _dm(piece, ell), ell))
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_split_finds_the_eigenspaces(data):
+    ell = data.draw(st.sampled_from([7, 13, 61, 337]))
+    d = data.draw(st.integers(1, 5))
+    values = data.draw(st.lists(st.integers(0, ell - 1), min_size=1, max_size=d,
+                                unique=True))
+    diag = data.draw(st.lists(st.sampled_from(values), min_size=d, max_size=d))
+    # P = (row permutation) L U with L unit lower and U upper triangular,
+    # the diagonal of U nonzero, is invertible
+    entry = st.integers(0, ell - 1)
+    low = [[data.draw(entry) if j < i else int(i == j) for j in range(d)] for i in range(d)]
+    up = [[data.draw(entry) if j > i else data.draw(st.integers(1, ell - 1)) if i == j
+           else 0 for j in range(d)] for i in range(d)]
+    lu = _ints(_dm(low, ell) * _dm(up, ell), ell)
+    dm_p = _dm([lu[r] for r in data.draw(st.permutations(range(d)))], ell)
+    a = _ints(dm_p * DomainMatrix.diag([GF(ell)(v) for v in diag], GF(ell))
+              * dm_p.inv(), ell)
+    # brute force: the nullspace of a - lambda for every lambda in GF(l)
+    expected = set()
+    for lam in range(ell):
+        shifted = [[(v - lam * (i == j)) % ell for j, v in enumerate(row)]
+                   for i, row in enumerate(a)]
+        kernel = _dm(shifted, ell).nullspace()
+        if kernel.shape[0]:
+            expected.add(_row_space(_ints(kernel, ell), ell))
+    assert len(expected) == len(set(diag))
+    got = [_row_space(b, ell) for b in _split_down(a, ell)]
+    assert len(got) == len(set(got)) and set(got) == expected
+
+
+def test_split_of_a_scalar_matrix_is_none():
+    for ell in (7, 13, 61, 337):
+        for d in (1, 2, 4):
+            for lam in (0, 1, ell - 1, 5):
+                a = [[lam * (i == j) for j in range(d)] for i in range(d)]
+                assert _split(a, ell) is None
+
+
+def test_split_rejects_a_matrix_that_is_not_diagonalizable():
+    for ell in (7, 13, 61, 337):
+        for lam in (0, 1, 3, ell - 1):
+            with pytest.raises(DixonError, match="not semisimple"):
+                _split([[lam, 1], [0, lam]], ell)
+    # x^2 + 1 is irreducible mod 7: no eigenvalue lies in GF(7)
+    with pytest.raises(DixonError, match="not semisimple"):
+        _split([[0, 6], [1, 0]], 7)

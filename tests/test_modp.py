@@ -14,7 +14,10 @@ from rigikit.modp import (
     gauss_jordan,
     is_prime,
     mat_det,
+    mat_add_scalar,
     mat_inv,
+    mat_mul,
+    mat_pow,
     mat_rank,
     nullspace,
     prime_factors,
@@ -23,6 +26,7 @@ from rigikit.modp import (
 from rigikit.smallgrp import make_element
 
 PRIMES = [2, 3, 5, 7, 11, 13]
+WIDE_PRIMES = [2, 7, 13, 61, 337, 65537, 1000003]  # fields up to 10^6
 
 
 def to_sympy(rows, p):
@@ -36,8 +40,8 @@ def from_sympy(m, p):
 
 
 @st.composite
-def matrices(draw, square=False, singular=False):
-    p = draw(st.sampled_from(PRIMES))
+def matrices(draw, square=False, singular=False, primes=PRIMES):
+    p = draw(st.sampled_from(primes))
     n = draw(st.integers(1, 6))
     m = n if square else draw(st.integers(1, 6))
     rows = [[draw(st.integers(0, p - 1)) for _ in range(m)] for _ in range(n)]
@@ -91,6 +95,29 @@ def test_rank_nullspace_and_reduced_form(case):
     rref, oracle_pivots = oracle.rref()
     assert reduced == from_sympy(rref, p)
     assert tuple(pivots) == tuple(oracle_pivots)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_matrix_product_and_scalar_shift(data):
+    p, a = data.draw(matrices(primes=WIDE_PRIMES))
+    cols = data.draw(st.integers(1, 6))
+    b = [[data.draw(st.integers(0, p - 1)) for _ in range(cols)] for _ in a[0]]
+    assert [list(r) for r in mat_mul(a, b, p)] == from_sympy(
+        to_sympy(a, p) * to_sympy(b, p), p)
+    _, square = data.draw(matrices(square=True, primes=[p]))
+    s = data.draw(st.integers(-2 * p, 2 * p))
+    eye = DomainMatrix.eye(len(square), GF(p))
+    assert [list(r) for r in mat_add_scalar(square, s, p)] == from_sympy(
+        to_sympy(square, p) + eye * GF(p)(s), p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_matrix_power(data):
+    p, a = data.draw(matrices(square=True, primes=WIDE_PRIMES))
+    e = data.draw(st.sampled_from([1, 2, max(1, (p - 1) // 2)]))
+    assert [list(r) for r in mat_pow(a, e, p)] == from_sympy(to_sympy(a, p) ** e, p)
 
 
 @settings(max_examples=100, deadline=None)
