@@ -8,21 +8,15 @@ the values and power maps (`canonical_layout`), so isomorphic tables, with
 power maps preserved, get identical layouts whatever order their classes
 and rows were produced in.
 
-Orthogonality by one split prime. `validate` proves row and column
-orthogonality modulo one prime l = 1 (mod e), e the lcm of the value
-conductors, under zeta_e -> omega with omega of order e in GF(l): each
-check is one integer Gram product mod l. The residues prove the exact
-identity once (1) the rows are pairwise distinct and Galois-stable,
-checked exactly over a generating set of (Z/e)^x, and (2) l exceeds a
-norm bound B. Then every Galois automorphism permutes the rows, so a
-deviation x (D^2 times a Gram entry minus its target, D the lcm of the
-value denominators) that vanishes mod the prime (l, zeta_e - omega) lies
-in every prime above l, hence in l*Z[zeta_e] since l splits completely,
-and a nonzero x would have |N(x)| >= l^phi(e) > B^phi(e) >= |N(x)|. The
-bound is B = sum_j w_j M_j^2 + D^2 N_max, M_j the largest coefficient
-1-norm of D*v in coordinate j; `_split_prime` gives the details. Tables
-outside (1), and tables whose residues already show a failure, take the
-exact pairwise check, which names the first failing pair. (Reducing
+Orthogonality by split primes. `validate` decides row and column
+orthogonality by the residues of the values modulo primes l = 1 (mod e),
+e the lcm of the value conductors: each check is one integer Gram product
+mod l per root zeta_e -> omega^k, omega of order e in GF(l). Vanishing at
+every root of primes whose product exceeds a norm bound proves a Gram
+identity exactly. For pairwise distinct, Galois-stable rows, as in every
+character table, the root k = 1 suffices; any other table, and any table
+whose residues show a failure, is checked at every root, which also names
+the least failing pair. `_split_prime` gives the proof. (Reducing
 cyclotomic integers modulo a split prime: Breuer, "Integral bases for
 subfields of cyclotomic fields", AAECC 8 (1997).)
 """
@@ -32,21 +26,15 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import add
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .cyclo import (
-    Cyclotomic,
-    cyc,
-    format_value,
-    parse_value,
-    raw_conjugate,
-    raw_embed,
-    raw_equals_rational,
-    raw_mul,
-)
-from .modp import element_of_order, prime_factors, prime_one_mod, primitive_root
+from .cyclo import Cyclotomic, cyc, format_value, parse_value, raw_embed
+# unused here, but the benchmark's tracer wraps them in this module
+from .cyclo import raw_conjugate, raw_equals_rational, raw_mul  # noqa: F401
+from .modp import (PRIME_TEST_BOUND, element_of_order, prime_factors, prime_one_mod,
+                   primitive_root)
 
 
 class CTBSyntaxError(ValueError):
@@ -539,17 +527,9 @@ class CheckReport:
 def validate(table: CharacterTable, orthogonality: bool = True) -> CheckReport:
     """Run the table invariants; failures are report entries, not errors.
 
-    Row and column orthogonality are proved by one split prime l = 1
-    (mod e): each check is one Gram product of the value residues mod l.
-    This is a proof when the rows are pairwise distinct and Galois-stable
-    (checked exactly) and l exceeds the norm bound B. Every Galois
-    automorphism then permutes the checked deviations, so one that vanishes
-    modulo one prime above l lies in l*Z[zeta_e]; its norm is then either 0
-    or at least l^phi(e), while it is at most B^phi(e) in absolute value
-    (module docstring; `_split_prime`). A table that is not Galois-stable,
-    or whose residues already show a failure, takes the exact pairwise
-    check `_check_orthogonality`, which decides the verdict and names the
-    first failing pair.
+    Row and column orthogonality are decided exactly by their residues
+    modulo split primes (`_split_prime` gives the proof); a failed one names
+    the least failing pair of rows or classes.
     """
     checks: List[CheckResult] = []
     k = table.n_classes
@@ -631,17 +611,16 @@ def validate(table: CharacterTable, orthogonality: bool = True) -> CheckReport:
     if orthogonality:
         nr = len(table.rows)
         split = _split_prime(table)
-        for transpose, args in (
-                (False, ("row_orthogonality", table.rows,
-                         [c.size for c in table.classes], [table.order] * nr,
-                         range(nr), "rows")),
-                (True, ("column_orthogonality", [table.column(j) for j in range(k)],
-                        [1] * nr, [table.centralizer_order(j) for j in range(k)],
-                        [c.name for c in table.classes], "classes"))):
-            if split is not None and _residues_match(split, *args[2:4], transpose):
-                checks.append(CheckResult(args[0], True))
-            else:
-                checks.append(_check_orthogonality(*args))
+        for name, weights, norms, labels, what, transpose in (
+                ("row_orthogonality", [c.size for c in table.classes],
+                 [table.order] * nr, range(nr), "rows", False),
+                ("column_orthogonality", [1] * nr,
+                 [table.centralizer_order(j) for j in range(k)],
+                 [c.name for c in table.classes], "classes", True)):
+            pair = _orthogonality_failure(split, weights, norms, transpose)
+            checks.append(CheckResult(name, pair is None, "" if pair is None else
+                                      "fails for %s %s and %s"
+                                      % (what, labels[pair[0]], labels[pair[1]])))
 
     return CheckReport("table invariants", tuple(checks))
 
@@ -663,44 +642,59 @@ def _unit_generators(n: int) -> List[int]:
     return gens
 
 
-def _split_prime(table: CharacterTable):
-    """(l, D^2, table of residues at omega, table at omega^-1) for the
-    modular orthogonality checks, or None when their proof does not apply.
+class _Split(NamedTuple):
+    """The data of the modular orthogonality proof (`_split_prime`)."""
 
-    e is the lcm of the value conductors and D of the value denominators;
-    l = 1 (mod e) is a prime above the bound B below, omega has order e in
-    GF(l), and zeta_e -> omega (or omega^-1) maps each D*v to its residue.
-    This is a ring map from Z[zeta_e] to GF(l), and omega^-1 takes complex
-    conjugates to it.
+    dd: int                              # D^2
+    e: int                               # the lcm of the value conductors
+    primes: Tuple[Tuple[int, int], ...]  # (l, omega of order e in GF(l))
+    scaled: List[Dict[int, int]]         # D times each distinct value, at e
+    keyed: List[Tuple[int, ...]]         # the rows, as indices into `scaled`
+    stable: bool                         # rows distinct and Galois-stable
 
-    Proof. Returns None unless the rows are pairwise distinct and each
-    generator k of (Z/e)^x (checked exactly, `Cyclotomic.galois`) maps the
-    row set into itself; then every sigma in Gal(Q(zeta_e)/Q) permutes the
-    rows, a -> pi(a). Let x be D^2 times a Gram entry's deviation from its
-    target; x lies in Z[zeta_e]. For rows, sigma(x_ab) = x_pi(a)pi(b), which
-    is again a checked deviation; for columns, sigma(x) = x. If every
-    residue matches, x lies in the prime (l, zeta_e - omega), hence in each
-    of its Galois conjugates, so in every prime above l, and so in
-    l*Z[zeta_e] because l splits completely. A nonzero x would then have
-    |N(x)| >= l^phi(e). But under every complex embedding |tau(x)| <= B with
-    B = sum_j w_j M_j^2 + D^2 N_max, where M_j is the largest coefficient
-    1-norm of D*v in coordinate j, w_j the weight and N_max >= every target
-    norm; so |N(x)| <= B^phi(e) < l^phi(e), and x = 0. B is the larger of
-    the row bound (coordinates are classes, weights class sizes) and the
-    column bound (coordinates are rows, weights 1), N_max = |G|.
+
+def _split_prime(table: CharacterTable) -> _Split:
+    """The data of the orthogonality proof, which this docstring gives.
+
+    e is the lcm of the value conductors and D of the value denominators.
+    For a prime l = 1 (mod e), omega of order e in GF(l) and a unit k mod
+    e, zeta_e -> omega^k maps Z[zeta_e] onto GF(l) and each D*v to its
+    residue (omega^-k takes complex conjugates to it); as k runs over the
+    units, the kernels are all the primes above l, as l splits completely.
+
+    Proof. Let x be D^2 times a Gram entry's deviation from its target, in
+    Z[zeta_e]. Every complex embedding has |tau(x)| <= B = sum_j w_j M_j^2
+    + D^2 N_max, M_j the largest coefficient 1-norm of D*v in coordinate j,
+    w_j its weight, N_max >= every target: the larger of the row bound
+    (coordinates are classes, weights class sizes) and the column bound
+    (coordinates are rows, weights 1), with N_max = |G|. Primes l_1 < l_2
+    < ... are taken until their product P exceeds B, the first the least
+    above B, or above half of `PRIME_TEST_BOUND` if B is not below it, so
+    that each stays within the exact primality test (a huge e that leaves
+    no prime there raises its ValueError). If x vanishes at every root of
+    every l_i, it lies in P*Z[zeta_e], so |N(x)| >= P^phi(e) > B^phi(e)
+    unless x = 0.
+
+    Fewer roots suffice in two cases. (1) If d divides every exponent
+    difference within one coordinate, x lies in Z[zeta_e^d] = Z[zeta_m],
+    m = e/d, and the argument runs there over one k per unit mod m
+    (`_units`). (2) If the rows are pairwise distinct and each generator k
+    of (Z/e)^x (checked exactly, `Cyclotomic.galois`) maps the row set into
+    itself, every sigma in Gal(Q(zeta_e)/Q) permutes the rows, a -> pi(a):
+    for rows sigma(x_ab) = x_pi(a)pi(b), for columns sigma(x) = x. The
+    residue of x at root k is that of sigma_k(x) at k = 1, so k = 1 alone
+    is checked.
     """
     index: Dict[Cyclotomic, int] = {}
     keyed = [tuple(index.setdefault(v, len(index)) for v in row) for row in table.rows]
-    row_set = set(keyed)
-    if len(row_set) != len(keyed):
-        return None
     values = list(index)
     e = lcm(*(v.conductor for v in values))
-    for k in _unit_generators(e):
-        image = [index.get(v.galois(k)) for v in values]
-        if None in image or any(tuple(map(image.__getitem__, key)) not in row_set
-                                for key in keyed):
-            return None
+    row_set = set(keyed)
+    stable = len(row_set) == len(keyed) and all(
+        None not in image
+        and all(tuple(map(image.__getitem__, key)) in row_set for key in keyed)
+        for image in ([index.get(v.galois(k)) for v in values]
+                      for k in _unit_generators(e)))
     embedded = [raw_embed(v, e) for v in values]
     d = lcm(*(c.denominator for terms in embedded for c in terms.values()))
     scaled = [{t: int(c * d) for t, c in terms.items()} for terms in embedded]
@@ -710,31 +704,61 @@ def _split_prime(table: CharacterTable):
     bound = d * d * table.order + max(
         sum(c.size * m * m for c, m in zip(table.classes, by_class)),
         sum(m * m for m in by_row))
-    try:
-        ell = prime_one_mod(e, bound)
-    except ValueError:  # past the exact primality test
+    primes = [prime_one_mod(e, min(bound, PRIME_TEST_BOUND // 2))]
+    while prod(primes) <= bound:
+        primes.append(prime_one_mod(e, primes[-1]))
+    return _Split(d * d, e, tuple((ell, element_of_order(e, ell)) for ell in primes),
+                  scaled, keyed, stable)
+
+
+def _units(split: _Split, transpose: bool) -> List[int]:
+    """One unit k mod e over each unit mod m = e/d, where d is the gcd of e
+    and every exponent difference within one coordinate of the rows (or,
+    transposed, the columns)."""
+    d = e = split.e
+    for coord in (split.keyed if transpose else zip(*split.keyed)):
+        exps = [t for i in set(coord) for t in split.scaled[i]]
+        d = gcd(d, *(t - exps[0] for t in exps))
+    m = e // d
+    return [next(k for k in range(u, e, m) if gcd(k, e) == 1)
+            for u in range(m) if gcd(u, m) == 1]
+
+
+def _residues(split: _Split, ell: int, omega: int, k: int):
+    """The rows of D * values under zeta_e -> omega^k and under omega^-k."""
+    w = pow(omega, k, ell)
+    return [[[at[i] for i in key] for key in split.keyed]
+            for at in ([sum(c * pow(x, t, ell) for t, c in terms.items()) % ell
+                        for terms in split.scaled] for x in (w, pow(w, -1, ell)))]
+
+
+def _orthogonality_failure(split: _Split, weights, norms, transpose: bool):
+    """The least (a, b) whose weighted Gram entry of the rows (or,
+    transposed, the columns) is not norms[a] delta_ab, or None; a proof by
+    `_split_prime`. A failure at any root is a failure of the pair, and the
+    least pair over every root is the least failing pair."""
+    def failures(units):
+        for ell, omega in split.primes:
+            for k in units:
+                yield _gram_failure((ell, split.dd, *_residues(split, ell, omega, k)),
+                                    weights, norms, transpose)
+
+    if split.stable and not any(failures([1])):
         return None
-    omega = element_of_order(e, ell)
-    at = [sum(c * pow(omega, t, ell) for t, c in terms.items()) % ell
-          for terms in scaled]
-    inv = [sum(c * pow(omega, -t % e, ell) for t, c in terms.items()) % ell
-           for terms in scaled]
-    return (ell, d * d, [[at[i] for i in key] for key in keyed],
-            [[inv[i] for i in key] for key in keyed])
+    return min(filter(None, failures(_units(split, transpose))), default=None)
 
 
-def _residues_match(split, weights, norms, transpose: bool) -> bool:
-    """The weighted Gram matrix of the rows (or, transposed, the columns)
-    is D^2 diag(norms) mod l.
+def _gram_failure(root, weights, norms, transpose: bool):
+    """The least (a, b) whose weighted Gram entry of the rows (or,
+    transposed, the columns) at `root` = (l, D^2, at, inv) is not
+    D^2 norms[a] delta_ab mod l, or None.
 
     Each Gram row is one big-integer sum: coordinate j of every vector b is
     packed into Y_j, b-th byte field first, and sum_j (x_j w_j mod l) * Y_j
     holds Gram entry (a, b) exactly in field b, as a field holds the largest
     entry, len(weights) * (l - 1)^2, and so never carries into the next.
-
-    D^2 and the norms must be units mod l, as `_split_prime` makes them by
-    taking l > B >= D^2 |G|."""
-    ell, dd, at, inv = split
+    """
+    ell, dd, at, inv = root
     if transpose:
         at, inv = list(zip(*at)), list(zip(*inv))
     width = (len(weights) * (ell - 1) ** 2).bit_length() // 8 + 1
@@ -747,38 +771,8 @@ def _residues_match(split, weights, norms, transpose: bool) -> bool:
         for b in range(len(inv)):
             entry = int.from_bytes(fields[b * width:(b + 1) * width], "little")
             if entry % ell != (dd * norms[a] % ell if a == b else 0):
-                return False
-    return True
-
-
-def _check_orthogonality(name: str, vectors, weights, norms, labels,
-                         what: str) -> CheckResult:
-    """Exact weighted Gram check: sum_j weights[j] u[j] conj(v[j]) must be
-    norms[a] for u = v = vectors[a] and 0 for distinct vectors."""
-    ms = [lcm(*(v.conductor for v in vec)) for vec in vectors]
-    embeds: Dict[Tuple[int, int], list] = {}
-
-    def embedded(a: int, m: int) -> list:
-        key = (a, m)
-        got = embeds.get(key)
-        if got is None:
-            got = [raw_embed(v, m) for v in vectors[a]]
-            embeds[key] = got
-        return got
-
-    for a in range(len(vectors)):
-        for b in range(a, len(vectors)):
-            m = lcm(ms[a], ms[b])
-            u, v = embedded(a, m), embedded(b, m)
-            acc: dict = {}
-            for j, w in enumerate(weights):
-                y = raw_conjugate(v[j], m)
-                for e, c in raw_mul(u[j], y, m).items():
-                    acc[e] = acc.get(e, 0) + w * c
-            if not raw_equals_rational(m, acc, norms[a] if a == b else 0):
-                return CheckResult(name, False, "fails for %s %s and %s"
-                                   % (what, labels[a], labels[b]))
-    return CheckResult(name, True)
+                return a, b
+    return None
 
 
 # ---------------------------------------------------------------------------

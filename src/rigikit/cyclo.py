@@ -289,9 +289,6 @@ class Cyclotomic:
     def coeffs(self) -> Dict[int, Fraction]:
         return {e: Fraction(c, self._den) for e, c in self._num.items()}
 
-    def coeff(self, e: int) -> Fraction:
-        return Fraction(self._num.get(e, 0), self._den)
-
     def is_zero(self) -> bool:
         return not self._num
 

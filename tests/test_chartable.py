@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 from functools import cache
 from importlib import resources
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 import pytest
 from hypothesis import given, settings
@@ -15,10 +15,12 @@ from rigikit.chartable import (
     CharacterTable,
     CheckReport,
     CheckResult,
-    _check_orthogonality,
-    _residues_match,
+    _gram_failure,
+    _orthogonality_failure,
+    _residues,
     _split_prime,
     _unit_generators,
+    _units,
     build_table_mapped,
     canonical_layout,
     class_is_rational,
@@ -27,10 +29,11 @@ from rigikit.chartable import (
     same_character_data,
     validate,
 )
-from rigikit.cyclo import cyc, parse_value, zeta
+from rigikit.cyclo import (cyc, parse_value, raw_conjugate, raw_embed,
+                           raw_equals_rational, raw_mul, zeta)
 from rigikit.dixon import character_table_dixon
 from rigikit.dl_rank1 import build_family
-from rigikit.modp import element_of_order, prime_factors
+from rigikit.modp import PRIME_TEST_BOUND, element_of_order, prime_factors
 from rigikit.smallgrp import group_from_spec
 
 C2_TEXT = """\
@@ -307,7 +310,7 @@ def test_build_table_needs_one_identity_class():
 
 
 # ---------------------------------------------------------------------------
-# orthogonality by one split prime against the exact pairwise check
+# orthogonality by split primes against the exact pairwise check
 
 FIXTURES = ("c2.ctb", "s3.ctb", "gl2_3.ctb", "sl2_5.ctb", "psl2_7.ctb")
 GENERIC = ([("GL2", q) for q in (3, 4, 5, 7, 8, 9, 11, 13)]
@@ -327,8 +330,39 @@ def source_table(kind, key):
     return character_table_dixon(group_from_spec(key))
 
 
+def _check_orthogonality(name: str, vectors, weights, norms, labels,
+                         what: str) -> CheckResult:
+    """The oracle: the exact weighted Gram check, sum_j weights[j] u[j]
+    conj(v[j]) must be norms[a] for u = v = vectors[a] and 0 for distinct
+    vectors, pair by pair in exact arithmetic; names the first failing pair."""
+    ms = [lcm(*(v.conductor for v in vec)) for vec in vectors]
+    embeds = {}
+
+    def embedded(a: int, m: int) -> list:
+        key = (a, m)
+        got = embeds.get(key)
+        if got is None:
+            got = [raw_embed(v, m) for v in vectors[a]]
+            embeds[key] = got
+        return got
+
+    for a in range(len(vectors)):
+        for b in range(a, len(vectors)):
+            m = lcm(ms[a], ms[b])
+            u, v = embedded(a, m), embedded(b, m)
+            acc: dict = {}
+            for j, w in enumerate(weights):
+                y = raw_conjugate(v[j], m)
+                for e, c in raw_mul(u[j], y, m).items():
+                    acc[e] = acc.get(e, 0) + w * c
+            if not raw_equals_rational(m, acc, norms[a] if a == b else 0):
+                return CheckResult(name, False, "fails for %s %s and %s"
+                                   % (what, labels[a], labels[b]))
+    return CheckResult(name, True)
+
+
 def exact_orthogonality(table):
-    """The exact pairwise checks, with the arguments `validate` gives them."""
+    """The exact pairwise checks of the rows and of the columns."""
     nr, k = len(table.rows), table.n_classes
     return (
         _check_orthogonality("row_orthogonality", table.rows,
@@ -344,16 +378,27 @@ def validated_orthogonality(table):
     return tuple(c for c in validate(table).items if c.name.endswith("_orthogonality"))
 
 
-def modular_verdicts(table):
-    """(rows, columns) verdicts of the modular pass alone; the pass must apply."""
-    split = _split_prime(table)
-    assert split is not None
+def orientations(table):
+    """(weights, norms, transpose) of the row and of the column check."""
     nr, k = len(table.rows), table.n_classes
-    return (
-        _residues_match(split, [c.size for c in table.classes], [table.order] * nr,
-                        False),
-        _residues_match(split, [1] * nr, [table.centralizer_order(j) for j in range(k)],
-                        True))
+    return (([c.size for c in table.classes], [table.order] * nr, False),
+            ([1] * nr, [table.centralizer_order(j) for j in range(k)], True))
+
+
+def modular_verdicts(table, units=(1,)):
+    """(rows, columns): the least failing pair over the roots zeta_e ->
+    omega^k, k in `units`, at each prime of the split, or None."""
+    split = _split_prime(table)
+    return tuple(
+        min(filter(None, (_gram_failure((ell, split.dd, *_residues(split, ell, omega, k)),
+                                        weights, norms, transpose)
+                          for ell, omega in split.primes for k in units)), default=None)
+        for weights, norms, transpose in orientations(table))
+
+
+def every_unit(table):
+    e = _split_prime(table).e
+    return [k for k in range(e) if gcd(k, e) == 1]
 
 
 def gram_bound(table):
@@ -378,16 +423,25 @@ def with_rows(table, rows):
 def test_split_prime_verdict_equals_exact_check(kind, key):
     table = source_table(kind, key)
     exact = exact_orthogonality(table)
-    assert tuple(c.ok for c in exact) == modular_verdicts(table) == (True, True)
+    assert _split_prime(table).stable
+    assert all(c.ok for c in exact) and modular_verdicts(table) == (None, None)
     assert validated_orthogonality(table) == exact
 
 
 @pytest.mark.parametrize("kind,key", SOURCES, ids=[str(k) for _, k in SOURCES])
 def test_split_prime_is_one_mod_e_and_above_the_bound(kind, key):
+    # every prime is 1 mod e and their product exceeds B; below half the
+    # primality test's bound that is one prime, the least above B
     table = source_table(kind, key)
-    ell = _split_prime(table)[0]
+    split = _split_prime(table)
     e = lcm(*(v.conductor for row in table.rows for v in row))
-    assert isprime(ell) and (ell - 1) % e == 0 and ell > gram_bound(table)
+    bound = gram_bound(table)
+    assert split.e == e and bound < PRIME_TEST_BOUND // 2
+    (ell, omega), = split.primes
+    assert isprime(ell) and (ell - 1) % e == 0 and ell > bound
+    assert not any(isprime(x) for x in range(ell - e, int(bound), -e))
+    assert pow(omega, e, ell) == 1 and all(pow(omega, e // q, ell) != 1
+                                            for q in prime_factors(e))
 
 
 def test_unit_generators_generate():
@@ -409,28 +463,28 @@ def test_unit_generators_generate():
     assert all(pow(g, phi // q, n) != 1 for q in prime_factors(phi))
 
 
-def residues_match_by_loop(split, weights, norms, transpose):
-    """`_residues_match` as one modular dot product per Gram entry."""
-    ell, dd, at, inv = split
+def least_failure_by_loop(root, weights, norms, transpose):
+    """`_gram_failure` as one modular dot product per Gram entry."""
+    ell, dd, at, inv = root
     if transpose:
         at, inv = list(zip(*at)), list(zip(*inv))
-    return all(sum(u * w * y for u, w, y in zip(x, weights, z)) % ell
-               == (dd * norms[a] % ell if a == b else 0)
-               for a, x in enumerate(at) for b, z in enumerate(inv))
+    return min(((a, b) for a, x in enumerate(at) for b, z in enumerate(inv)
+                if sum(u * w * y for u, w, y in zip(x, weights, z)) % ell
+                != (dd * norms[a] % ell if a == b else 0)), default=None)
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_packed_gram_rows_agree_with_the_loop(data):
-    # a matching split from the characters of Z/m: at[a][j] = c_a w_j^-1
+    # a matching root from the characters of Z/m: at[a][j] = c_a w_j^-1
     # omega^(a j) and inv[b][j] = omega^(-b j) have weighted Gram entries
     # c_a m delta_ab; then one entry perturbed, or the whole matrix random
     ell, m = data.draw(st.sampled_from([(7, 3), (13, 4), (31, 6), (101, 5), (337, 7),
                                         (65537, 8), (1000000007, 2)]))
     omega = element_of_order(m, ell)
     weights = data.draw(st.lists(st.integers(1, ell - 1), min_size=m, max_size=m))
-    # D^2 and the norms are units mod l, as `_split_prime` makes them: a
-    # multiple of l would zero a whole row of `at` and hide a perturbed entry
+    # D^2 and the norm scales are units mod l: a multiple of l would zero a
+    # whole row of `at` and hide a perturbed entry
     scale = data.draw(st.lists(st.integers(1, 10 ** 6).filter(lambda c: c % ell),
                                min_size=m, max_size=m))
     dd = data.draw(st.integers(1, 50).filter(lambda c: c % ell))
@@ -449,11 +503,11 @@ def test_packed_gram_rows_agree_with_the_loop(data):
     transpose = data.draw(st.booleans())
     if transpose:  # the same matrices read as columns
         at, inv = [list(c) for c in zip(*at)], [list(c) for c in zip(*inv)]
-    split = (ell, dd, at, inv)
-    got = _residues_match(split, weights, norms, transpose)
-    assert got == residues_match_by_loop(split, weights, norms, transpose)
+    root = (ell, dd, at, inv)
+    got = _gram_failure(root, weights, norms, transpose)
+    assert got == least_failure_by_loop(root, weights, norms, transpose)
     if how in ("match", "at", "inv"):
-        assert got == (how == "match")
+        assert (got is None) == (how == "match")
 
 
 def rational_rows(table):
@@ -462,10 +516,10 @@ def rational_rows(table):
 
 
 def test_stable_perturbation_is_caught_by_the_residues():
-    # a rational row stays Galois-fixed, so the modular pass applies and
-    # rejects; the exact check then names the same pair as before. Flipping
-    # the sign of one value keeps every Gram diagonal entry, so only the
-    # off-diagonal residues see it.
+    # a rational row stays Galois-fixed, so the table stays stable and the
+    # residues at k = 1 reject it; every root then names the same pair as
+    # the exact check. Flipping the sign of one value keeps every Gram
+    # diagonal entry, so only the off-diagonal residues see it.
     for kind, key in (("fixture", "s3.ctb"), ("fixture", "psl2_7.ctb"),
                       ("generic", ("GL2", 5))):
         table = source_table(kind, key)
@@ -473,7 +527,8 @@ def test_stable_perturbation_is_caught_by_the_residues():
         j = next(j for j in range(1, table.n_classes) if not table.rows[r][j].is_zero())
         for bad in (_tweak_value(table, r, 1, cyc(1)),
                     _tweak_value(table, r, j, -2 * table.rows[r][j])):
-            assert modular_verdicts(bad) == (False, False)
+            assert _split_prime(bad).stable
+            assert None not in modular_verdicts(bad)
             got = validated_orthogonality(bad)
             assert got == exact_orthogonality(bad)
             assert not any(c.ok for c in got) and all(c.detail for c in got)
@@ -487,24 +542,126 @@ def test_values_with_denominators_pass_by_the_residues():
     mixed = with_rows(s3, [s3.rows[0],
                            [(3 * u + 4 * v) / 5 for u, v in zip(x, y)],
                            [(4 * u - 3 * v) / 5 for u, v in zip(x, y)]])
-    assert _split_prime(mixed)[1] == 25
-    assert modular_verdicts(mixed) == (True, True)
+    assert _split_prime(mixed).dd == 25
+    assert modular_verdicts(mixed) == (None, None)
     assert validated_orthogonality(mixed) == exact_orthogonality(mixed)
     assert all(c.ok for c in exact_orthogonality(mixed))
 
 
-def test_unstable_or_repeated_rows_take_the_exact_check():
+def test_unstable_or_repeated_rows_are_checked_at_every_root():
     psl = source_table("fixture", "psl2_7.ctb")
     r = next(r for r, row in enumerate(psl.rows) if not row[-1].is_rational())
     unstable = _tweak_value(psl, r, psl.n_classes - 1, cyc(1))
     s3 = source_table("fixture", "s3.ctb")
     broken = _tweak_value(s3, 2, 1, zeta(3))
     repeated = with_rows(s3, s3.rows + (s3.rows[1],))
-    for table in (unstable, broken, repeated):
-        assert _split_prime(table) is None
+    # a rational row times zeta_3 keeps both orthogonality relations, but
+    # zeta_3 -> zeta_3^2 maps it off the table
+    twisted = []
+    for table in (psl, source_table("generic", ("GL2", 5))):
+        rows = [list(row) for row in table.rows]
+        r = rational_rows(table)[-1]
+        rows[r] = [v * zeta(3) for v in rows[r]]
+        twisted.append(with_rows(table, rows))
+    for table, ok in ((unstable, False), (broken, False), (repeated, False),
+                      (twisted[0], True), (twisted[1], True)):
+        split = _split_prime(table)
+        assert not split.stable
+        # the pairs found at every root are the verdicts
+        pairs = modular_verdicts(table, every_unit(table))
+        assert tuple(pair is None for pair in pairs) == tuple(
+            _orthogonality_failure(split, w, n, t) is None
+            for w, n, t in orientations(table))
         got = validated_orthogonality(table)
         assert got == exact_orthogonality(table)
-        assert not all(c.ok for c in got)
+        assert all(c.ok for c in got) == ok
+
+
+def test_unstable_rows_are_checked_past_the_first_root():
+    # rows u = 1 and v = (1, 1, 1, 1, z, z^4), z = zeta_5, over six classes
+    # of size 1: <u, v> = 4 + z + z^4 is not 0, but it vanishes modulo
+    # (11, z - 3) and its complex conjugate (11, z - 4). With the split
+    # primes replaced by l = 11, omega = 3, the root k = 1 sees no failure,
+    # or with a third row w = 2u only (0, 2); the least failing pair (0, 1)
+    # shows at k = 2
+    z, one = zeta(5), cyc(1)
+    u = (one,) * 6
+    v = (one,) * 4 + (z, z ** 4)
+    weights = [1] * 6
+    for rows, at_one in (((u, v), None), ((u, v, tuple(2 * x for x in u)), (0, 2))):
+        table = CharacterTable(
+            name="T", order=6, exponent=5, rows=rows,
+            classes=tuple(chartable.ClassRecord("1" + c, 1, 1, ()) for c in "ABCDEF"))
+        norms = [6] * len(rows)
+        split = _split_prime(table)
+        assert not split.stable and split.dd == 1 and split.e == 5
+        small = split._replace(primes=((11, 3),))
+        assert _units(small, False) == [1, 2, 3, 4]
+        root = (11, 1, *_residues(small, 11, 3, 1))
+        assert _gram_failure(root, weights, norms, False) == at_one
+        assert _orthogonality_failure(small, weights, norms, False) == (0, 1)
+        got = validated_orthogonality(table)
+        assert got == exact_orthogonality(table)
+        assert got[0].detail == "fails for rows 0 and 1"
+
+
+def test_stable_tables_take_one_root_per_check(monkeypatch):
+    calls = []
+    gram_failure = chartable._gram_failure
+
+    def counted(*args):
+        calls.append(args)
+        return gram_failure(*args)
+    monkeypatch.setattr(chartable, "_gram_failure", counted)
+    for kind, key in (("fixture", "psl2_7.ctb"), ("generic", ("GL2", 13))):
+        calls.clear()
+        assert validate(source_table(kind, key)).ok
+        assert len(calls) == 2
+
+
+def test_units_cover_every_prime_of_the_deviations_ring():
+    # the column Gram of a row twisted by zeta_3 lives in a smaller field:
+    # the twist cancels, and one unit per unit mod e/d is checked
+    s3 = source_table("fixture", "s3.ctb")
+    twisted = with_rows(s3, [s3.rows[0], s3.rows[1], [v * zeta(3) for v in s3.rows[2]]])
+    split = _split_prime(twisted)
+    assert split.e == 3
+    assert _units(split, False) == [1, 2] and _units(split, True) == [1]
+    assert _units(_split_prime(s3), False) == [0]  # e = 1: zeta_1 -> omega^0 = 1
+    # a single root of unity at a huge order leaves one unit mod its radical
+    one = CharacterTable(name="T", order=1, exponent=10 ** 8,
+                         classes=(chartable.ClassRecord("1A", 1, 1, ()),),
+                         rows=((zeta(10 ** 8, -1),),))
+    big = _split_prime(one)
+    assert big.e == 10 ** 8 and not big.stable
+    assert len(_units(big, False)) == len(_units(big, True)) == 4
+    assert validated_orthogonality(one) == exact_orthogonality(one)
+
+
+def test_bound_past_the_prime_test_takes_several_primes():
+    # S3's two non-trivial rows mixed by the rational rotation
+    # (a, b; b, -a)/c, a = m^2 - n^2, b = 2mn, c = m^2 + n^2, keep both
+    # orthogonality relations with D = c, so D^2 |G| passes the prime test
+    m, n = 3000001, 10 ** 6
+    a, b, c = m * m - n * n, 2 * m * n, m * m + n * n
+    s3 = source_table("fixture", "s3.ctb")
+    x, y = s3.rows[1], s3.rows[2]
+    mixed = with_rows(s3, [s3.rows[0],
+                           [(a * u + b * v) / c for u, v in zip(x, y)],
+                           [(b * u - a * v) / c for u, v in zip(x, y)]])
+    bound = gram_bound(mixed)
+    assert c * c * mixed.order > PRIME_TEST_BOUND
+    split = _split_prime(mixed)
+    primes = [ell for ell, _omega in split.primes]
+    assert len(primes) >= 2 and split.dd == c * c
+    assert all(isprime(ell) and (ell - 1) % split.e == 0 and ell < PRIME_TEST_BOUND
+               for ell in primes)
+    assert prod(primes) > bound and primes == sorted(set(primes))
+    assert all(check.ok for check in validated_orthogonality(mixed))
+    bad = _tweak_value(mixed, 1, 2, cyc(1) / c)
+    got = validated_orthogonality(bad)
+    assert got == exact_orthogonality(bad)
+    assert not any(check.ok for check in got)
 
 
 SMALL = [("fixture", name) for name in FIXTURES] + [
@@ -523,8 +680,7 @@ def test_rational_row_perturbations_agree_with_exact_check(data):
         rows[r][j] = rows[r][j] + delta
     bad = with_rows(table, rows)
     assert validated_orthogonality(bad) == exact_orthogonality(bad)
-    if len(set(bad.rows)) == len(bad.rows):
-        assert _split_prime(bad) is not None
+    assert _split_prime(bad).stable == (len(set(bad.rows)) == len(bad.rows))
 
 
 # ---------------------------------------------------------------------------

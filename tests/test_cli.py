@@ -275,6 +275,30 @@ def test_huge_conductors_under_a_memory_cap(tmp_path):
             assert proc.stdout == "" and proc.stderr.startswith("error: out of memory")
 
 
+def test_order_past_the_prime_test_fails_under_a_cpu_cap(tmp_path):
+    # a 4000-digit order (Python parses at most 4300 digits) puts the norm
+    # bound of the orthogonality proof far past the exact primality test,
+    # so it takes over a hundred split primes; out of process under a CPU
+    # cap, so that a hang fails the test instead of stalling the suite
+    env = dict(os.environ, PYTHONPATH=str(Path(rigikit.__file__).parents[1]))
+    target = tmp_path / "c2.ctb"
+    order = 10 ** 3999 + 7
+    target.write_text(Path(fixture_path("c2.ctb")).read_text().replace(
+        "order 2\n", "order %d\n" % order))
+    assert str(order) in target.read_text()
+    proc = subprocess.run(
+        [sys.executable, "-m", "rigikit", "validate", str(target)], env=env,
+        capture_output=True, text=True, timeout=120,
+        preexec_fn=_memory_and_cpu_caps(512 << 20, 5))
+    assert proc.returncode == 1 and proc.stderr == "", proc.stderr
+    lines = proc.stdout.splitlines()
+    for name in ("class_sizes_sum", "degree_squares_sum",
+                 "row_orthogonality", "column_orthogonality"):
+        assert any(line.startswith(name) and " FAIL" in line for line in lines), name
+    assert any(line.startswith("row_orthogonality") and line.endswith(
+        "fails for rows 0 and 0") for line in lines)
+
+
 def test_generator_file_moduli_and_fields(tmp_path):
     # out of process, so that a hang in the primality test fails the test
     env = dict(os.environ, PYTHONPATH=str(Path(rigikit.__file__).parents[1]))
