@@ -54,12 +54,6 @@ class ClassRecord:
     order: int
     power_maps: Tuple[Tuple[int, int], ...]  # sorted (prime, class index)
 
-    def power(self, p: int) -> int:
-        for q, idx in self.power_maps:
-            if q == p:
-                return idx
-        raise KeyError("no power map for prime %d on class %s" % (p, self.name))
-
     @property
     def power_map(self) -> Dict[int, int]:
         return dict(self.power_maps)
@@ -76,10 +70,6 @@ class CharacterTable:
     @property
     def n_classes(self) -> int:
         return len(self.classes)
-
-    @property
-    def degrees(self) -> Tuple[Cyclotomic, ...]:
-        return tuple(row[0] for row in self.rows)
 
     def class_index(self, name: str) -> int:
         for i, c in enumerate(self.classes):
@@ -372,8 +362,6 @@ def parse_ctb(text) -> CharacterTable:
             raise CTBSyntaxError(
                 "expected %d class lines, got %d" % (n_classes, len(class_names)), ln)
         fields = line.split()
-        if len(fields) < 2:
-            raise CTBSyntaxError("class line needs a name", ln)
         cname = fields[1]
         if cname in class_names:
             raise CTBSyntaxError("duplicate class name %r" % cname, ln)
@@ -711,12 +699,13 @@ def _split_prime(table: CharacterTable) -> _Split:
                   scaled, keyed, stable)
 
 
-def _units(split: _Split, transpose: bool) -> List[int]:
+def _units(split: _Split, transpose: bool, vectors: Optional[int] = None) -> List[int]:
     """One unit k mod e over each unit mod m = e/d, where d is the gcd of e
     and every exponent difference within one coordinate of the rows (or,
-    transposed, the columns)."""
+    transposed, the columns), of the first `vectors` of them if given."""
     d = e = split.e
-    for coord in (split.keyed if transpose else zip(*split.keyed)):
+    rows = [key[:vectors] for key in split.keyed] if transpose else split.keyed[:vectors]
+    for coord in (rows if transpose else zip(*rows)):
         exps = [t for i in set(coord) for t in split.scaled[i]]
         d = gcd(d, *(t - exps[0] for t in exps))
     m = e // d
@@ -736,16 +725,20 @@ def _orthogonality_failure(split: _Split, weights, norms, transpose: bool):
     """The least (a, b) whose weighted Gram entry of the rows (or,
     transposed, the columns) is not norms[a] delta_ab, or None; a proof by
     `_split_prime`. A failure at any root is a failure of the pair, and the
-    least pair over every root is the least failing pair."""
+    least pair over every root is the least failing pair. So the least pair
+    P failing at k = 1 bounds it: if P = (0, b), only the pairs (0, b'), b' <
+    b, need the other roots, those `_units` finds over vectors 0..b-1."""
     def failures(units):
         for ell, omega in split.primes:
             for k in units:
                 yield _gram_failure((ell, split.dd, *_residues(split, ell, omega, k)),
                                     weights, norms, transpose)
 
-    if split.stable and not any(failures([1])):
-        return None
-    return min(filter(None, failures(_units(split, transpose))), default=None)
+    first = min(filter(None, failures([1])), default=None)
+    if first is None and split.stable or first == (0, 0):
+        return first
+    vectors = first[1] if first and first[0] == 0 else None
+    return min(filter(None, failures(_units(split, transpose, vectors))), default=None)
 
 
 def _gram_failure(root, weights, norms, transpose: bool):

@@ -4,9 +4,12 @@ Works entirely from a fully enumerated group. Class multiplication
 constants are counted with index permutations: left multiplication by each
 class representative z_k, read off the closure's breadth-first tree
 (`smallgrp.FiniteGroup.left`), is a permutation u -> z_k*u of element
-positions, and a[i][j][k] counts the u in C_i^-1 with z_k*u in C_j. Common
-eigenspaces of the class matrices are split over a prime l = 1 (mod
-exponent) chosen larger than twice the square root of the group order.
+positions, and a[i][j][k] counts the u in C_i^-1 with z_k*u in C_j.
+Inverse classes and power maps are the classes of the positions of the
+representatives' powers (`smallgrp.ConjugacyClass.powers`), so `dixon`
+multiplies and inverts no group element. Common eigenspaces of the class
+matrices are split over a prime l = 1 (mod exponent) chosen larger than
+twice the square root of the group order.
 As l = 1 (mod exponent), l does not divide |G|, and the class matrices are
 diagonalizable over GF(l) with every eigenvalue in GF(l). So a subspace
 splits under one of them by matrix powers alone: for a shift s,
@@ -70,18 +73,16 @@ def _class_constants(group: FiniteGroup, classes, class_of):
     """(a, inverse class map) for classes in the given order; see
     `class_constants`."""
     k = len(classes)
-    index = group.index
-    inverse_class = [class_of[index[c.rep.inverse().key]] for c in classes]
-    a = [[[0] * k for _ in range(k)] for _ in range(k)]
-    # x in C_i with x^-1 z_k in C_j  <=>  u = x^-1 in C_i^-1 with z_k u in C_j
-    # (z_k u = u^-1 (u z_k) u is conjugate to u z_k)
+    inverse_class = [class_of[c.powers[-1]] for c in classes]
+    # b[i][j][k] = #{u in C_i : z_k u in C_j}, one pass over u per k
+    b = [[[0] * k for _ in range(k)] for _ in range(k)]
     for kk, c in enumerate(classes):
         perm = group.left(c.indices[0])  # u -> z_k u; z_k is the least member
-        for i, inv in enumerate(inverse_class):
-            a_i = a[i]
-            for u in classes[inv].indices:
-                a_i[class_of[perm[u]]][kk] += 1
-    return a, inverse_class
+        for i, v in zip(class_of, perm):
+            b[i][class_of[v]][kk] += 1
+    # x in C_i with x^-1 z_k in C_j  <=>  u = x^-1 in C_i^-1 with z_k u in C_j
+    # (z_k u = u^-1 (u z_k) u is conjugate to u z_k)
+    return [b[inv] for inv in inverse_class], inverse_class
 
 
 def class_constants(group: FiniteGroup) -> List[List[List[int]]]:
@@ -189,14 +190,7 @@ def character_table_dixon_mapped(group: FiniteGroup):
         degrees.append(deg)
 
     # x^t for t < m, as class numbers, where m is the order of x in C_j
-    index = group.index
-    power_class = []
-    for c in classes:
-        row, x = [0], c.rep
-        for _ in range(1, c.order):
-            row.append(class_of[index[x.key]])
-            x = x * c.rep
-        power_class.append(row)
+    power_class = [[class_of[u] for u in c.powers] for c in classes]
 
     # chi(x) for x of order m is a sum of m-th roots of unity, and
     # omega^(exponent/m) has order m mod ell: the multiplicity of zeta_m^s is
@@ -225,10 +219,8 @@ def character_table_dixon_mapped(group: FiniteGroup):
         rows.append(tuple(row))
 
     exp_primes = prime_factors(exponent)
-    class_infos = []
-    for j, c in enumerate(classes):
-        pm = {p: power_class[j][p % c.order] for p in exp_primes}
-        class_infos.append((c.size, c.order, pm))
+    class_infos = [(c.size, c.order, {p: class_of[c.powers[p % c.order]] for p in exp_primes})
+                   for c in classes]
 
     table, class_order, _row_order = build_table_mapped(
         name=_group_label(group),

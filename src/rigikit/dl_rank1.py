@@ -676,17 +676,22 @@ def torus_character_sum(fam: Rank1Family, torus: str, H, s):
     H is a subgroup of the torus character group, listed by its members.
     The sum vanishes whenever some theta in H is nontrivial on s.
     """
-    j = torus_element_class(fam, torus, s)
+    return next(_torus_character_sums(fam, torus, H, [s]))
+
+
+def _torus_character_sums(fam: Rank1Family, torus: str, H, points):
+    """`torus_character_sum` at each s in points; the row multiplicities of
+    sum over theta in H of R_{T,theta} do not depend on s."""
     n = _torus_modulus(fam, torus)
-    qualified = False
     multiplicity: Dict[int, int] = {}
     for theta in H:
-        if _theta_exponent(fam, torus, theta, s) % n:
-            qualified = True
         for row, coeff in dl_character(fam, torus, theta).decomposition.items():
             multiplicity[row] = multiplicity.get(row, 0) + coeff
-    total = linear_sum((c, fam.table.rows[r][j]) for r, c in multiplicity.items())
-    return total, qualified
+    for s in points:
+        j = torus_element_class(fam, torus, s)
+        qualified = any(_theta_exponent(fam, torus, theta, s) % n for theta in H)
+        total = linear_sum((c, fam.table.rows[r][j]) for r, c in multiplicity.items())
+        yield total, qualified
 
 
 def vanishing_sum_report(fam: Rank1Family) -> CheckReport:
@@ -694,8 +699,9 @@ def vanishing_sum_report(fam: Rank1Family) -> CheckReport:
     items = []
     for torus in ("split", "nonsplit"):
         H = torus_characters(fam, torus)
-        for s in torus_elements(fam, torus):
-            total, qualified = torus_character_sum(fam, torus, H, s)
+        points = torus_elements(fam, torus)
+        for s, (total, qualified) in zip(
+                points, _torus_character_sums(fam, torus, H, points)):
             if not qualified:
                 continue  # s in every kernel (the identity): hypothesis fails
             name = "sum_%s_s%s" % (torus, s)

@@ -32,22 +32,16 @@ class InconsistentTableError(ValueError):
     pass
 
 
-def _character_sum(table: CharacterTable, indices: Sequence[int],
-                   skip_row: int = -1) -> Cyclotomic:
+def _character_sum(table: CharacterTable, indices: Sequence[int]) -> Cyclotomic:
     r = len(indices)
     return linear_sum(
         (row[0].to_rational() ** (2 - r), reduce(mul, map(row.__getitem__, indices)))
-        for row_no, row in enumerate(table.rows) if row_no != skip_row)
+        for row in table.rows)
 
 
-def frobenius_count_multi(table: CharacterTable, indices: Sequence[int]) -> int:
-    """Number of (x_1, ..., x_r) in C_1 x ... x C_r with product 1."""
-    if len(indices) < 2:
-        raise ValueError("need at least two classes")
-    scale = Fraction(1, table.order)
-    for j in indices:
-        scale *= table.classes[j].size
-    total = _character_sum(table, indices)
+def _count(table: CharacterTable, indices: Sequence[int], total: Cyclotomic) -> int:
+    """(|C_1|...|C_r| / |G|) * total, checked to be a nonnegative integer."""
+    scale = reduce(mul, (table.classes[j].size for j in indices), Fraction(1, table.order))
     value = cyc(scale) * total
     if not value.is_rational():
         raise InconsistentTableError(
@@ -59,6 +53,13 @@ def frobenius_count_multi(table: CharacterTable, indices: Sequence[int]) -> int:
     return int(rat)
 
 
+def frobenius_count_multi(table: CharacterTable, indices: Sequence[int]) -> int:
+    """Number of (x_1, ..., x_r) in C_1 x ... x C_r with product 1."""
+    if len(indices) < 2:
+        raise ValueError("need at least two classes")
+    return _count(table, indices, _character_sum(table, indices))
+
+
 def frobenius_count(table: CharacterTable, triple: ClassTriple) -> int:
     """Number of (x, y, z) in C1 x C2 x C3 with xyz = 1."""
     return frobenius_count_multi(table, tuple(triple))
@@ -68,10 +69,11 @@ def nontrivial_sum(table: CharacterTable, triple: ClassTriple) -> Cyclotomic:
     """Sum over nontrivial chi of chi(g1)chi(g2)chi(g3)/chi(1).
 
     The trivial row is located structurally (all values 1), never by
-    position. N = (|C1||C2||C3|/|G|)(1 + f) holds exactly.
+    position; it contributes exactly 1 to the sum over all rows.
+    N = (|C1||C2||C3|/|G|)(1 + f) holds exactly.
     """
-    trivial = table.trivial_row_index()
-    return _character_sum(table, tuple(triple), skip_row=trivial)
+    table.trivial_row_index()
+    return _character_sum(table, tuple(triple)) - cyc(1)
 
 
 @dataclass(frozen=True)
@@ -142,12 +144,11 @@ def rigidity_verdict(table: CharacterTable, triple: ClassTriple,
     if table.order % center_order != 0:
         raise ValueError("center order %d does not divide group order %d"
                          % (center_order, table.order))
-    n = frobenius_count(table, triple)
-    f = nontrivial_sum(table, triple)
+    total = _character_sum(table, tuple(triple))
+    n = _count(table, triple, total)
+    table.trivial_row_index()  # f = total - 1 needs a trivial row
     target = table.order // center_order
-    if n == 0:
-        verdict = "not-rigid"
-    elif n == target:
+    if n == target:  # never 0, as the target is positive
         verdict = "rigid-candidate" if generation_assumed else "indeterminate"
     else:
         verdict = "not-rigid"
@@ -157,7 +158,7 @@ def rigidity_verdict(table: CharacterTable, triple: ClassTriple,
         triple=triple,
         class_names=names,
         triple_count=n,
-        f_value=f,
+        f_value=total - cyc(1),
         orbit_count_upper=Fraction(n, target),
         rationality_flags=flags,
         center_order=center_order,

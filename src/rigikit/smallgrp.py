@@ -14,7 +14,8 @@ L_g[c] = code(g v). Tables grow with the rows met, never to p^n entries.
 keeps one right-multiplication position array per generator and its search
 tree (Schreier vectors: Holt, Eick and O'Brien, Handbook of Computational
 Group Theory, ch. 4). Left multiplications are read off the tree, so
-conjugacy classes run on positions, with no matrix products.
+conjugacy classes run on positions; their only products walk the powers
+of class representatives.
 
 `direct_triple_count` takes no inverses: for z in C3, x^-1 z^-1 lies in C2
 iff its inverse z x, and so its conjugate x z, lies in C2^-1. Quadratic
@@ -193,6 +194,7 @@ class ConjugacyClass:
     size: int
     order: int
     indices: Tuple[int, ...]  # element indices, ascending
+    powers: Tuple[int, ...]  # positions of rep^t for 0 <= t < order
 
 
 @dataclass
@@ -266,20 +268,19 @@ def closure(generators: Sequence[GroupElement], cap: int = DEFAULT_CLOSURE_CAP,
 
 def conjugacy_classes(group: FiniteGroup) -> List[ConjugacyClass]:
     """Partition the enumerated group, on positions: x -> g^-1 x g is
-    right[g][left(g^-1)[x]]. Representatives are enumeration-least.
-
-    A class order is read off the powers of its representative, and the
-    walk records the order m / gcd(m, k) of every power g^k on the way, so
-    a class met again among those powers costs no products: a cyclic group
-    takes |G| products in all."""
+    right[g][left(g^-1)[x]], g^-1 the position u with u g = 1.
+    Representatives are enumeration-least. Each class keeps the positions
+    of its representative's powers, walked by one product per power unless
+    the representative is a power of an earlier one (a cyclic group takes
+    |G| products); `dixon` reads inverse classes and power maps off them."""
     if group.classes is not None:
         return group.classes
     if not group.elements:
         raise ValueError("group has no enumerated elements")
-    conj = [(r, group.left(group.index[g.inverse().key]))
-            for r, g in zip(group.right, group.generators)]
-    order_at = [0] * len(group.elements)
+    conj = [(r, group.left(r.index(0))) for r in group.right]
+    index = group.index
     class_of = [-1] * len(group.elements)
+    walked = [None] * len(class_of)  # u -> (powers of a walked r, s) with u = r^s
     classes: List[ConjugacyClass] = []
     for start, rep in enumerate(group.elements):
         if class_of[start] >= 0:
@@ -294,27 +295,24 @@ def conjugacy_classes(group: FiniteGroup) -> List[ConjugacyClass]:
                     class_of[y] = cls_no
                     members.append(y)
         members.sort()
-        order = max(order_at[u] for u in members) or _record_power_orders(
-            group, rep, order_at)
+        if walked[start]:  # rep = r^s, r an earlier representative
+            base, s = walked[start]
+            m = len(base)
+            powers = tuple(base[s * t % m] for t in range(m // gcd(m, s)))
+        else:
+            powers, x, u = [0], rep, start
+            while u:
+                powers.append(u)
+                x = x * rep
+                u = index[x.key]
+            powers = tuple(powers)
+            for s, u in enumerate(powers):
+                walked[u] = walked[u] or (powers, s)
         classes.append(ConjugacyClass(
-            rep=rep, size=len(members), order=order, indices=tuple(members)))
+            rep=rep, size=len(members), order=len(powers),
+            indices=tuple(members), powers=powers))
     group.classes = classes
     return classes
-
-
-def _record_power_orders(group: FiniteGroup, g: GroupElement,
-                         order_at: List[int]) -> int:
-    """Order m of g, by products; sets order_at of each power g^k to m / gcd(m, k)."""
-    one = group.elements[0].key
-    powers = [group.index[g.key]]
-    x = g
-    while x.key != one:
-        x = x * g
-        powers.append(group.index[x.key])
-    m = len(powers)
-    for k, u in enumerate(powers, 1):
-        order_at[u] = m // gcd(m, k)
-    return m
 
 
 def class_orbit(rep: GroupElement, generators: Sequence[GroupElement],

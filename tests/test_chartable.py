@@ -29,6 +29,7 @@ from rigikit.chartable import (
     same_character_data,
     validate,
 )
+from rigikit.cli import main
 from rigikit.cyclo import (cyc, parse_value, raw_conjugate, raw_embed,
                            raw_equals_rational, raw_mul, zeta)
 from rigikit.dixon import character_table_dixon
@@ -132,6 +133,29 @@ def test_missing_header():
         parse_ctb(S3_TEXT.replace("order 6\n", ""))
 
 
+@pytest.mark.parametrize("old,new,message,line", [
+    # the header integers are read after the last header line
+    ("order 6\n", "order 0\n", "header integers must be positive", 6),
+    ("class 2A size=3", "class 1A size=3", "duplicate class name '1A'", 8),
+    ("pow3=2A\n", "pow3\n", "bad class attribute 'pow3'", 8),
+    ("2A size=3 order=2", "2A size=3", "class 2A needs size= and order=", 8),
+    ("char X3 2 ; 0 ; -1", "char X3", "char line needs a name and values", 12),
+    ("char X1 1 ; 1 ; 1\nchar X2 1 ; -1 ; 1\nchar X3 2 ; 0 ; -1\n", "",
+     "table has no character rows", 9),
+    ("2A size=3", "2A size=0", "size must be positive, got 0", 8),
+])
+def test_structural_errors_name_their_line(tmp_path, capsys, old, new, message, line):
+    bad = S3_TEXT.replace(old, new)
+    assert bad != S3_TEXT
+    with pytest.raises(CTBSyntaxError) as err:
+        parse_ctb(bad)
+    assert str(err.value) == "%s (line %d)" % (message, line)
+    target = tmp_path / "bad.ctb"
+    target.write_text(bad)
+    assert main(["validate", str(target)]) == 2
+    assert capsys.readouterr() == ("", "error: %s\n" % err.value)
+
+
 def test_roundtrip():
     for text in (C2_TEXT, S3_TEXT):
         t = parse_ctb(text)
@@ -233,7 +257,7 @@ def class_rational_by_power_maps(table, j):
                 frontier.append(y)
     if len(reached) != len(units):
         return None
-    return all(table.classes[j].power(p) == j for p in gens)
+    return all(table.classes[j].power_map[p] == j for p in gens)
 
 
 def class_rational_by_galois(table, j):

@@ -59,6 +59,14 @@ def test_structconst_machine(capsys):
     assert out.splitlines() == ["N = 168", "f = 0"]
 
 
+def test_structconst_text(capsys):
+    status, out, _ = run(capsys, [
+        "structconst", fixture_path("psl2_7.ctb"), "2A", "3A", "7A"])
+    assert status == 0
+    assert out.splitlines() == ["triples (2A, 3A, 7A) with product 1: N = 168",
+                                "nontrivial character sum f = 0"]
+
+
 def test_rigid_machine_block(capsys):
     status, out, _ = run(capsys, [
         "rigid", fixture_path("psl2_7.ctb"), "2A", "3A", "7A",
@@ -149,10 +157,25 @@ def test_regunip_order_and_filter(capsys):
     assert "eliminated-cyclic-sylow" in out
 
 
+def test_regunip_filter_reads_a_pool_file(tmp_path, capsys):
+    pool = tmp_path / "pool.txt"
+    pool.write_text("candidate J1 type=G2 case=0 p=11 order=table:p=11:11\n")
+    status, out, _ = run(capsys, ["regunip", "--type", "G2", "--p", "11",
+                                  "--filter", "--pool", str(pool)])
+    assert status == 0
+    assert out.splitlines() == [
+        "order = 11",
+        "J1                 survives                 max p-element order 11 >= 11",
+        "survivors = J1"]
+
+
 def test_lemma_cli(capsys):
     status, out, _ = run(capsys, ["lemma", "sl", "--n", "3", "--q", "3"])
     assert status == 0
     assert "total = 0" in out and "no-such-triples" in out
+    status, out, _ = run(capsys, ["lemma", "so", "--m", "2", "--q", "3"])
+    assert status == 0
+    assert out.splitlines()[-2:] == ["total = 0", "verdict = no-such-triples"]
 
 
 def test_usage_errors_exit_2(capsys):
@@ -211,6 +234,18 @@ def test_inconsistent_table_exit_2(tmp_path, capsys):
     status, out, err = run(capsys, ["structconst", str(target), "2A", "2A", "3A"])
     assert status == 2
     assert out == "" and err.startswith("error:")
+
+
+def test_table_with_no_trivial_row_exit_2(tmp_path, capsys):
+    # the triple count is an integer, but f = (sum over all rows) - 1 needs
+    # a trivial row
+    text = Path(fixture_path("s3.ctb")).read_text()
+    target = tmp_path / "notrivial.ctb"
+    target.write_text(text.replace("char X1 1 ; 1 ; 1", "char X1 1 ; -1 ; 1"))
+    for verb in ("structconst", "rigid"):
+        status, out, err = run(capsys, [verb, str(target), "3A", "3A", "3A"])
+        assert (status, out) == (2, ""), verb
+        assert err == "error: table S3 has no trivial character row\n", verb
 
 
 def test_unknown_power_map_target_names_its_class_line(tmp_path, capsys):
@@ -297,6 +332,24 @@ def test_order_past_the_prime_test_fails_under_a_cpu_cap(tmp_path):
         assert any(line.startswith(name) and " FAIL" in line for line in lines), name
     assert any(line.startswith("row_orthogonality") and line.endswith(
         "fails for rows 0 and 0") for line in lines)
+
+
+def test_sparse_value_at_a_large_conductor_fails_under_a_cpu_cap(tmp_path):
+    # 1 + E(1000003,1) is not Galois-stable; the pairs failing at the first
+    # root bound the scan of the other roots to those of the row (or
+    # column) before them, here one root, not phi(2000006) of them
+    env = dict(os.environ, PYTHONPATH=str(Path(rigikit.__file__).parents[1]))
+    target = tmp_path / "sparse.ctb"
+    target.write_text("CTB 1\nname T\norder 2\nexponent 2000006\nclasses 2\n"
+                      "class 1A size=1 order=1\nclass 2A size=1 order=2\n"
+                      "char X1 1 ; 1\nchar X2 1 ; E(1000003,1)\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "rigikit", "validate", str(target)], env=env,
+        capture_output=True, text=True, timeout=120,
+        preexec_fn=_memory_and_cpu_caps(512 << 20, 5))
+    assert proc.returncode == 1 and proc.stderr == "", proc.stderr
+    assert "row_orthogonality        FAIL: fails for rows 0 and 1" in proc.stdout
+    assert "column_orthogonality     FAIL: fails for classes 1A and 2A" in proc.stdout
 
 
 def test_generator_file_moduli_and_fields(tmp_path):

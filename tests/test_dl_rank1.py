@@ -152,6 +152,24 @@ def test_theta_independence_and_green_values():
         assert by_torus["nonsplit"]["one"] == 1 - q
 
 
+def _with_value(fam, r, j, value):
+    """The family with one table value replaced."""
+    rows = [list(row) for row in fam.table.rows]
+    rows[r][j] = value
+    table = dataclasses.replace(fam.table, rows=tuple(map(tuple, rows)))
+    return dataclasses.replace(fam, table=table)
+
+
+def test_theta_independence_names_distinct_values():
+    fam = build_family("GL2", 5)
+    ((j, _),) = [u for u in fam.unipotent_class_indices() if u[1] == "regular"]
+    r = fam.label_to_row[("prin", (0, 1))]
+    assert fam.table.rows[r][j] == cyc(1)
+    report, _ = theta_independence(_with_value(fam, r, j, cyc(2)))
+    assert [(c.name, c.detail) for c in report.failures()] == [
+        ("valuni_split_regular_5A", "distinct values ['1', '2']")]
+
+
 def test_vanishing_sums_full_group():
     for name, q in (("GL2", 3), ("GL2", 5), ("SL2", 7), ("PGL2", 7)):
         fam = build_family(name, q)
@@ -250,6 +268,18 @@ def test_dual_symmetry_both_variants():
         pgl = build_family("PGL2", q)
         assert dual_symmetry_report(sl, pgl).ok
         assert dual_symmetry_report(sl, pgl, regular=True).ok
+
+
+def test_dual_symmetry_names_constituents_that_differ():
+    sl, pgl = build_family("SL2", 5), build_family("PGL2", 5)
+    (datum,) = [d for d in dual_data(sl, pgl) if len(d.ss_rows) == 2
+                and d.dual_label[0] == "split"]
+    j = sl.semisimple_class_indices()[-1]
+    r = datum.ss_rows[1]
+    report = dual_symmetry_report(_with_value(sl, r, j, sl.table.rows[r][j] + cyc(1)), pgl)
+    assert ("constituents_%s" % (datum.dual_label,),
+            "constituents differ on a semisimple class") in [
+        (c.name, c.detail) for c in report.failures()]
 
 
 def test_dual_data_counts_match():

@@ -351,6 +351,21 @@ def test_recorded_arrays_tree_and_classes(conjugated_group):
             assert all(element_order(els[u]) == c.order for u in c.indices)
 
 
+def test_class_powers_are_the_representative_powers(conjugated_group):
+    rng = random.Random(23)
+    for kind, n, p in (("PSL", 2, 7), ("GL", 2, 3), ("SL", 2, 5), ("SO", 4, 3)):
+        g = conjugated_group(kind, n, p, rng)
+        class_of = {u: c for c in conjugacy_classes(g) for u in c.indices}
+        for c in conjugacy_classes(g):
+            x, walked = g.elements[0], []
+            for _ in range(c.order):
+                walked.append(g.index[x.key])
+                x = x * c.rep
+            assert x == g.elements[0] and c.order == element_order(c.rep)
+            assert list(c.powers) == walked
+            assert class_of[c.powers[-1]] is class_of[g.index[c.rep.inverse().key]]
+
+
 def test_class_orders_of_a_cyclic_group():
     # every power of the generator gets its order from one walk
     g = closure([make_element([[5, 1], [2, 0]], 257)])
