@@ -6,7 +6,11 @@ the trivial character comes first, then rows sort by ascending degree.
 Classes and rows these keys leave tied are ordered by a canonical form of
 the values and power maps (`canonical_layout`), so isomorphic tables, with
 power maps preserved, get identical layouts whatever order their classes
-and rows were produced in.
+and rows were produced in. Its refinement runs a splitter queue (McKay and
+Piperno, "Practical graph isomorphism, II", 2014), re-signing only against
+the cells that changed: a split cell queues all its pieces but the largest
+(Hopcroft, "An n log n algorithm for minimizing states in a finite
+automaton", 1971).
 
 Orthogonality by split primes. `validate` decides row and column
 orthogonality by the residues of the values modulo primes l = 1 (mod e),
@@ -24,10 +28,10 @@ subfields of cyclotomic fields", AAECC 8 (1997).)
 from __future__ import annotations
 
 import re
-from collections import Counter
+from collections import deque
 from dataclasses import dataclass
 from math import gcd, lcm, prod
-from operator import add
+from operator import itemgetter
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .cyclo import Cyclotomic, cyc, format_value, parse_value, raw_embed
@@ -105,10 +109,90 @@ class CharacterTable:
 # canonical layout
 
 
-def _dense_ranks(keys: List) -> List[int]:
-    order = sorted(set(keys))
-    rank = {k: i for i, k in enumerate(order)}
-    return [rank[k] for k in keys]
+class _Cells:
+    """An ordered partition of range(n): `points` lists the points cell by
+    cell, `color[x]` is the start of x's cell, `end[s]` ends the cell at s,
+    and `tied` holds the starts of the cells of two or more points."""
+
+    def __init__(self, keys: List):
+        n = len(keys)
+        self.points, self.color, self.end = list(range(n)), [0] * n, {0: n}
+        self.tied = {0} if n > 1 else set()
+        self.split(0, keys)
+
+    def copy(self) -> "_Cells":
+        new = _Cells.__new__(_Cells)
+        new.points, new.color = self.points[:], self.color[:]
+        new.end, new.tied = dict(self.end), set(self.tied)
+        return new
+
+    def split(self, s: int, signatures: List) -> List[int]:
+        """Replace the cell at s by its pieces in the order of its points'
+        signatures, given in `points` order; return the piece starts."""
+        if signatures.count(signatures[0]) == len(signatures):
+            return []
+        groups: Dict[object, List[int]] = {}
+        for x, sig in zip(self.points[s:self.end[s]], signatures):
+            groups.setdefault(sig, []).append(x)
+        starts = []
+        for sig in sorted(groups):
+            piece = groups[sig]
+            self.points[s:s + len(piece)] = piece
+            for x in piece:
+                self.color[x] = s
+            self.end[s] = s + len(piece)
+            (self.tied.add if len(piece) > 1 else self.tied.discard)(s)
+            starts.append(s)
+            s += len(piece)
+        return starts
+
+
+def _refine(classes: _Cells, rows: _Cells, queue: List[Tuple[int, int]], ids, cols,
+            preimages) -> None:
+    """Refine both partitions in place until they are equitable, splitting
+    against the queued cells, (0, start) for classes and (1, start) for rows.
+    A row cell re-signs each tied class cell by the sorted value ids in its
+    rows; a class cell re-signs the rows alike, and the classes whose p-th
+    power lies in it, ahead of the rest of their cells, by those p. A split
+    cell that was queued queues all its pieces, any other all but its largest:
+    stability against the cell and the others gives it against that one."""
+    sides = (classes, rows)
+    queued = set(queue)
+    queue = deque(queue)
+
+    def enqueue(side, starts):
+        end = sides[side].end
+        if starts and (side, starts[0]) not in queued:
+            starts.remove(max(starts, key=lambda s: end[s] - s))
+        queue.extend((side, s) for s in starts if (side, s) not in queued)
+        queued.update((side, s) for s in starts)
+
+    while queue:
+        side, s = entry = queue.popleft()
+        queued.discard(entry)
+        splitter = sides[side].points[s:sides[side].end[s]]
+        # a target's ids are vectors[target][point]; with one point, they
+        # are read off that point's own vector
+        vectors, get = (cols if side else ids), itemgetter(*splitter)
+        own = (ids if side else cols)[splitter[0]] if len(splitter) == 1 else None
+        other = sides[1 - side]
+        points, end, split = other.points, other.end, other.split
+        for t in sorted(other.tied):
+            members = points[t:end[t]]
+            if own is not None:
+                sigs = itemgetter(*members)(own)
+            else:
+                sigs = [tuple(sorted(get(vectors[y]))) for y in members]
+            if sigs.count(sigs[0]) < len(sigs):
+                enqueue(1 - side, split(t, sigs))
+        if side == 0:
+            hits: Dict[int, List[int]] = {}
+            for j in splitter:
+                for p, i in preimages[j]:
+                    hits.setdefault(i, []).append(p)
+            for t in sorted({classes.color[i] for i in hits} & classes.tied):
+                enqueue(0, classes.split(t, [(0, *sorted(hits[i])) if i in hits else (1,)
+                                             for i in classes.points[t:classes.end[t]]]))
 
 
 def canonical_layout(
@@ -128,62 +212,52 @@ def canonical_layout(
     the least certificate, the values and power maps in leaf order. Equal
     certificates give table automorphisms; a child in the orbit of an
     explored sibling under those fixing the path is skipped, as its subtree
-    gives the same certificates.
+    gives the same certificates. Refinement is driven by a splitter queue
+    (`_refine`) with Hopcroft's rule of queueing every piece of a split cell
+    but the largest (Hopcroft, "An n log n algorithm for minimizing states in
+    a finite automaton", 1971): the root queues every cell and a child only
+    its individualized class, so a node re-signs only against the cells that
+    changed.
     """
-    k, nr = len(class_keys), len(row_keys)
-    nv = 1 + max(map(max, ids))
-    cols = [[row[i] for row in ids] for i in range(k)]
-
-    def refine(c_col, r_col):
-        # a round re-signs each member of a tied cell: a class by its power
-        # classes' colors and its column's (row color, value) multiset, a row
-        # by its (class color, value) multiset, each pair as color * nv + id
-        while True:
-            c_size, r_size = Counter(c_col), Counter(r_col)
-            c_base = [c * nv for c in c_col]
-            r_base = [c * nv for c in r_col]
-            new_c = _dense_ranks([
-                (c,) if c_size[c] == 1 else
-                (c, tuple((p, c_col[j]) for p, j in power_maps[i]),
-                 tuple(sorted(map(add, r_base, cols[i]))))
-                for i, c in enumerate(c_col)])
-            new_r = _dense_ranks([
-                (c,) if r_size[c] == 1 else (c, tuple(sorted(map(add, c_base, ids[r]))))
-                for r, c in enumerate(r_col)])
-            if new_c == c_col and new_r == r_col:
-                return c_col, r_col
-            c_col, r_col = new_c, new_r
+    cols = list(zip(*ids))
+    preimages: List[List[Tuple[int, int]]] = [[] for _ in class_keys]
+    for i, pm in enumerate(power_maps):
+        for p, j in pm:
+            preimages[j].append((p, i))
 
     leaves: Dict[tuple, List[int]] = {}  # certificate -> first leaf's class order
     automorphisms: List[Dict[int, int]] = []
     best = None
 
-    def search(c_col, r_col, path):
+    def search(classes, rows, queue, path):
         nonlocal best
-        c_col, r_col = refine(c_col, r_col)
-        cell = min((c for c, m in Counter(c_col).items() if m > 1), default=None)
-        if cell is not None:
+        _refine(classes, rows, queue, ids, cols, preimages)
+        if classes.tied:
+            s = min(classes.tied)
             explored: List[int] = []
-            for v in [i for i, c in enumerate(c_col) if c == cell]:
+            for v in classes.points[s:classes.end[s]]:
                 fixing = [g for g in automorphisms if all(g[x] == x for x in path)]
                 if v not in _orbit(explored, fixing):
-                    search(_dense_ranks([(c, i != v) for i, c in enumerate(c_col)]),
-                           r_col, path + [v])
+                    child = classes.copy()
+                    child.split(s, [x != v for x in child.points[s:child.end[s]]])
+                    search(child, rows.copy(), [(0, s)], path + [v])
                     explored.append(v)
             return
-        class_order = sorted(range(k), key=c_col.__getitem__)
-        # rows tied in color and values are identical, so their order is moot
-        rows = [tuple(row[i] for i in class_order) for row in ids]
-        row_order = sorted(range(nr), key=lambda r: (r_col[r], rows[r]))
-        cert = (tuple(rows[r] for r in row_order),
-                tuple(tuple((p, c_col[j]) for p, j in power_maps[i]) for i in class_order))
+        class_order = classes.points
+        # rows left tied at a leaf are identical, so their order is moot
+        get = itemgetter(*class_order)
+        cert = (tuple(get(ids[r]) for r in rows.points),
+                tuple(tuple((p, classes.color[j]) for p, j in power_maps[i])
+                      for i in class_order))
         first = leaves.setdefault(cert, class_order)
         if first is not class_order:
             automorphisms.append(dict(zip(first, class_order)))
         if best is None or cert < best[0]:
-            best = (cert, class_order, row_order)
+            best = (cert, class_order, rows.points)
 
-    search(_dense_ranks(class_keys), _dense_ranks(row_keys), [])
+    classes, rows = _Cells(class_keys), _Cells(row_keys)
+    search(classes, rows, [(0, s) for s in sorted(classes.end)]
+           + [(1, s) for s in sorted(rows.end)], [])
     return best[1], best[2]
 
 
@@ -336,20 +410,21 @@ def parse_ctb(text) -> CharacterTable:
     if line is None or line.split() != ["CTB", "1"]:
         raise CTBSyntaxError("expected header 'CTB 1'", ln)
 
-    header: Dict[str, str] = {}
+    header: Dict[str, object] = {}
     for key in ("name", "order", "exponent", "classes"):
         line, ln = next_line()
         if line is None or not line.startswith(key + " "):
             raise CTBSyntaxError("expected '%s <value>' line" % key, ln)
         header[key] = line[len(key) + 1:].strip()
-    try:
-        order = int(header["order"])
-        exponent = int(header["exponent"])
-        n_classes = int(header["classes"])
-    except ValueError as exc:
-        raise CTBSyntaxError("bad integer in header: %s" % exc, ln) from None
-    if order < 1 or exponent < 1 or n_classes < 1:
-        raise CTBSyntaxError("header integers must be positive", ln)
+        if key == "name":
+            continue
+        try:
+            header[key] = int(header[key])
+        except ValueError as exc:
+            raise CTBSyntaxError("bad integer in header: %s" % exc, ln) from None
+        if header[key] < 1:
+            raise CTBSyntaxError("header integers must be positive", ln)
+    order, exponent, n_classes = header["order"], header["exponent"], header["classes"]
 
     class_names: List[str] = []
     class_sizes: List[int] = []
