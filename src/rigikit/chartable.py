@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import re
 from collections import deque
-from dataclasses import dataclass
 from math import gcd, lcm, prod
 from operator import itemgetter
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
@@ -51,8 +50,7 @@ class CTBSyntaxError(ValueError):
         self.column = column
 
 
-@dataclass(frozen=True)
-class ClassRecord:
+class ClassRecord(NamedTuple):
     name: str
     size: int
     order: int
@@ -63,8 +61,7 @@ class ClassRecord:
         return dict(self.power_maps)
 
 
-@dataclass(frozen=True)
-class CharacterTable:
+class CharacterTable(NamedTuple):
     name: str
     order: int
     exponent: int
@@ -333,8 +330,8 @@ def build_table_mapped(
                 ),
             )
         )
-    new_rows = tuple(
-        tuple(rows[r][i] for i in class_order) for r in row_order
+    new_rows = tuple(  # one object per distinct value, so equal values are identical
+        tuple(values[ids[r][i]] for i in class_order) for r in row_order
     )
     table = CharacterTable(
         name=name,
@@ -551,19 +548,24 @@ def _parse_pos_int(text: str, what: str, line: int) -> int:
 # validation
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     ok: bool
     detail: str = ""
 
 
-@dataclass(frozen=True)
 class CheckReport:
-    """Named check results; a failed check is an item, not an error."""
+    """Named check results; a failed check is an item, not an error.
 
-    title: str
-    items: Tuple[CheckResult, ...]
+    A plain class, not a NamedTuple: the benchmark's tracer tells the
+    (report, Green functions) pair of `dl_rank1.theta_independence` from a
+    report by `isinstance(result, tuple)`."""
+
+    __slots__ = ("title", "items")
+
+    def __init__(self, title: str, items: Tuple[CheckResult, ...]):
+        self.title = title
+        self.items = items
 
     @property
     def ok(self) -> bool:

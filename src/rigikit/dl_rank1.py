@@ -16,14 +16,13 @@ semisimple class of the dual group names.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import gcd, lcm
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .chartable import CharacterTable, CheckReport, CheckResult, build_table_mapped
-from .cyclo import Cyclotomic, cyc, from_terms, linear_sum, zeta
+from .cyclo import ZERO, Cyclotomic, cyc, from_terms, linear_sum, zeta
 from .modp import prime_factors
 
 Label = Tuple  # ("central", a) | ("unipotent", ...) | ("split", ...) | ("nonsplit", ...)
@@ -58,21 +57,18 @@ def gauss_sum(p: int) -> Cyclotomic:
 # family container
 
 
-@dataclass
-class DLCharacter:
+class DLCharacter(NamedTuple):
     torus: str  # "split" | "nonsplit"
     theta: Tuple
     decomposition: Dict[int, int]  # row index -> integer coefficient
 
 
-@dataclass
-class GreenFunction:
+class GreenFunction(NamedTuple):
     torus: str
     values: Dict[str, int]  # algebraic unipotent label -> value
 
 
-@dataclass
-class DualSemisimpleDatum:
+class DualSemisimpleDatum(NamedTuple):
     """One semisimple class t of the dual family and the character data of
     this family attached to it."""
 
@@ -90,8 +86,7 @@ class DualSemisimpleDatum:
         return self.theta_split if torus == "split" else self.theta_nonsplit
 
 
-@dataclass
-class Rank1Family:
+class Rank1Family(NamedTuple):
     family: str  # "GL2" | "SL2" | "PGL2"
     q: int
     p: int
@@ -830,14 +825,15 @@ def dl_value_via_cosets(fam: Rank1Family, s_class: int,
     if theta is None:
         raise ValueError("dual class %s has no torus of type %s"
                          % (datum.dual_label, torus))
-    return _coset_value(fam, s_class, datum, dl_character(fam, torus, theta))
+    dl = dl_character(fam, torus, theta)
+    return _coset_value(fam, s_class, datum, dl, fam.dl_value(dl, s_class))
 
 
 def _coset_value(fam: Rank1Family, s_class: int, datum: DualSemisimpleDatum,
-                 dl: DLCharacter) -> Cyclotomic:
-    """`dl_value_via_cosets` with R_{T,theta} already built."""
+                 dl: DLCharacter, table_value: Cyclotomic) -> Cyclotomic:
+    """`dl_value_via_cosets` with R_{T,theta} and its value at s_class
+    already built."""
     torus, theta = dl.torus, dl.theta
-    table_value = fam.dl_value(dl, s_class)
     lab = fam.class_labels[s_class]
     if lab[0] not in ("central", "split", "nonsplit"):
         raise ValueError("class %s is not semisimple" % (lab,))
@@ -848,7 +844,7 @@ def _coset_value(fam: Rank1Family, s_class: int, datum: DualSemisimpleDatum,
         index = fam.order_pprime() // _pprime(fam.torus_order(torus), fam.p)
         rhs = cyc(sign * index) * theta_value(fam, torus, theta, s_param)
     elif lab[0] != torus:
-        rhs = cyc(0)
+        rhs = ZERO
     else:
         s_param = lab[1]  # split pair or nonsplit exponent
         # one double coset with index factor |W(t)| = 2, or s and its Weyl image
@@ -885,17 +881,24 @@ def coset_values_report(fam: Rank1Family, famGstar: Rank1Family) -> CheckReport:
     and all dual data, both tori (value 0 when s misses the torus)."""
     items = []
     semisimple = fam.semisimple_class_indices()
+    rows = fam.table.rows
+    sums: Dict[tuple, Cyclotomic] = {}  # ((c, v), ...) -> sum of c * v
     for datum in dual_data(fam, famGstar):
         for torus in ("split", "nonsplit"):
             theta = datum.theta_for(torus)
             if theta is None:
                 continue
             dl = dl_character(fam, torus, theta)
+            terms = dl.decomposition.items()
+            prefix = "valRT_%s_%s_" % (datum.dual_label, torus)
             for j in semisimple:
-                name = "valRT_%s_%s_%s" % (
-                    datum.dual_label, torus, fam.table.classes[j].name)
+                name = prefix + fam.table.classes[j].name
+                key = tuple([(c, rows[r][j]) for r, c in terms])
+                value = sums.get(key)
+                if value is None:
+                    value = sums[key] = linear_sum(key)
                 try:
-                    _coset_value(fam, j, datum, dl)
+                    _coset_value(fam, j, datum, dl, value)
                     items.append(CheckResult(name, True))
                 except IdentityViolation as exc:
                     items.append(CheckResult(name, False, str(exc)))
@@ -943,6 +946,14 @@ def dual_symmetry_report(famG: Rank1Family, famGstar: Rank1Family,
     data_t = dual_data(famG, famGstar)
     data_s = dual_data(famGstar, famG)
     by_class_s = {d.dual_class_index: d for d in data_s}
+    scaled: Dict[Tuple[int, Cyclotomic], Cyclotomic] = {}  # (c, v) -> c * v
+
+    def scale(c: int, v: Cyclotomic) -> Cyclotomic:
+        out = scaled.get((c, v))
+        if out is None:
+            out = scaled[c, v] = cyc(c) * v
+        return out
+
     items: List[CheckResult] = []
     for d in data_t:
         rows = d.reg_rows if regular else d.ss_rows
@@ -964,10 +975,10 @@ def dual_symmetry_report(famG: Rank1Family, famGstar: Rank1Family,
             rows_s = ds.reg_rows if regular else ds.ss_rows
             eps_t = eps_centralizer(famGstar.family, dt.dual_label[0]) \
                 if regular else 1
-            lhs = cyc(eps_t * dt.centralizer_pprime) * \
-                famG.table.rows[rows_t[0]][s_class]
-            rhs = cyc(eps_s * cent_s) * \
-                famGstar.table.rows[rows_s[0]][dt.dual_class_index]
+            lhs = scale(eps_t * dt.centralizer_pprime,
+                        famG.table.rows[rows_t[0]][s_class])
+            rhs = scale(eps_s * cent_s,
+                        famGstar.table.rows[rows_s[0]][dt.dual_class_index])
             name = "sym%s_s=%s_t=%s" % (
                 "_reg" if regular else "",
                 famG.table.classes[s_class].name, dt.dual_label)

@@ -15,15 +15,13 @@ entry for primes not listed (used for primes not dividing the group order).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from importlib import resources
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .modp import is_prime
 
 
-@dataclass(frozen=True)
-class ExceptionalType:
+class ExceptionalType(NamedTuple):
     name: str
     rank: int
     coxeter_number: int
@@ -63,8 +61,7 @@ class DescriptorError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class CandidateSubgroup:
+class CandidateSubgroup(NamedTuple):
     label: str
     gtype: str
     case: int
@@ -127,8 +124,7 @@ def _eval_descriptor(desc: str, p: int, label: str) -> int:
     raise DescriptorError("bad descriptor %r for %s" % (desc, label))
 
 
-@dataclass(frozen=True)
-class FilterVerdict:
+class FilterVerdict(NamedTuple):
     label: str
     p: int
     status: str  # survives | eliminated-by-order | eliminated-by-citation

@@ -12,7 +12,6 @@ whose smallness drives rigidity arguments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from operator import mul
@@ -76,8 +75,7 @@ def nontrivial_sum(table: CharacterTable, triple: ClassTriple) -> Cyclotomic:
     return _character_sum(table, tuple(triple)) - cyc(1)
 
 
-@dataclass(frozen=True)
-class RigidityReport:
+class RigidityReport(NamedTuple):
     triple: ClassTriple
     class_names: Tuple[str, str, str]
     triple_count: int

@@ -26,10 +26,9 @@ so the lemma drivers test x z with `is_quadratic_unipotent` itself.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass, field
 from math import gcd
 from operator import mul
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .modp import (
     is_prime, mat_add_scalar, mat_det, mat_inv, mat_mul, mat_pow, mat_rank, primitive_root)
@@ -188,8 +187,7 @@ def make_element(rows: Sequence[Sequence[int]], p: int,
 # groups
 
 
-@dataclass
-class ConjugacyClass:
+class ConjugacyClass(NamedTuple):
     rep: GroupElement
     size: int
     order: int
@@ -197,20 +195,26 @@ class ConjugacyClass:
     powers: Tuple[int, ...]  # positions of rep^t for 0 <= t < order
 
 
-@dataclass
 class FiniteGroup:
-    kind: str  # SL | GL | SO | PSL | PGL, or "subgroup of GL" / "subgroup of PGL"
-    n: int
-    p: int
-    generators: Tuple[GroupElement, ...]
-    elements: List[GroupElement] = field(default_factory=list)
-    index: Dict = field(default_factory=dict)  # canonical key -> position
-    # right[g][u] = position of elements[u] * generators[g]
-    right: List[array] = field(default_factory=list)
-    # breadth-first tree: elements[u] = elements[parent[u]] * generators[via[u]]
-    parent: array = field(default_factory=lambda: array("i"))
-    via: array = field(default_factory=lambda: array("i"))
-    classes: Optional[List[ConjugacyClass]] = None
+    """An enumerated group. A plain class: `conjugacy_classes` sets
+    `classes` on first use, and a NamedTuple's `index` field would shadow
+    `tuple.index`."""
+
+    def __init__(self, kind: str, n: int, p: int, generators: Tuple[GroupElement, ...],
+                 elements: Optional[List[GroupElement]] = None,
+                 index: Optional[Dict] = None, right: Optional[List[array]] = None,
+                 parent: Optional[array] = None, via: Optional[array] = None,
+                 classes: Optional[List[ConjugacyClass]] = None):
+        self.kind = kind  # SL | GL | SO | PSL | PGL, or "subgroup of GL" / "subgroup of PGL"
+        self.n, self.p, self.generators = n, p, generators
+        self.elements = [] if elements is None else elements
+        self.index = {} if index is None else index  # canonical key -> position
+        # right[g][u] = position of elements[u] * generators[g]
+        self.right = [] if right is None else right
+        # breadth-first tree: elements[u] = elements[parent[u]] * generators[via[u]]
+        self.parent = array("i") if parent is None else parent
+        self.via = array("i") if via is None else via
+        self.classes = classes
 
     @property
     def order(self) -> int:
@@ -340,8 +344,7 @@ def class_orbit(rep: GroupElement, generators: Sequence[GroupElement],
 # Jordan structure
 
 
-@dataclass(frozen=True)
-class JordanType:
+class JordanType(NamedTuple):
     """Block partitions per eigenvalue (eigenvalues restricted to 1 and -1)."""
 
     partitions: Tuple[Tuple[int, Tuple[int, ...]], ...]  # (eigenvalue, blocks desc)

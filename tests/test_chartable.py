@@ -161,11 +161,14 @@ def test_structural_errors_name_their_line(tmp_path, capsys, old, new, message, 
 
 
 def test_roundtrip():
-    for text in (C2_TEXT, S3_TEXT):
-        t = parse_ctb(text)
-        assert parse_ctb(emit_ctb(t)) == t
-    big = character_table_dixon(group_from_spec("PSL(2,7)"))
-    assert parse_ctb(emit_ctb(big)) == big
+    tables = [parse_ctb(text) for text in (C2_TEXT, S3_TEXT)]
+    tables.append(character_table_dixon(group_from_spec("PSL(2,7)")))
+    tables.append(build_family("GL2", 5).table)
+    for t in tables:
+        back = parse_ctb(emit_ctb(t))
+        assert back == t and hash(back) == hash(t)
+        with pytest.raises(AttributeError):  # tables are immutable
+            t.name = "other"
 
 
 def test_validate_s3_all_pass():
@@ -183,6 +186,8 @@ def test_check_report_formats():
     assert rep.machine_block() == "sizes = FAIL: sum 7\norder = pass"
     assert str(rep) == "%-24s FAIL: sum 7\n%-24s pass" % ("sizes", "order")
     assert CheckReport("empty", ()).ok
+    with pytest.raises(AttributeError):
+        bad.ok = True
 
 
 def _tweak_value(table, r, j, delta):
@@ -298,6 +303,8 @@ def test_canonical_layout_cross_construction():
     dix = character_table_dixon(group_from_spec("GL(2,3)"))
     gen = build_family("GL2", 3).table
     assert same_character_data(dix, gen)
+    renamed = gen._replace(name="other")
+    assert same_character_data(renamed, gen) and renamed != gen
     assert emit_ctb(dix).splitlines()[1] != emit_ctb(gen).splitlines()[1]  # names differ
     assert emit_ctb(dix).splitlines()[2:] == emit_ctb(gen).splitlines()[2:]
 

@@ -395,13 +395,18 @@ def test_huge_squarefree_conductor_exits_2_under_a_large_cap(tmp_path):
 # per-verb imports, seen from a fresh interpreter: pytest has already
 # imported every module, so only a new process shows what a verb loads
 
+# every verb is a fresh process, so no verb may load these (`dataclasses`
+# brings `inspect` and `ast`) unless the bare interpreter already has
+COLD_START_HEAVY = ("dataclasses", "inspect")
+SHOW_HEAVY = "print(' '.join(m for m in %r if m in sys.modules))\n" % (COLD_START_HEAVY,)
 LOADED_MODULES = (
     "import contextlib, io, sys\n"
     "import rigikit.cli\n"
     "if sys.argv[1:]:\n"
     "    with contextlib.redirect_stdout(io.StringIO()):\n"
     "        assert rigikit.cli.main(sys.argv[1:]) == 0\n"
-    "print(' '.join(sorted(m for m in sys.modules if m.startswith('rigikit'))))\n")
+    "print(' '.join(sorted(m for m in sys.modules if m.startswith('rigikit'))))\n"
+    + SHOW_HEAVY)
 
 TABLE_VERB = {"chartable", "cyclo", "modp"}
 
@@ -427,8 +432,13 @@ def test_each_verb_loads_only_its_modules(argv, loaded):
     proc = subprocess.run([sys.executable, "-c", LOADED_MODULES, *argv], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == sorted(
+    ours, heavy = proc.stdout.split("\n")[:2]
+    assert ours.split() == sorted(
         {"rigikit", "rigikit.cli"} | {"rigikit." + m for m in loaded})
+    # against `python -c pass`, so a `site` or `.pth` import does not count
+    bare = subprocess.run([sys.executable, "-c", "import sys\n" + SHOW_HEAVY], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert set(heavy.split()) <= set(bare.stdout.split())
 
 
 def test_top_level_reexports_resolve_on_use():

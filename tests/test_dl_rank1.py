@@ -1,5 +1,3 @@
-import dataclasses
-
 import pytest
 
 from rigikit.chartable import same_character_data, validate
@@ -156,8 +154,8 @@ def _with_value(fam, r, j, value):
     """The family with one table value replaced."""
     rows = [list(row) for row in fam.table.rows]
     rows[r][j] = value
-    table = dataclasses.replace(fam.table, rows=tuple(map(tuple, rows)))
-    return dataclasses.replace(fam, table=table)
+    table = fam.table._replace(rows=tuple(map(tuple, rows)))
+    return fam._replace(table=table)
 
 
 def test_theta_independence_names_distinct_values():
@@ -192,8 +190,8 @@ def test_vanishing_sum_failures_name_the_element_and_the_sum():
     for row, cls in ((("lin", 1), ("split", (0, 3))), (("cusp", 7), ("nonsplit", 7))):
         r, j = fam.label_to_row[row], fam.label_to_class[cls]
         rows[r][j] = rows[r][j].conjugate()
-    table = dataclasses.replace(fam.table, rows=tuple(map(tuple, rows)))
-    report = vanishing_sum_report(dataclasses.replace(fam, table=table))
+    table = fam.table._replace(rows=tuple(map(tuple, rows)))
+    report = vanishing_sum_report(fam._replace(table=table))
     assert not report.ok and len(report.items) == 38
     assert [(c.name, c.detail) for c in report.failures()] == [
         ("sum_split_s(0, 3)", "sum 2*E(4,1)"),

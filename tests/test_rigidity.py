@@ -176,3 +176,5 @@ def test_machine_block_format():
         "rational_c3 = no",
         "verdict = rigid-candidate",
     ]
+    with pytest.raises(AttributeError):
+        rep.verdict = "not-rigid"
