@@ -4,14 +4,18 @@ sums, double-coset value formulas, and the dual-group symmetry checks.
 
 Everything is exact. GL2 allows prime powers q >= 3; SL2 and PGL2 are
 restricted to odd primes so the four half-degree SL2 characters carry the
-classical quadratic Gauss sum of Q(zeta_q). PGL2 is derived from the GL2
-data by factoring out the center, not written down separately.
+classical quadratic Gauss sum of Q(zeta_q). Only GL2 writes character
+values (`_gl2_value`); the other two families read theirs off the GL2
+data through a map of classes and a map of rows. SL2 is the restriction:
+every SL2 row is the restriction of a GL2 row, except the two pairs of
+halves of the two restrictions that split, which are told apart on the
+unipotent classes by the Gauss sum. PGL2 is the quotient by the center.
 
-Only the tables, their power maps and the R_{T,theta} decompositions are
-written down per family. Class kinds come from element orders, torus
-elements are classed through the power map, and the dual-group data are
-read off the Lusztig series: the constituents of the R_{T,theta} that a
-semisimple class of the dual group names.
+Only the GL2 table, those maps, the power maps and the R_{T,theta}
+decompositions are written down. Class kinds come from element orders,
+torus elements are classed through the power map, and the dual-group data
+are read off the Lusztig series: the constituents of the R_{T,theta} that
+a semisimple class of the dual group names.
 """
 
 from __future__ import annotations
@@ -280,7 +284,9 @@ def _assemble(family: str, q: int, order: int, labels: List[Label],
         (size, o, {r: label_pos[power_label(lab, r)] for r in primes})
         for lab, size, o in zip(labels, sizes, orders)
     ]
-    rows = [[value(rl, cl) for cl in labels] for rl in row_labels]
+    seen: Dict[Cyclotomic, Cyclotomic] = {}  # one object per distinct value
+    rows = [[seen.setdefault(v, v) for v in (value(rl, cl) for cl in labels)]
+            for rl in row_labels]
     table, class_order, row_order = build_table_mapped(
         "%s(%d)" % (family, q), order, exponent, class_infos, rows)
     class_labels = {new: labels[old] for new, old in enumerate(class_order)}
@@ -305,137 +311,76 @@ def build_gl2(q: int) -> Rank1Family:
 
 
 # ---------------------------------------------------------------------------
-# SL2(q), q an odd prime
+# SL2(q), q an odd prime: restriction of the GL2 data
 
 
 def build_sl2(q: int) -> Rank1Family:
     p = _characteristic(q)
     if p != q or p == 2:
         raise ValueError("SL2 supports odd prime q only, got %d" % q)
-    n1, n2 = q - 1, q + 1
-    eps = _legendre(-1, q)
-    gamma = gauss_sum(q)
-    half = Fraction(1, 2)
+    h = (q - 1) // 2
 
     labels: List[Label] = [("central", 0), ("central", 1)]
-    sizes = [1, 1]
-    orders = [1, 2]
-    for tau in ("c", "d"):
-        labels.append(("unipotent", tau))
-        sizes.append((q * q - 1) // 2)
-        orders.append(q)
-    for tau in ("c", "d"):
-        labels.append(("unipotent", "z" + tau))
-        sizes.append((q * q - 1) // 2)
-        orders.append(2 * q)
-    for l in range(1, (q - 1) // 2):
-        labels.append(("split", l))
-        sizes.append(q * (q + 1))
-        orders.append(n1 // gcd(l, n1))
-    for m in range(1, (q + 1) // 2):
-        labels.append(("nonsplit", m))
-        sizes.append(q * (q - 1))
-        orders.append(n2 // gcd(m, n2))
+    labels += [("unipotent", z + tau) for z in ("", "z") for tau in ("c", "d")]
+    labels += [("split", l) for l in range(1, h)]
+    labels += [("nonsplit", m) for m in range(1, (q + 1) // 2)]
     assert len(labels) == q + 4
 
-    def unip_tau(tau: str, scalar: int) -> str:
-        # multiply the transvection parameter by `scalar`
-        flip = _legendre(scalar, q) == -1
-        base = tau[-1]
-        swapped = {"c": "d", "d": "c"}[base] if flip else base
-        return swapped
+    def gl2_rep(cls: Label) -> Label:
+        # the GL2 class holding the SL2 class; -1 is the scalar g^h
+        kind, x = cls
+        if kind == "central":
+            return ("central", x * h)
+        if kind == "unipotent":
+            return ("unipotent", h if x[0] == "z" else 0)
+        if kind == "split":
+            return ("split", (x, q - 1 - x))
+        return ("nonsplit", _nonsplit_rep(x * (q - 1), q))
+
+    # sizes and orders are GL2's; each unipotent class of GL2 splits in two
+    gl2 = {lab: (size, o) for lab, size, o in zip(*_gl2_class_list(q))}
+    sizes = [gl2[gl2_rep(lab)][0] // (2 if lab[0] == "unipotent" else 1)
+             for lab in labels]
+    orders = [gl2[gl2_rep(lab)][1] for lab in labels]
+    from_gl2 = {gl2_rep(lab): lab for lab in labels}
 
     def power_label(label: Label, r: int) -> Label:
-        kind = label[0]
-        if kind == "central":
-            return ("central", (label[1] * r) % 2)
-        if kind == "unipotent":
-            tau = label[1]
-            has_z = tau.startswith("z")
-            if r == p:
-                return ("central", (1 if has_z else 0) * (r % 2))
-            new_tau = unip_tau(tau, r)
-            new_z = has_z and r % 2 == 1
-            return ("unipotent", ("z" + new_tau) if new_z else new_tau)
-        if kind == "split":
-            e = _fold(label[1] * r, n1)
-            if e == 0:
-                return ("central", 0)
-            if e == n1 // 2:
-                return ("central", 1)
-            return ("split", e)
-        e = _fold(label[1] * r, n2)
-        if e == 0:
-            return ("central", 0)
-        if e == n2 // 2:
-            return ("central", 1)
-        return ("nonsplit", e)
+        if label[0] != "unipotent" or r % p == 0:
+            return from_gl2[_gl2_class_of_power(gl2_rep(label), r, q)]
+        # x = +-u, u a transvection: x^r = (+-1)^r u^r, and u^r lies in the
+        # class of u iff r is a square mod q
+        z, tau = label[1][:-1], label[1][-1]
+        if _legendre(r, q) == -1:
+            tau = "d" if tau == "c" else "c"
+        return ("unipotent", (z if r % 2 else "") + tau)
 
-    row_labels: List[RowLabel] = [("triv",), ("st",)]
-    for i in range(1, (q - 1) // 2):
-        row_labels.append(("prin", i))
-    for j in range(1, (q + 1) // 2):
-        row_labels.append(("disc", j))
-    row_labels += [("xi", 0), ("xi", 1), ("eta", 0), ("eta", 1)]
+    # each row is the restriction of a GL2 row, halved for xi and eta
+    gl2_row: Dict[RowLabel, RowLabel] = {("triv",): ("lin", 0),
+                                         ("st",): ("stlin", 0)}
+    gl2_row.update((("prin", i), ("prin", (0, i))) for i in range(1, h))
+    gl2_row.update((("disc", j), ("cusp", _nonsplit_rep(j, q)))
+                   for j in range(1, (q + 1) // 2))
+    xi, eta = ("prin", (0, h)), ("cusp", _nonsplit_rep((q + 1) // 2, q))
+    gl2_row.update({("xi", 0): xi, ("xi", 1): xi, ("eta", 0): eta, ("eta", 1): eta})
+
+    # the halves differ on the unipotent classes only, by the Gauss sum:
+    # (1 + sign * gamma) / 2 there, 1/2 elsewhere
+    half = cyc(Fraction(1, 2))
+    gamma = gauss_sum(q)
+    halves = {s: half * (cyc(1) + cyc(s) * gamma) for s in (1, -1)}
 
     def value(row: RowLabel, cls: Label) -> Cyclotomic:
-        kind = row[0]
-        ckind = cls[0]
-        if kind == "triv":
-            return cyc(1)
-        if kind == "st":
-            if ckind == "central":
-                return cyc(q)
-            if ckind == "unipotent":
-                return cyc(0)
-            return cyc(1) if ckind == "split" else cyc(-1)
-        if kind == "prin":
-            i = row[1]
-            if ckind == "central":
-                return cyc((q + 1) * (1 if cls[1] == 0 else (-1) ** i))
-            if ckind == "unipotent":
-                z_sign = (-1) ** i if cls[1].startswith("z") else 1
-                return cyc(z_sign)
-            if ckind == "split":
-                return zeta(n1, i * cls[1]) + zeta(n1, -i * cls[1])
-            return cyc(0)
-        if kind == "disc":
-            j = row[1]
-            if ckind == "central":
-                return cyc((q - 1) * (1 if cls[1] == 0 else (-1) ** j))
-            if ckind == "unipotent":
-                z_sign = (-1) ** j if cls[1].startswith("z") else 1
-                return cyc(-z_sign)
-            if ckind == "split":
-                return cyc(0)
-            return -(zeta(n2, j * cls[1]) + zeta(n2, -j * cls[1]))
-        if kind == "xi":
-            sign = 1 if row[1] == 0 else -1
-            if ckind == "central":
-                return cyc(Fraction(q + 1, 2) * (1 if cls[1] == 0 else eps))
-            if ckind == "unipotent":
-                tau = cls[1]
-                zf = eps if tau.startswith("z") else 1
-                gs = sign if tau.endswith("c") else -sign
-                return cyc(zf) * (cyc(half) + cyc(Fraction(gs, 2)) * gamma)
-            if ckind == "split":
-                return cyc((-1) ** cls[1])
-            return cyc(0)
-        # eta
-        sign = 1 if row[1] == 0 else -1
-        if ckind == "central":
-            return cyc(Fraction(q - 1, 2) * (1 if cls[1] == 0 else -eps))
-        if ckind == "unipotent":
-            tau = cls[1]
-            zf = -eps if tau.startswith("z") else 1
-            gs = sign if tau.endswith("c") else -sign
-            return cyc(zf) * (cyc(-half) + cyc(Fraction(gs, 2)) * gamma)
-        if ckind == "split":
-            return cyc(0)
-        return cyc(-((-1) ** cls[1]))
+        v = _gl2_value(gl2_row[row], gl2_rep(cls), q)
+        if row[0] not in ("xi", "eta"):
+            return v
+        if cls[0] != "unipotent":
+            return half * v
+        # + for xi, index 0 and class c; each of eta, 1 and d flips it
+        flips = (row[0] == "eta") + row[1] + (cls[1][-1] == "d")
+        return halves[(-1) ** flips] * v
 
     return _assemble("SL2", q, q * (q * q - 1), labels, sizes, orders,
-                     power_label, row_labels, value)
+                     power_label, list(gl2_row), value)
 
 
 # ---------------------------------------------------------------------------
@@ -467,7 +412,7 @@ def build_pgl2(q: int) -> Rank1Family:
         if kind == "central":
             return label
         if kind == "unipotent":
-            return ("central", 0) if r == p else label
+            return ("central", 0) if r % p == 0 else label
         if kind == "split":
             e = _fold(label[1] * r, n1)
             return ("central", 0) if e == 0 else ("split", e)

@@ -1,3 +1,5 @@
+from math import gcd
+
 import pytest
 
 from rigikit.chartable import same_character_data, validate
@@ -22,6 +24,7 @@ from rigikit.dl_rank1 import (
     vanishing_sum_report,
     weyl_on_torus,
 )
+from rigikit.modp import prime_factors
 from rigikit.smallgrp import group_from_spec
 
 
@@ -373,10 +376,36 @@ def test_torus_element_classes_fold_the_parameter():
                 assert torus_element_class(fam, torus, t) == fam.label_to_class[lab]
 
 
+def test_power_label_matches_orders_and_power_maps():
+    # oracle: x^r has order o / gcd(o, r), and when every prime of r divides
+    # the exponent, the class of x^r is reached by the table's prime power
+    # maps one prime at a time; r runs to twice the exponent, so through
+    # multiples of p that are not p itself
+    for name, qs in (("GL2", (4, 5, 9)), ("SL2", (3, 5, 7)), ("PGL2", (3, 5, 7))):
+        for q in qs:
+            fam = build_family(name, q)
+            classes = fam.table.classes
+            maps = [c.power_map for c in classes]
+            primes = prime_factors(fam.table.exponent)
+            for lab in fam.labels:
+                j = fam.label_to_class[lab]
+                o = classes[j].order
+                for r in range(1, 2 * fam.table.exponent + 1):
+                    got = fam.label_to_class[fam.power_label(lab, r)]
+                    assert classes[got].order == o // gcd(o, r), (name, q, lab, r)
+                    walk, rest = j, r
+                    for ell in primes:
+                        while rest % ell == 0:
+                            walk, rest = maps[walk][ell], rest // ell
+                    if rest == 1:
+                        assert got == walk, (name, q, lab, r)
+
+
 def test_generic_tables_match_dixon_oracle():
-    for spec, name, q in (("GL(2,3)", "GL2", 3), ("SL(2,5)", "SL2", 5),
-                          ("PGL(2,5)", "PGL2", 5), ("SL(2,7)", "SL2", 7),
-                          ("PGL(2,7)", "PGL2", 7)):
+    for spec, name, q in (("GL(2,3)", "GL2", 3), ("SL(2,3)", "SL2", 3),
+                          ("SL(2,5)", "SL2", 5), ("PGL(2,5)", "PGL2", 5),
+                          ("SL(2,7)", "SL2", 7), ("PGL(2,7)", "PGL2", 7),
+                          ("SL(2,13)", "SL2", 13), ("PGL(2,13)", "PGL2", 13)):
         dix = character_table_dixon(group_from_spec(spec))
         gen = build_family(name, q).table
         assert same_character_data(dix, gen), spec

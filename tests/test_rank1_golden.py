@@ -1,16 +1,20 @@
 """The full `--machine` reports of `dl --check all` and `dualsym` against a
 recorded transcript: every identity name, its order and its verdict, plus
-one summary-format report of each verb.
+one summary-format report of each verb; and the emitted CTB bytes of the
+generic rank-1 tables against recorded hashes.
 
 golden/rank1_reports.txt holds one block per command: a `$ rigikit ARGS`
 line followed by the command's exact stdout (each command exits 0).
 """
 
+import hashlib
 from pathlib import Path
 
 import pytest
 
+from rigikit.chartable import emit_ctb
 from rigikit.cli import main
+from rigikit.dl_rank1 import build_family
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "rank1_reports.txt"
 
@@ -33,3 +37,33 @@ CASES = _transcript()
 def test_rank1_machine_report(capsys, argv, expected):
     assert main(argv) == 0
     assert capsys.readouterr().out == expected
+
+
+# sha256 of emit_ctb(build_family(family, q).table)
+CTB_SHA256 = {
+    ("GL2", 3): "2640fddcf8d287ea21f2314bcad9ad7ef3b1e4bcfc6816787d5f69df1b5b89f9",
+    ("GL2", 4): "e571cd01d4a88d078f3610d55952187a29639eadcbcd51b24d261c0a8ee14186",
+    ("GL2", 5): "e9345c18abf438ebc6da3fc2b1cf939a053a64c41e3b3066dbaec00073f4647b",
+    ("GL2", 7): "63d8d64da2dd5fca36eee58afabed779de8d2c8e89763a9994ecfe72facb66a4",
+    ("GL2", 9): "8f6594dfd3a5336eb54a71573a3e28b193df19e87bbeb5b4df0b488aa0f44fc6",
+    ("GL2", 11): "c1351e210f631be5f257f3fa8a67fe7113fb6cc02c37fcc08503be8be960f644",
+    ("GL2", 13): "90d0a7f2516a8bb93f28ee4295ad19f86c61acbe14e34528c4bf4e2bbed606e3",
+    ("SL2", 3): "ea446c82933036c69ed7106c93034ac0b136a363b4c3b5bf87c32ecfcf38d1cf",
+    ("SL2", 5): "84ad3d50f926fa8814dfd031088d50df9d5a4f2f841953fa8f83e24e8132beab",
+    ("SL2", 7): "dd7f2880430da974f6097291584930106fa5bb322e1cd2365924d2641bfed948",
+    ("SL2", 11): "5494303bab7f0bc546b2814d35aebce997e4a65e458fc6c674dbe5621e916b10",
+    ("SL2", 13): "38acffb2a7858c0a6f7ebae24f9f94cf0eb72a09487b0afe951aa3c8a10e5dc8",
+    ("SL2", 17): "79920072b1a67e9afd68e881341b8a6a1f08b1136bd8960d34461e404189098f",
+    ("PGL2", 3): "441f0424ebbcbb81bfb529b16b6057e47484a15aa54366a94bdb4cbc5ef7b20b",
+    ("PGL2", 5): "8d38ccdfb2c8780a49f5ad97403734daf1f516ab52994d2267da41c0fb419e4c",
+    ("PGL2", 7): "3ad65f1f1b6ea9dde30f4e553b67d8ba260d44137f5157205042dd177b90ace0",
+    ("PGL2", 11): "57399b7f020ec9bcf5170a2e35066b97f0e62094a153ff3d216be7b6d5281df7",
+    ("PGL2", 13): "81f708d70abcf418d7a29cdbe10184498ccd7ba3cafbb4a693f0664e078fc027",
+    ("PGL2", 17): "8f7334ec1547df7369d62c222c29c3ee1e38ef973d0f90c7a716239db0632dff",
+}
+
+
+def test_rank1_ctb_bytes():
+    for (family, q), digest in CTB_SHA256.items():
+        text = emit_ctb(build_family(family, q).table)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, (family, q)
