@@ -4,24 +4,26 @@ sums, double-coset value formulas, and the dual-group symmetry checks.
 
 Everything is exact. GL2 allows prime powers q >= 3; SL2 and PGL2 are
 restricted to odd primes so the four half-degree SL2 characters carry the
-classical quadratic Gauss sum of Q(zeta_q). Only GL2 writes character
-values (`_gl2_value`); the other two families read theirs off the GL2
-data through a map of classes and a map of rows. SL2 is the restriction:
-every SL2 row is the restriction of a GL2 row, except the two pairs of
-halves of the two restrictions that split, which are told apart on the
-unipotent classes by the Gauss sum. PGL2 is the quotient by the center.
+classical quadratic Gauss sum of Q(zeta_q). Only GL2's classes, values
+and R_{T,theta} are written down; the other two families read theirs off
+the GL2 data through a map of classes and a map of rows. SL2 is the
+restriction: every SL2 row is the restriction of a GL2 row, except the two
+pairs of halves of the two restrictions that split, which are told apart
+on the unipotent classes by the Gauss sum. PGL2 is the quotient by the
+center, its classes the images of GL2's. R_{T,theta} commutes with both,
+so each family's is GL2's at a lift of theta, read through the row map.
 
-Only the GL2 table, those maps, the power maps and the R_{T,theta}
-decompositions are written down. Class kinds come from element orders,
-torus elements are classed through the power map, and the dual-group data
-are read off the Lusztig series: the constituents of the R_{T,theta} that
-a semisimple class of the dual group names.
+Class kinds come from element orders, torus elements are classed through
+the power map, and the dual-group data are read off the Lusztig series:
+the constituents of the R_{T,theta} that a semisimple class of the dual
+group names.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
+from itertools import count
 from math import gcd, lcm
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -100,6 +102,7 @@ class Rank1Family(NamedTuple):
     class_labels: Dict[int, Label]
     label_to_class: Dict[Label, int]
     label_to_row: Dict[RowLabel, int]
+    gl2_row_to_rows: Dict[RowLabel, List[int]]  # GL2 row -> rows read off it
 
     @property
     def order(self) -> int:
@@ -183,14 +186,13 @@ def _gl2_class_list(q: int):
 
 def _gl2_class_of_power(label: Label, r: int, q: int) -> Label:
     """Label of the class of x^r for x in the labelled class."""
-    p = _characteristic(q)
     n1, n2 = q - 1, q * q - 1
     kind = label[0]
     if kind == "central":
         return ("central", (label[1] * r) % n1)
     if kind == "unipotent":
         a = label[1]
-        if r % p == 0:
+        if r % _characteristic(q) == 0:
             return ("central", (a * r) % n1)
         return ("unipotent", (a * r) % n1)
     if kind == "split":
@@ -270,13 +272,15 @@ def _reduced_root_sum(n: int, a: int, b: int) -> Cyclotomic:
 
 def _assemble(family: str, q: int, order: int, labels: List[Label],
               sizes: List[int], orders: List[int], power_label,
-              row_labels: List[RowLabel], value) -> Rank1Family:
+              gl2_row: Dict[RowLabel, RowLabel], value) -> Rank1Family:
     """The canonical table of one family at q and its label maps.
 
-    `labels`, `sizes` and `orders` list the classes and `row_labels` the
-    characters, each in any order; `power_label(label, r)` labels the class
-    of x^r and `value(row label, class label)` is a character value.
+    `labels`, `sizes` and `orders` list the classes and `gl2_row` maps each
+    row label to the GL2 row it is read off, each in any order;
+    `power_label(label, r)` labels the class of x^r and `value(row label,
+    class label)` is a character value.
     """
+    row_labels = list(gl2_row)
     label_pos = {lab: i for i, lab in enumerate(labels)}
     exponent = lcm(*orders)
     primes = prime_factors(exponent)
@@ -290,11 +294,15 @@ def _assemble(family: str, q: int, order: int, labels: List[Label],
     table, class_order, row_order = build_table_mapped(
         "%s(%d)" % (family, q), order, exponent, class_infos, rows)
     class_labels = {new: labels[old] for new, old in enumerate(class_order)}
+    label_to_row = {row_labels[old]: new for new, old in enumerate(row_order)}
+    gl2_row_to_rows: Dict[RowLabel, List[int]] = {}
+    for rl in row_labels:  # builder order: xi_0 before xi_1
+        gl2_row_to_rows.setdefault(gl2_row[rl], []).append(label_to_row[rl])
     return Rank1Family(
         family=family, q=q, p=_characteristic(q), table=table,
         labels=labels, power_label=power_label, class_labels=class_labels,
         label_to_class={lab: i for i, lab in class_labels.items()},
-        label_to_row={row_labels[old]: new for new, old in enumerate(row_order)},
+        label_to_row=label_to_row, gl2_row_to_rows=gl2_row_to_rows,
     )
 
 
@@ -307,7 +315,8 @@ def build_gl2(q: int) -> Rank1Family:
     return _assemble(
         "GL2", q, q * (q - 1) * (q * q - 1), labels, sizes, orders,
         lambda lab, r: _gl2_class_of_power(lab, r, q),
-        _gl2_row_labels(q), lambda row, cls: _gl2_value(row, cls, q))
+        {rl: rl for rl in _gl2_row_labels(q)},
+        lambda row, cls: _gl2_value(row, cls, q))
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +389,7 @@ def build_sl2(q: int) -> Rank1Family:
         return halves[(-1) ** flips] * v
 
     return _assemble("SL2", q, q * (q * q - 1), labels, sizes, orders,
-                     power_label, list(gl2_row), value)
+                     power_label, gl2_row, value)
 
 
 # ---------------------------------------------------------------------------
@@ -391,71 +400,52 @@ def build_pgl2(q: int) -> Rank1Family:
     p = _characteristic(q)
     if p != q or p == 2:
         raise ValueError("PGL2 supports odd prime q only, got %d" % q)
-    n1, n2 = q - 1, q + 1
-    half1 = n1 // 2
+    n1 = q - 1
+    h1 = n1 // 2
 
-    labels: List[Label] = [("central", 0), ("unipotent",)]
-    sizes = [1, q * q - 1]
-    orders = [1, p]
-    for d in range(1, (q - 1) // 2 + 1):
-        labels.append(("split", d))
-        sizes.append(q * (q + 1) // (2 if d == half1 else 1))
-        orders.append(n1 // gcd(d, n1))
-    for m in range(1, (q + 1) // 2 + 1):
-        labels.append(("nonsplit", m))
-        sizes.append(q * (q - 1) // (2 if m == n2 // 2 else 1))
-        orders.append(n2 // gcd(m, n2))
+    def quotient(cls: Label) -> Label:
+        # the PGL2 class of a GL2 class's image: split pairs up to scalars,
+        # nonsplit exponents up to F_q^*, both up to the Weyl swap
+        kind, x = cls
+        if kind == "split":
+            return ("split", _fold(x[1] - x[0], n1))
+        if kind == "nonsplit":
+            return ("nonsplit", _fold(x, q + 1))
+        return ("central", 0) if kind == "central" else ("unipotent",)
+
+    def gl2_rep(cls: Label) -> Label:
+        # a GL2 class over the PGL2 class; torus parameters may be unreduced
+        if cls[0] == "split":
+            return ("split", (0, cls[1]))
+        return cls if cls[0] == "nonsplit" else (cls[0], 0)
+
+    sizes: Dict[Label, int] = {}  # q - 1 GL2 elements over each element
+    for lab, size in zip(*_gl2_class_list(q)[:2]):
+        image = quotient(lab)
+        sizes[image] = sizes.get(image, 0) + size
+    labels = list(sizes)
     assert len(labels) == q + 2
 
     def power_label(label: Label, r: int) -> Label:
-        kind = label[0]
-        if kind == "central":
-            return label
-        if kind == "unipotent":
-            return ("central", 0) if r % p == 0 else label
-        if kind == "split":
-            e = _fold(label[1] * r, n1)
-            return ("central", 0) if e == 0 else ("split", e)
-        e = _fold(label[1] * r, n2)
-        return ("central", 0) if e == 0 else ("nonsplit", e)
+        return quotient(_gl2_class_of_power(gl2_rep(label), r, q))
 
-    # rows: GL2 characters with trivial central character, evaluated on
-    # representatives central(0), unipotent(0), split((0,d)), nonsplit(e=m)
-    row_labels: List[RowLabel] = [("triv",), ("sgn",), ("st",), ("sgnst",)]
-    for i in range(1, (q - 1) // 2):
-        row_labels.append(("prin", i))
-    for s in range(1, (q + 1) // 2):
-        row_labels.append(("cusp", s))
-    assert len(row_labels) == q + 2
+    orders = [next(r for r in count(1) if power_label(lab, r) == ("central", 0))
+              for lab in labels]
 
-    def gl2_rep(cls: Label) -> Label:
-        if cls[0] == "central":
-            return ("central", 0)
-        if cls[0] == "unipotent":
-            return ("unipotent", 0)
-        if cls[0] == "split":
-            return ("split", (0, cls[1]))
-        return ("nonsplit", _nonsplit_rep(cls[1], q))
-
-    def gl2_row(row: RowLabel) -> RowLabel:
-        if row == ("triv",):
-            return ("lin", 0)
-        if row == ("sgn",):
-            return ("lin", half1)
-        if row == ("st",):
-            return ("stlin", 0)
-        if row == ("sgnst",):
-            return ("stlin", half1)
-        if row[0] == "prin":
-            i = row[1]
-            return ("prin", tuple(sorted((i, (n1 - i) % n1))))
-        return ("cusp", _nonsplit_rep(row[1] * n1, q))
+    # rows: the GL2 characters with trivial central character
+    gl2_row: Dict[RowLabel, RowLabel] = {
+        ("triv",): ("lin", 0), ("sgn",): ("lin", h1),
+        ("st",): ("stlin", 0), ("sgnst",): ("stlin", h1)}
+    gl2_row.update((("prin", i), ("prin", (i, n1 - i))) for i in range(1, h1))
+    gl2_row.update((("cusp", s), ("cusp", _nonsplit_rep(s * n1, q)))
+                   for s in range(1, (q + 1) // 2))
 
     def value(row: RowLabel, cls: Label) -> Cyclotomic:
-        return _gl2_value(gl2_row(row), gl2_rep(cls), q)
+        return _gl2_value(gl2_row[row], gl2_rep(cls), q)
 
-    return _assemble("PGL2", q, q * (q * q - 1), labels, sizes, orders,
-                     power_label, row_labels, value)
+    return _assemble("PGL2", q, q * (q * q - 1), labels,
+                     [size // n1 for size in sizes.values()], orders,
+                     power_label, gl2_row, value)
 
 
 def build_family(family: str, q: int) -> Rank1Family:
@@ -517,47 +507,34 @@ def weyl_on_torus(fam: Rank1Family, torus: str, t):
     return (t[1], t[0]) if torus == "split" else (t * fam.q) % n
 
 
-# (family, torus) -> (row kind of the regular thetas, constituents with
-# coefficients at the theta of order 2); the sign of R_{T,theta} is +1 on
-# the split torus and -1 on the nonsplit one
-_RANK1_DL_ROWS = {
-    ("SL2", "split"): ("prin", ((("xi", 0), 1), (("xi", 1), 1))),
-    ("SL2", "nonsplit"): ("disc", ((("eta", 0), -1), (("eta", 1), -1))),
-    ("PGL2", "split"): ("prin", ((("sgn",), 1), (("sgnst",), 1))),
-    ("PGL2", "nonsplit"): ("cusp", ((("sgn",), 1), (("sgnst",), -1))),
-}
+def _gl2_dl(q: int, torus: str, theta) -> Dict[RowLabel, int]:
+    """R_{T,theta} of GL2(q) as GL2 row labels with coefficients; the sign
+    is +1 on the split torus and -1 on the nonsplit one."""
+    n1 = q - 1
+    if torus == "split":
+        i, j = theta[0] % n1, theta[1] % n1
+        if i == j:
+            return {("lin", i): 1, ("stlin", i): 1}
+        return {("prin", (min(i, j), max(i, j))): 1}
+    e = theta % (q * q - 1)
+    if e % (q + 1) == 0:
+        k = e // (q + 1) % n1
+        return {("lin", k): 1, ("stlin", k): -1}
+    return {("cusp", _nonsplit_rep(e, q)): -1}
 
 
 def dl_character(fam: Rank1Family, torus: str, theta) -> DLCharacter:
-    """Decomposition of the Deligne-Lusztig virtual character R_{T,theta}."""
-    q = fam.q
-    n1 = q - 1
-    row = fam.label_to_row
-    if fam.family == "GL2":
-        if torus == "split":
-            i, j = theta[0] % n1, theta[1] % n1
-            if i == j:
-                dec = {row[("lin", i)]: 1, row[("stlin", i)]: 1}
-            else:
-                dec = {row[("prin", (min(i, j), max(i, j)))]: 1}
-        else:
-            e = theta % (q * q - 1)
-            if e % (q + 1) == 0:
-                k = e // (q + 1) % n1
-                dec = {row[("lin", k)]: 1, row[("stlin", k)]: -1}
-            else:
-                dec = {row[("cusp", _nonsplit_rep(e, q))]: -1}
-        return DLCharacter(torus=torus, theta=theta, decomposition=dec)
-    regular_kind, order_two = _RANK1_DL_ROWS[fam.family, torus]
-    sign = 1 if torus == "split" else -1
-    n = _torus_modulus(fam, torus)
-    i = _fold(theta, n)
-    if i == 0:
-        dec = {row[("triv",)]: 1, row[("st",)]: sign}
-    elif i == n // 2:
-        dec = {row[lab]: c for lab, c in order_two}
-    else:
-        dec = {row[(regular_kind, i)]: sign}
+    """Decomposition of the Deligne-Lusztig virtual character R_{T,theta}:
+    GL2's at a lift of theta, each GL2 row replaced by the rows read off it.
+    SL2's theta is folded first, so the lift's rows are in the row map."""
+    lift = theta
+    if fam.family == "SL2":
+        i = _fold(theta, _torus_modulus(fam, torus))
+        lift = (i, 0) if torus == "split" else i
+    elif fam.family == "PGL2":
+        lift = (theta, -theta) if torus == "split" else theta * (fam.q - 1)
+    dec = {r: c for label, c in _gl2_dl(fam.q, torus, lift).items()
+           for r in fam.gl2_row_to_rows[label]}
     return DLCharacter(torus=torus, theta=theta, decomposition=dec)
 
 
@@ -899,38 +876,38 @@ def dual_symmetry_report(famG: Rank1Family, famGstar: Rank1Family,
             out = scaled[c, v] = cyc(c) * v
         return out
 
+    def rows_of(d: DualSemisimpleDatum) -> Tuple[int, ...]:
+        return d.reg_rows if regular else d.ss_rows
+
+    def eps(family: str, label: Label) -> int:
+        return eps_centralizer(family, label[0]) if regular else 1
+
     items: List[CheckResult] = []
     for d in data_t:
-        rows = d.reg_rows if regular else d.ss_rows
-        if not _constituents_agree_on_semisimple(famG, rows):
+        if not _constituents_agree_on_semisimple(famG, rows_of(d)):
             items.append(CheckResult(
                 "constituents_%s" % (d.dual_label,), False,
                 "constituents differ on a semisimple class"))
+    # per t: its name, its character's row, eps * |C(t)|_{p'}, its class
+    per_t = [(str(dt.dual_label), famG.table.rows[rows_of(dt)[0]],
+              eps(famGstar.family, dt.dual_label) * dt.centralizer_pprime,
+              dt.dual_class_index) for dt in data_t]
     for s_class in famG.semisimple_class_indices():
         ds = by_class_s.get(s_class)
         if ds is None:
             items.append(CheckResult("pairing_s%d" % s_class, False,
                                      "no dual datum matches class %d" % s_class))
             continue
-        cent_s = famG.centralizer_pprime(s_class)
-        eps_s = eps_centralizer(famG.family, famG.class_labels[s_class][0]) \
-            if regular else 1
-        for dt in data_t:
-            rows_t = dt.reg_rows if regular else dt.ss_rows
-            rows_s = ds.reg_rows if regular else ds.ss_rows
-            eps_t = eps_centralizer(famGstar.family, dt.dual_label[0]) \
-                if regular else 1
-            lhs = scale(eps_t * dt.centralizer_pprime,
-                        famG.table.rows[rows_t[0]][s_class])
-            rhs = scale(eps_s * cent_s,
-                        famGstar.table.rows[rows_s[0]][dt.dual_class_index])
-            name = "sym%s_s=%s_t=%s" % (
-                "_reg" if regular else "",
-                famG.table.classes[s_class].name, dt.dual_label)
+        c_s = eps(famG.family, famG.class_labels[s_class]) \
+            * famG.centralizer_pprime(s_class)
+        row_s = famGstar.table.rows[rows_of(ds)[0]]
+        prefix = "sym%s_s=%s_t=" % ("_reg" if regular else "",
+                                    famG.table.classes[s_class].name)
+        for t_name, row_t, c_t, t_class in per_t:
+            lhs, rhs = scale(c_t, row_t[s_class]), scale(c_s, row_s[t_class])
             ok = lhs == rhs
-            items.append(CheckResult(
-                name, ok,
-                "" if ok else "lhs %s, rhs %s" % (lhs, rhs)))
+            items.append(CheckResult(prefix + t_name, ok,
+                                     "" if ok else "lhs %s, rhs %s" % (lhs, rhs)))
     title = "dual symmetry (%s)" % ("regular characters" if regular
                                     else "semisimple characters")
     return CheckReport(title, tuple(items))

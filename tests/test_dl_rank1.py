@@ -409,3 +409,92 @@ def test_generic_tables_match_dixon_oracle():
         dix = character_table_dixon(group_from_spec(spec))
         gen = build_family(name, q).table
         assert same_character_data(dix, gen), spec
+
+
+# The hand-written PGL2 class data and SL2/PGL2 R_{T,theta} tables that the
+# builders once carried, kept here as the oracle for the versions read off
+# GL2's classes and GL2's R_{T,theta}.
+
+
+def _pgl2_reference_classes(q):
+    """Labels, sizes, orders and power map of PGL2(q), written by hand."""
+    n1, n2 = q - 1, q + 1
+    labels, sizes, orders = [("central", 0), ("unipotent",)], [1, q * q - 1], [1, q]
+    for d in range(1, (q - 1) // 2 + 1):
+        labels.append(("split", d))
+        sizes.append(q * (q + 1) // (2 if d == n1 // 2 else 1))
+        orders.append(n1 // gcd(d, n1))
+    for m in range(1, (q + 1) // 2 + 1):
+        labels.append(("nonsplit", m))
+        sizes.append(q * (q - 1) // (2 if m == n2 // 2 else 1))
+        orders.append(n2 // gcd(m, n2))
+
+    def power_label(label, r):
+        kind = label[0]
+        if kind == "central":
+            return label
+        if kind == "unipotent":
+            return ("central", 0) if r % q == 0 else label
+        n = n1 if kind == "split" else n2
+        e = min(label[1] * r % n, -label[1] * r % n)
+        return ("central", 0) if e == 0 else (kind, e)
+
+    return labels, sizes, orders, power_label
+
+
+# (family, torus) -> (row kind of the regular thetas, constituents with
+# coefficients at the theta of order 2); the sign of R_{T,theta} is +1 on
+# the split torus and -1 on the nonsplit one
+_REFERENCE_DL_ROWS = {
+    ("SL2", "split"): ("prin", ((("xi", 0), 1), (("xi", 1), 1))),
+    ("SL2", "nonsplit"): ("disc", ((("eta", 0), -1), (("eta", 1), -1))),
+    ("PGL2", "split"): ("prin", ((("sgn",), 1), (("sgnst",), 1))),
+    ("PGL2", "nonsplit"): ("cusp", ((("sgn",), 1), (("sgnst",), -1))),
+}
+
+
+def _reference_dl(family, q, torus, theta):
+    """R_{T,theta} as (row label, coefficient) pairs, in the order listed."""
+    regular_kind, order_two = _REFERENCE_DL_ROWS[family, torus]
+    sign = 1 if torus == "split" else -1
+    n = q - 1 if torus == "split" else q + 1
+    i = min(theta % n, -theta % n)
+    if i == 0:
+        return [(("triv",), 1), (("st",), sign)]
+    if i == n // 2:
+        return list(order_two)
+    return [((regular_kind, i), sign)]
+
+
+ODD_PRIMES_TO_31 = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+
+
+@pytest.mark.parametrize("q", ODD_PRIMES_TO_31)
+def test_pgl2_classes_read_off_gl2_match_the_hand_written_ones(q):
+    fam = build_family("PGL2", q)
+    labels, sizes, orders, power_label = _pgl2_reference_classes(q)
+    assert fam.labels == labels
+    classes = [fam.table.classes[fam.label_to_class[lab]] for lab in labels]
+    assert [c.size for c in classes] == sizes
+    assert [c.order for c in classes] == orders
+    for lab in labels:
+        for r in range(2 * fam.table.exponent + 1):
+            assert fam.power_label(lab, r) == power_label(lab, r), (lab, r)
+    for torus in ("split", "nonsplit"):
+        n = q - 1 if torus == "split" else q + 1
+        for t in range(-n, 2 * n):  # unreduced parameters too
+            assert torus_element_class(fam, torus, t) == \
+                fam.label_to_class[power_label((torus, t), 1)], (torus, t)
+
+
+@pytest.mark.parametrize("q", ODD_PRIMES_TO_31)
+@pytest.mark.parametrize("family", ("SL2", "PGL2"))
+def test_dl_read_off_gl2_matches_the_hand_written_rows(family, q):
+    fam = build_family(family, q)
+    row_label = {r: lab for lab, r in fam.label_to_row.items()}
+    for torus in ("split", "nonsplit"):
+        n = q - 1 if torus == "split" else q + 1
+        for theta in range(-n, 2 * n):  # every theta, unreduced ones too
+            dl = dl_character(fam, torus, theta)
+            assert [(row_label[r], c) for r, c in dl.decomposition.items()] \
+                == _reference_dl(family, q, torus, theta), (torus, theta)

@@ -54,12 +54,20 @@ CTB_SHA256 = {
     ("SL2", 11): "5494303bab7f0bc546b2814d35aebce997e4a65e458fc6c674dbe5621e916b10",
     ("SL2", 13): "38acffb2a7858c0a6f7ebae24f9f94cf0eb72a09487b0afe951aa3c8a10e5dc8",
     ("SL2", 17): "79920072b1a67e9afd68e881341b8a6a1f08b1136bd8960d34461e404189098f",
+    ("SL2", 19): "48df6a5c732161c9dd0d8583acf17eacc1ea92a468c0e18f6d4acc14512b871a",
+    ("SL2", 23): "fbf47aaf7efadc10368906294637c351f1b06119a2f880d68fc746f773056a22",
+    ("SL2", 29): "b6a415372ba43ad54e76a4e3c123393777111d6f569866ad457af7bb8f52c7de",
+    ("SL2", 31): "94f0cf13a38a274fddce9d0b63fcd0ef69c926d8db18f9626550d3aaff8483dd",
     ("PGL2", 3): "441f0424ebbcbb81bfb529b16b6057e47484a15aa54366a94bdb4cbc5ef7b20b",
     ("PGL2", 5): "8d38ccdfb2c8780a49f5ad97403734daf1f516ab52994d2267da41c0fb419e4c",
     ("PGL2", 7): "3ad65f1f1b6ea9dde30f4e553b67d8ba260d44137f5157205042dd177b90ace0",
     ("PGL2", 11): "57399b7f020ec9bcf5170a2e35066b97f0e62094a153ff3d216be7b6d5281df7",
     ("PGL2", 13): "81f708d70abcf418d7a29cdbe10184498ccd7ba3cafbb4a693f0664e078fc027",
     ("PGL2", 17): "8f7334ec1547df7369d62c222c29c3ee1e38ef973d0f90c7a716239db0632dff",
+    ("PGL2", 19): "81ed08fc6cfbbc5e09c93322a7aac0fc485e3bb14d828bf33f1cf8d47f8047a7",
+    ("PGL2", 23): "09fcf9a8ec8386c59a7709f32afdde9a7319ace56de7b39915eb099e3b9b353c",
+    ("PGL2", 29): "d3cb1ffbbbf06522c376389cc8a0a00b02dfbc8d5ef6ee00a3de65cc9552d5ed",
+    ("PGL2", 31): "abd1d132a884021d523df745a48a25695ef8a35c05e29484a9531130ca353601",
 }
 
 
