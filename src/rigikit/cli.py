@@ -129,8 +129,8 @@ def cmd_structconst(args) -> int:
     from . import rigidity
     table = _load_table(args.table)
     triple = _resolve_classes(table, args.classes)
-    n = rigidity.frobenius_count(table, triple)
-    f = rigidity.nontrivial_sum(table, triple)
+    report = rigidity.rigidity_verdict(table, triple)  # one character sum
+    n, f = report.triple_count, report.f_value
     if args.machine:
         print("N = %d" % n)
         print("f = %s" % f)

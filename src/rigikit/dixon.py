@@ -88,8 +88,6 @@ def _class_constants(group: FiniteGroup, classes, class_of):
 def class_constants(group: FiniteGroup) -> List[List[List[int]]]:
     """a[i][j][k] = #{(x, y) in C_i x C_j : x*y = z_k} for fixed reps z_k,
     classes in table order."""
-    if not group.elements:
-        raise ValueError("group is not enumerated")
     return _class_constants(group, *_ordered_classes(group))[0]
 
 
@@ -129,8 +127,6 @@ def character_table_dixon(group: FiniteGroup) -> CharacterTable:
 def character_table_dixon_mapped(group: FiniteGroup):
     """(table, class map): class map sends each table class index to the
     corresponding enumerated conjugacy class of the group."""
-    if not group.elements:
-        raise ValueError("group is not enumerated")
     classes, class_of = _ordered_classes(group)
     k = len(classes)
     order = group.order

@@ -3,15 +3,19 @@ with Deligne-Lusztig virtual characters, Green functions, torus-character
 sums, double-coset value formulas, and the dual-group symmetry checks.
 
 Everything is exact. GL2 allows prime powers q >= 3; SL2 and PGL2 are
-restricted to odd primes so the four half-degree SL2 characters carry the
-classical quadratic Gauss sum of Q(zeta_q). Only GL2's classes, values
-and R_{T,theta} are written down; the other two families read theirs off
-the GL2 data through a map of classes and a map of rows. SL2 is the
-restriction: every SL2 row is the restriction of a GL2 row, except the two
-pairs of halves of the two restrictions that split, which are told apart
-on the unipotent classes by the Gauss sum. PGL2 is the quotient by the
-center, its classes the images of GL2's. R_{T,theta} commutes with both,
-so each family's is GL2's at a lift of theta, read through the row map.
+restricted to odd primes so the four half-degree SL2 characters carry
+the classical quadratic Gauss sum of Q(zeta_q). Only GL2's classes,
+values and R_{T,theta} are written down. On z u, z central and u = 1 or
+a transvection, a GL2 character is its central character at z times its
+degree or its transvection value; a Steinberg row is a linear row times
+St; only the torus columns take a formula per row kind. The other two
+families read theirs off the GL2 data through a map of classes and a map
+of rows. SL2 is the restriction: every SL2 row is the restriction of a
+GL2 row, except the two pairs of halves of the two restrictions that
+split, which are told apart on the unipotent classes by the Gauss sum.
+PGL2 is the quotient by the center, its classes the images of GL2's.
+R_{T,theta} commutes with both, so each family's is GL2's at a lift of
+theta, read through the row map.
 
 Class kinds come from element orders, torus elements are classed through
 the power map, and the dual-group data are read off the Lusztig series:
@@ -216,48 +220,24 @@ def _gl2_row_labels(q: int) -> List[RowLabel]:
 
 
 def _gl2_value(row: RowLabel, cls: Label, q: int) -> Cyclotomic:
-    n1, n2 = q - 1, q * q - 1
-    kind, rk = cls[0], row[0]
-    if rk == "lin":
-        k = row[1]
-        if kind == "central":
-            return zeta(n1, 2 * k * cls[1])
-        if kind == "unipotent":
-            return zeta(n1, 2 * k * cls[1])
-        if kind == "split":
-            a, b = cls[1]
-            return zeta(n1, k * (a + b))
-        return zeta(n1, k * cls[1])  # alpha(norm), norm exponent = e
-    if rk == "stlin":
-        k = row[1]
-        if kind == "central":
-            return cyc(q) * zeta(n1, 2 * k * cls[1])
-        if kind == "unipotent":
-            return cyc(0)
-        if kind == "split":
-            a, b = cls[1]
-            return zeta(n1, k * (a + b))
-        return -zeta(n1, k * cls[1])
+    (rk, k), (kind, x) = row, cls
+    if rk == "stlin":  # lin times the Steinberg character
+        steinberg = {"central": q, "unipotent": 0, "split": 1, "nonsplit": -1}
+        return steinberg[kind] * _gl2_value(("lin", k), cls, q)
+    if kind in ("central", "unipotent"):
+        # z u, z = g^x central: the central character at z, zeta^(c x), times
+        # the degree (u = 1) or the value at a transvection u
+        c = 2 * k if rk == "lin" else sum(k) if rk == "prin" else k
+        degree, transvection = {"lin": (1, 1), "prin": (q + 1, 1), "cusp": (q - 1, -1)}[rk]
+        return (degree if kind == "central" else transvection) * zeta(q - 1, c * x)
+    if rk == "lin":  # alpha(det); a nonsplit e has det g^e
+        return zeta(q - 1, k * (sum(x) if kind == "split" else x))
+    if (rk == "prin") != (kind == "split"):
+        return ZERO  # prin vanishes off the split torus, cusp off the nonsplit
     if rk == "prin":
-        i, j = row[1]
-        if kind == "central":
-            return cyc(q + 1) * zeta(n1, (i + j) * cls[1])
-        if kind == "unipotent":
-            return zeta(n1, (i + j) * cls[1])
-        if kind == "split":
-            a, b = cls[1]
-            return _root_sum(n1, i * a + j * b, j * a + i * b)
-        return cyc(0)
-    # cuspidal, parameter e0 with values through zeta_{q^2-1}
-    e0 = row[1]
-    if kind == "central":
-        return cyc(q - 1) * zeta(n1, e0 * cls[1])
-    if kind == "unipotent":
-        return -zeta(n1, e0 * cls[1])
-    if kind == "split":
-        return cyc(0)
-    e = cls[1]
-    return -_root_sum(n2, e0 * e, e0 * e * q)
+        (i, j), (a, b) = k, x
+        return _root_sum(q - 1, i * a + j * b, j * a + i * b)
+    return -_root_sum(q * q - 1, k * x, k * x * q)
 
 
 def _root_sum(n: int, a: int, b: int) -> Cyclotomic:

@@ -201,20 +201,17 @@ class FiniteGroup:
     `tuple.index`."""
 
     def __init__(self, kind: str, n: int, p: int, generators: Tuple[GroupElement, ...],
-                 elements: Optional[List[GroupElement]] = None,
-                 index: Optional[Dict] = None, right: Optional[List[array]] = None,
-                 parent: Optional[array] = None, via: Optional[array] = None,
-                 classes: Optional[List[ConjugacyClass]] = None):
+                 elements: List[GroupElement], index: Dict, right: List[array],
+                 parent: array, via: array):
         self.kind = kind  # SL | GL | SO | PSL | PGL, or "subgroup of GL" / "subgroup of PGL"
         self.n, self.p, self.generators = n, p, generators
-        self.elements = [] if elements is None else elements
-        self.index = {} if index is None else index  # canonical key -> position
+        self.elements = elements
+        self.index = index  # canonical key -> position
         # right[g][u] = position of elements[u] * generators[g]
-        self.right = [] if right is None else right
+        self.right = right
         # breadth-first tree: elements[u] = elements[parent[u]] * generators[via[u]]
-        self.parent = array("i") if parent is None else parent
-        self.via = array("i") if via is None else via
-        self.classes = classes
+        self.parent, self.via = parent, via
+        self.classes: Optional[List[ConjugacyClass]] = None
 
     @property
     def order(self) -> int:
@@ -274,17 +271,14 @@ def conjugacy_classes(group: FiniteGroup) -> List[ConjugacyClass]:
     """Partition the enumerated group, on positions: x -> g^-1 x g is
     right[g][left(g^-1)[x]], g^-1 the position u with u g = 1.
     Representatives are enumeration-least. Each class keeps the positions
-    of its representative's powers, walked by one product per power unless
-    the representative is a power of an earlier one (a cyclic group takes
-    |G| products); `dixon` reads inverse classes and power maps off them."""
+    of its representative's powers, walked by one product per power (the
+    sum of the class orders in all); `dixon` reads inverse classes and
+    power maps off them."""
     if group.classes is not None:
         return group.classes
-    if not group.elements:
-        raise ValueError("group has no enumerated elements")
     conj = [(r, group.left(r.index(0))) for r in group.right]
     index = group.index
     class_of = [-1] * len(group.elements)
-    walked = [None] * len(class_of)  # u -> (powers of a walked r, s) with u = r^s
     classes: List[ConjugacyClass] = []
     for start, rep in enumerate(group.elements):
         if class_of[start] >= 0:
@@ -299,22 +293,14 @@ def conjugacy_classes(group: FiniteGroup) -> List[ConjugacyClass]:
                     class_of[y] = cls_no
                     members.append(y)
         members.sort()
-        if walked[start]:  # rep = r^s, r an earlier representative
-            base, s = walked[start]
-            m = len(base)
-            powers = tuple(base[s * t % m] for t in range(m // gcd(m, s)))
-        else:
-            powers, x, u = [0], rep, start
-            while u:
-                powers.append(u)
-                x = x * rep
-                u = index[x.key]
-            powers = tuple(powers)
-            for s, u in enumerate(powers):
-                walked[u] = walked[u] or (powers, s)
+        powers, x, u = [0], rep, start
+        while u:
+            powers.append(u)
+            x = x * rep
+            u = index[x.key]
         classes.append(ConjugacyClass(
             rep=rep, size=len(members), order=len(powers),
-            indices=tuple(members), powers=powers))
+            indices=tuple(members), powers=tuple(powers)))
     group.classes = classes
     return classes
 

@@ -3,10 +3,14 @@ from math import gcd
 import pytest
 
 from rigikit.chartable import same_character_data, validate
-from rigikit.cyclo import cyc
+from rigikit.cyclo import cyc, zeta
 from rigikit.dixon import character_table_dixon
 from rigikit.dl_rank1 import (
     IdentityViolation,
+    _gl2_class_list,
+    _gl2_row_labels,
+    _gl2_value,
+    _root_sum,
     build_family,
     coset_values_report,
     dl_character,
@@ -411,9 +415,10 @@ def test_generic_tables_match_dixon_oracle():
         assert same_character_data(dix, gen), spec
 
 
-# The hand-written PGL2 class data and SL2/PGL2 R_{T,theta} tables that the
-# builders once carried, kept here as the oracle for the versions read off
-# GL2's classes and GL2's R_{T,theta}.
+# The hand-written PGL2 class data, SL2/PGL2 R_{T,theta} tables and GL2
+# values (one formula per row kind and class kind) that the builders once
+# carried, kept here as the oracle for the versions read off GL2's classes,
+# GL2's R_{T,theta} and GL2's structure.
 
 
 def _pgl2_reference_classes(q):
@@ -498,3 +503,57 @@ def test_dl_read_off_gl2_matches_the_hand_written_rows(family, q):
             dl = dl_character(fam, torus, theta)
             assert [(row_label[r], c) for r, c in dl.decomposition.items()] \
                 == _reference_dl(family, q, torus, theta), (torus, theta)
+
+
+def _gl2_reference_value(row, cls, q):
+    """The GL2 value written out for each (row kind, class kind) pair."""
+    n1, n2 = q - 1, q * q - 1
+    kind, rk = cls[0], row[0]
+    if rk == "lin":
+        k = row[1]
+        if kind == "central":
+            return zeta(n1, 2 * k * cls[1])
+        if kind == "unipotent":
+            return zeta(n1, 2 * k * cls[1])
+        if kind == "split":
+            a, b = cls[1]
+            return zeta(n1, k * (a + b))
+        return zeta(n1, k * cls[1])
+    if rk == "stlin":
+        k = row[1]
+        if kind == "central":
+            return cyc(q) * zeta(n1, 2 * k * cls[1])
+        if kind == "unipotent":
+            return cyc(0)
+        if kind == "split":
+            a, b = cls[1]
+            return zeta(n1, k * (a + b))
+        return -zeta(n1, k * cls[1])
+    if rk == "prin":
+        i, j = row[1]
+        if kind == "central":
+            return cyc(q + 1) * zeta(n1, (i + j) * cls[1])
+        if kind == "unipotent":
+            return zeta(n1, (i + j) * cls[1])
+        if kind == "split":
+            a, b = cls[1]
+            return _root_sum(n1, i * a + j * b, j * a + i * b)
+        return cyc(0)
+    e0 = row[1]
+    if kind == "central":
+        return cyc(q - 1) * zeta(n1, e0 * cls[1])
+    if kind == "unipotent":
+        return -zeta(n1, e0 * cls[1])
+    if kind == "split":
+        return cyc(0)
+    e = cls[1]
+    return -_root_sum(n2, e0 * e, e0 * e * q)
+
+
+@pytest.mark.parametrize("q", (3, 4, 5, 7, 8, 9, 11, 13, 16))
+def test_gl2_values_match_the_case_by_case_table(q):
+    classes = _gl2_class_list(q)[0]
+    for row in _gl2_row_labels(q):
+        for cls in classes:
+            assert _gl2_value(row, cls, q) == _gl2_reference_value(row, cls, q), \
+                (row, cls)

@@ -45,9 +45,12 @@ CTB_SHA256 = {
     ("GL2", 4): "e571cd01d4a88d078f3610d55952187a29639eadcbcd51b24d261c0a8ee14186",
     ("GL2", 5): "e9345c18abf438ebc6da3fc2b1cf939a053a64c41e3b3066dbaec00073f4647b",
     ("GL2", 7): "63d8d64da2dd5fca36eee58afabed779de8d2c8e89763a9994ecfe72facb66a4",
+    ("GL2", 8): "8dd2b59fab368db9c355da0d12524e80ba207d74532d8dc017365393c3dc53ff",
     ("GL2", 9): "8f6594dfd3a5336eb54a71573a3e28b193df19e87bbeb5b4df0b488aa0f44fc6",
     ("GL2", 11): "c1351e210f631be5f257f3fa8a67fe7113fb6cc02c37fcc08503be8be960f644",
     ("GL2", 13): "90d0a7f2516a8bb93f28ee4295ad19f86c61acbe14e34528c4bf4e2bbed606e3",
+    ("GL2", 16): "931eddcc87d383925896571515874b501ab40173b6566c612abb20c7440ad44c",
+    ("GL2", 17): "1e681229e8b2e483274984e595f34732756c03dffd6546e488f05c00064a147c",
     ("SL2", 3): "ea446c82933036c69ed7106c93034ac0b136a363b4c3b5bf87c32ecfcf38d1cf",
     ("SL2", 5): "84ad3d50f926fa8814dfd031088d50df9d5a4f2f841953fa8f83e24e8132beab",
     ("SL2", 7): "dd7f2880430da974f6097291584930106fa5bb322e1cd2365924d2641bfed948",
