@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from itertools import count
 from math import gcd, lcm
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -163,29 +162,33 @@ def _nonsplit_reps(q: int) -> List[int]:
 
 def _gl2_class_list(q: int):
     """Labels, sizes, orders, in a fixed construction order."""
-    p = _characteristic(q)
     n1, n2 = q - 1, q * q - 1
     labels: List[Label] = []
     sizes: List[int] = []
-    orders: List[int] = []
     for a in range(n1):
         labels.append(("central", a))
         sizes.append(1)
-        orders.append(n1 // gcd(a, n1))
     for a in range(n1):
         labels.append(("unipotent", a))
         sizes.append(n2)
-        orders.append(p * (n1 // gcd(a, n1)))
     for a in range(n1):
         for b in range(a + 1, n1):
             labels.append(("split", (a, b)))
             sizes.append(q * (q + 1))
-            orders.append(lcm(n1 // gcd(a, n1), n1 // gcd(b, n1)))
     for r in _nonsplit_reps(q):
         labels.append(("nonsplit", r))
         sizes.append(q * (q - 1))
-        orders.append(n2 // gcd(r, n2))
-    return labels, sizes, orders
+    return labels, sizes, [_gl2_order(lab, q) for lab in labels]
+
+
+def _gl2_order(label: Label, q: int) -> int:
+    """Order of an element of the labelled GL2 class."""
+    n1, (kind, x) = q - 1, label
+    if kind == "split":
+        return lcm(n1 // gcd(x[0], n1), n1 // gcd(x[1], n1))
+    if kind == "nonsplit":
+        return (q * q - 1) // gcd(x, q * q - 1)
+    return n1 // gcd(x, n1) * (_characteristic(q) if kind == "unipotent" else 1)
 
 
 def _gl2_class_of_power(label: Label, r: int, q: int) -> Label:
@@ -409,8 +412,16 @@ def build_pgl2(q: int) -> Rank1Family:
     def power_label(label: Label, r: int) -> Label:
         return quotient(_gl2_class_of_power(gl2_rep(label), r, q))
 
-    orders = [next(r for r in count(1) if power_label(lab, r) == ("central", 0))
-              for lab in labels]
+    def order(label: Label) -> int:
+        # x^r is central for the GL2 order r of x: divide out primes while
+        # the power stays central
+        r = _gl2_order(gl2_rep(label), q)
+        for ell in prime_factors(r):
+            while r % ell == 0 and power_label(label, r // ell) == ("central", 0):
+                r //= ell
+        return r
+
+    orders = [order(lab) for lab in labels]
 
     # rows: the GL2 characters with trivial central character
     gl2_row: Dict[RowLabel, RowLabel] = {

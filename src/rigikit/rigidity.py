@@ -31,11 +31,22 @@ class InconsistentTableError(ValueError):
     pass
 
 
+def _degree(no: int, row: Sequence[Cyclotomic]) -> Fraction:
+    """The degree of character row `no` (0-based), which must be a
+    positive integer."""
+    d = row[0]
+    if not d.is_rational() or d.to_rational() <= 0 or d.to_rational().denominator != 1:
+        raise InconsistentTableError(
+            "character row %d has degree %s, not a positive integer"
+            % (no + 1, format_value(d)))
+    return d.to_rational()
+
+
 def _character_sum(table: CharacterTable, indices: Sequence[int]) -> Cyclotomic:
     r = len(indices)
     return linear_sum(
-        (row[0].to_rational() ** (2 - r), reduce(mul, map(row.__getitem__, indices)))
-        for row in table.rows)
+        (_degree(no, row) ** (2 - r), reduce(mul, map(row.__getitem__, indices)))
+        for no, row in enumerate(table.rows))
 
 
 def _count(table: CharacterTable, indices: Sequence[int], total: Cyclotomic) -> int:

@@ -7,15 +7,21 @@ the code sum v_i p^(n-1-i). `closure`, `class_orbit` and
 `direct_triple_count` multiply on these codes through lazily filled tables,
 the "grease" tables of Parker's Meat-Axe (Computational Group Theory,
 Durham 1982): x g takes T_g[r] for each row code r of x, where
-T_g[c] = code(v g), and g x g^-1 also maps the columns through
-L_g[c] = code(g v). Tables grow with the rows met, never to p^n entries.
+T_g[c] = code(v g). A left factor needs no transpose: row i of g y is
+sum_j g_ij y_j, so a left plan maps each row of g y from the rows of y it
+reads (a lone row passes through or is scaled; several read a table keyed
+on their codes). Tables grow with the rows met, never to p^n entries.
+`_RowCodes.images` applies these tables to a whole breadth-first level at
+once, one row position at a time.
 
-`closure` enumerates a group breadth-first, in a deterministic order, and
-keeps one right-multiplication position array per generator and its search
-tree (Schreier vectors: Holt, Eick and O'Brien, Handbook of Computational
-Group Theory, ch. 4). Left multiplications are read off the tree, so
-conjugacy classes run on positions; their only products walk the powers
-of class representatives.
+`closure` enumerates a group breadth-first, level by level, in a
+deterministic order, and keeps the key of each position, one
+right-multiplication position array per generator and its search tree
+(Schreier vectors: Holt, Eick and O'Brien, Handbook of Computational Group
+Theory, ch. 4). No `GroupElement` is kept per position: `elements` builds
+one when it is indexed. Left multiplications are read off the tree, so
+conjugacy classes run on positions; only their representatives are built,
+and their powers are walked on row codes.
 
 `direct_triple_count` takes no inverses: for z in C3, x^-1 z^-1 lies in C2
 iff its inverse z x, and so its conjugate x z, lies in C2^-1. Quadratic
@@ -26,9 +32,11 @@ so the lemma drivers test x z with `is_quadratic_unipotent` itself.
 from __future__ import annotations
 
 from array import array
+from collections.abc import Sequence as SequenceABC
 from math import gcd
 from operator import mul
-from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import (
+    Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple)
 
 from .modp import (
     is_prime, mat_add_scalar, mat_det, mat_inv, mat_mul, mat_pow, mat_rank, primitive_root)
@@ -130,7 +138,6 @@ class _RowCodes:
     def __init__(self, n: int, p: int, projective: bool):
         self.n, self.p, self.projective = n, p, projective
         self.digits = _Lazy(lambda c: tuple(c // p ** (n - 1 - i) % p for i in range(n)))
-        self.code = _Lazy(lambda v: _row_code(v, p))
         # projective rescaling: c -> inverse of the first nonzero entry of its
         # row, and s -> the table c -> code(s v)
         self.lead = _Lazy(
@@ -145,9 +152,25 @@ class _RowCodes:
         return _Lazy(lambda c: _row_code(
             [sum(map(mul, digits[c], col)) % p for col in cols], p))
 
-    def left(self, entries) -> _Lazy:
-        """L[c] = code(g v), for the column v with code c."""
-        return self.right(tuple(zip(*entries)))
+    def left(self, entries) -> List[Tuple[Tuple[int, ...], Optional[Callable]]]:
+        """A plan for g y, one step per row of g: row i of g y is
+        sum_j g_ij y_j, so a step names the rows j with g_ij != 0 and maps
+        their codes to the code of row i (None passes a lone row with
+        coefficient 1 through; a lone other coefficient s reads the scaled
+        table; several rows read a lazy table keyed on their codes)."""
+        digits, p = self.digits, self.p
+        plan = []
+        for row in entries:
+            rows = tuple(j for j, s in enumerate(row) if s)
+            coeffs = tuple(row[j] for j in rows)
+            if len(rows) > 1:
+                step = _Lazy(lambda cs, coeffs=coeffs: _row_code(
+                    [sum(map(mul, coeffs, col)) % p for col in zip(*map(digits.__getitem__, cs))],
+                    p)).__getitem__
+            else:
+                step = None if coeffs == (1,) else self.scaled[coeffs[0]].__getitem__
+            plan.append((rows, step))
+        return plan
 
     def canonical(self, rows: Tuple[int, ...]) -> Tuple[int, ...]:
         if self.projective:
@@ -156,14 +179,20 @@ class _RowCodes:
                 return tuple(map(self.scaled[s].__getitem__, rows))
         return rows
 
-    def conjugate(self, rows: Tuple[int, ...], right_inverse: _Lazy,
-                  left: _Lazy) -> Tuple[int, ...]:
-        """Row codes of g x g^-1: the rows of x through the right table of
-        g^-1, then, transposed, through the left table of g."""
-        digits, code = self.digits.__getitem__, self.code.__getitem__
-        cols = map(code, zip(*map(digits, map(right_inverse.__getitem__, rows))))
-        return self.canonical(
-            tuple(map(code, zip(*map(digits, map(left.__getitem__, cols))))))
+    def images(self, level: Iterable[Tuple[int, ...]], right: _Lazy,
+               left=None) -> Iterator[Tuple[int, ...]]:
+        """The canonical row codes of x g, or of h x g with the plan
+        left = `left(h)`, for every x in the level, in level order: each row
+        position maps the whole level through one table, and the keys are
+        zipped back one at a time as they are read."""
+        cols = [map(right.__getitem__, col) for col in zip(*level)]
+        if left is not None:  # a row of x g may feed several rows of h x g
+            cols = list(map(list, cols))
+            cols = [cols[rows[0]] if step is None else map(
+                step, cols[rows[0]] if len(rows) == 1 else zip(*[cols[j] for j in rows]))
+                for rows, step in left]
+        keys = zip(*cols)
+        return map(self.canonical, keys) if self.projective else keys
 
     def element(self, rows: Tuple[int, ...]) -> "GroupElement":
         """The element with these (canonical) row codes."""
@@ -195,17 +224,37 @@ class ConjugacyClass(NamedTuple):
     powers: Tuple[int, ...]  # positions of rep^t for 0 <= t < order
 
 
+class _Elements(SequenceABC):
+    """A read-only view of a group's keys as elements, each `GroupElement`
+    built when it is indexed."""
+
+    __slots__ = ("keys", "element")
+
+    def __init__(self, keys: List[Tuple[int, ...]], element: Callable):
+        self.keys, self.element = keys, element
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def __getitem__(self, u):
+        if isinstance(u, slice):
+            return list(map(self.element, self.keys[u]))
+        return self.element(self.keys[u])
+
+
 class FiniteGroup:
     """An enumerated group. A plain class: `conjugacy_classes` sets
     `classes` on first use, and a NamedTuple's `index` field would shadow
     `tuple.index`."""
 
-    def __init__(self, kind: str, n: int, p: int, generators: Tuple[GroupElement, ...],
-                 elements: List[GroupElement], index: Dict, right: List[array],
-                 parent: array, via: array):
+    def __init__(self, kind: str, generators: Tuple[GroupElement, ...],
+                 codes: _RowCodes, keys: List[Tuple[int, ...]], index: Dict,
+                 right: List[array], parent: array, via: array):
         self.kind = kind  # SL | GL | SO | PSL | PGL, or "subgroup of GL" / "subgroup of PGL"
-        self.n, self.p, self.generators = n, p, generators
-        self.elements = elements
+        self.n, self.p, self.generators = codes.n, codes.p, generators
+        self.codes = codes
+        self.keys = keys  # canonical row codes by position
+        self.elements = _Elements(keys, codes.element)
         self.index = index  # canonical key -> position
         # right[g][u] = position of elements[u] * generators[g]
         self.right = right
@@ -215,13 +264,13 @@ class FiniteGroup:
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self.keys)
 
     def left(self, h: int) -> array:
         """Positions of elements[h] * elements[u] for every u, in one pass
         over the tree (position 0 holds the identity)."""
         right, parent, via = self.right, self.parent, self.via
-        out = array("i", [h]) * len(self.elements)
+        out = array("i", [h]) * len(self.keys)
         for u in range(1, len(out)):
             out[u] = right[via[u]][out[parent[u]]]
         return out
@@ -230,8 +279,10 @@ class FiniteGroup:
 def closure(generators: Sequence[GroupElement], cap: int = DEFAULT_CLOSURE_CAP,
             kind: str = "GL") -> FiniteGroup:
     """Breadth-first product closure, with its multiplication arrays and
-    tree. Generators must be invertible (classes need g^-1 in the group):
-    a singular one raises ValueError."""
+    tree, one level at a time on row codes; within a level, new keys are
+    numbered element by element and, per element, generator by generator.
+    Generators must be invertible (classes need g^-1 in the group): a
+    singular one raises ValueError."""
     gens = list(generators)
     if not gens:
         raise ValueError("need at least one generator")
@@ -242,45 +293,44 @@ def closure(generators: Sequence[GroupElement], cap: int = DEFAULT_CLOSURE_CAP,
         if not g.det():
             raise ValueError("generator %d is singular" % (no + 1))
     codes = _RowCodes(n, p, projective)
-    canonical = codes.canonical
-    e = identity(n, p, projective)
-    elements = [e]
-    index = {e.key: 0}
+    tables = [codes.right(g.entries) for g in gens]
+    keys = [identity(n, p, projective).key]
+    index = {keys[0]: 0}
     right = [array("i") for _ in gens]
-    steps = [(codes.right(g.entries).__getitem__, r) for g, r in zip(gens, right)]
     parent, via = array("i", [0]), array("i", [0])
-    for u, x in enumerate(elements):  # the list grows as it is walked
-        rows = x.key
-        for gno, (table, r) in enumerate(steps):
-            y = canonical(tuple(map(table, rows)))
-            v = index.get(y)
-            if v is None:
-                v = index[y] = len(elements)
-                elements.append(codes.element(y))
-                parent.append(u)
-                via.append(gno)
-                if len(elements) > cap:
-                    raise GroupTooLargeError("group closure", cap)
-            r.append(v)
-    return FiniteGroup(kind=kind, n=n, p=p, generators=tuple(gens),
-                       elements=elements, index=index, right=right,
-                       parent=parent, via=via)
+    start = 0
+    while start < len(keys):
+        level, first = keys[start:], start
+        start = len(keys)
+        for u, ys in enumerate(zip(*[codes.images(level, t) for t in tables]), first):
+            for gno, y in enumerate(ys):
+                v = index.get(y)
+                if v is None:
+                    v = index[y] = len(keys)
+                    keys.append(y)
+                    parent.append(u)
+                    via.append(gno)
+                    if len(keys) > cap:
+                        raise GroupTooLargeError("group closure", cap)
+                right[gno].append(v)
+    return FiniteGroup(kind=kind, generators=tuple(gens), codes=codes, keys=keys,
+                       index=index, right=right, parent=parent, via=via)
 
 
 def conjugacy_classes(group: FiniteGroup) -> List[ConjugacyClass]:
     """Partition the enumerated group, on positions: x -> g^-1 x g is
     right[g][left(g^-1)[x]], g^-1 the position u with u g = 1.
-    Representatives are enumeration-least. Each class keeps the positions
-    of its representative's powers, walked by one product per power (the
-    sum of the class orders in all); `dixon` reads inverse classes and
-    power maps off them."""
+    Representatives are enumeration-least, the only elements built. Each
+    class keeps the positions of its representative's powers, walked
+    through the representative's right table (the sum of the class orders
+    in all); `dixon` reads inverse classes and power maps off them."""
     if group.classes is not None:
         return group.classes
     conj = [(r, group.left(r.index(0))) for r in group.right]
-    index = group.index
-    class_of = [-1] * len(group.elements)
+    codes, keys, index = group.codes, group.keys, group.index
+    class_of = [-1] * len(keys)
     classes: List[ConjugacyClass] = []
-    for start, rep in enumerate(group.elements):
+    for start in range(len(keys)):
         if class_of[start] >= 0:
             continue
         cls_no = len(classes)
@@ -293,11 +343,12 @@ def conjugacy_classes(group: FiniteGroup) -> List[ConjugacyClass]:
                     class_of[y] = cls_no
                     members.append(y)
         members.sort()
-        powers, x, u = [0], rep, start
+        rep = group.elements[start]
+        table, powers, x, u = codes.right(rep.entries), [0], keys[start], start
         while u:
             powers.append(u)
-            x = x * rep
-            u = index[x.key]
+            x, = codes.images((x,), table)
+            u = index[x]
         classes.append(ConjugacyClass(
             rep=rep, size=len(members), order=len(powers),
             indices=tuple(members), powers=tuple(powers)))
@@ -306,23 +357,26 @@ def conjugacy_classes(group: FiniteGroup) -> List[ConjugacyClass]:
 
 
 def class_orbit(rep: GroupElement, generators: Sequence[GroupElement],
-                cap: int = DEFAULT_ORBIT_CAP) -> List[GroupElement]:
-    """Conjugation orbit of rep under the group the generators generate,
-    without enumerating that group, breadth first: x -> g x g^-1 for each
-    generator g in turn."""
+                cap: int = DEFAULT_ORBIT_CAP) -> List[Tuple[int, ...]]:
+    """Keys of the conjugation orbit of rep under the group the generators
+    generate, without enumerating that group, breadth first and one level
+    at a time: x -> g x g^-1 for each generator g in turn."""
     codes = _RowCodes(rep.n, rep.p, rep.projective)
-    gens = [(codes.right(g.inverse().entries), codes.left(g.entries))
-            for g in generators]
-    orbit = [rep]
+    steps = [(codes.right(g.inverse().entries), codes.left(g.entries))
+             for g in generators]
+    orbit = [rep.key]
     seen = {rep.key}
-    for x in orbit:  # the list grows as it is walked
-        for right_inverse, left in gens:
-            y = codes.conjugate(x.key, right_inverse, left)
-            if y not in seen:
-                seen.add(y)
-                orbit.append(codes.element(y))
-                if len(orbit) > cap:
-                    raise GroupTooLargeError("conjugation orbit", cap)
+    start = 0
+    while start < len(orbit):
+        level = orbit[start:]
+        start = len(orbit)
+        for ys in zip(*[codes.images(level, r, l) for r, l in steps]):
+            for y in ys:
+                if y not in seen:
+                    seen.add(y)
+                    orbit.append(y)
+                    if len(orbit) > cap:
+                        raise GroupTooLargeError("conjugation orbit", cap)
     return orbit
 
 
@@ -377,9 +431,12 @@ def jordan_type(m: GroupElement) -> JordanType:
 
 
 def is_quadratic_unipotent(m: GroupElement) -> bool:
-    """Nontrivial unipotent with (m - 1)^2 = m^2 - 2m + 1 = 0; stops at the
-    first nonzero entry of the square."""
+    """Nontrivial unipotent with (m - 1)^2 = m^2 - 2m + 1 = 0; rejects a
+    trace other than n at once (a unipotent matrix has trace n), then stops
+    at the first nonzero entry of the square."""
     p, rows = m.p, m.entries
+    if (sum(row[i] for i, row in enumerate(rows)) - m.n) % p:
+        return False
     cols = tuple(zip(*rows))
     for i, row in enumerate(rows):
         for j, col in enumerate(cols):
@@ -393,12 +450,13 @@ def is_quadratic_unipotent(m: GroupElement) -> bool:
 
 
 def direct_triple_count(
-    c1_orbit: Iterable[GroupElement],
+    c1_orbit: Iterable[Tuple[int, ...]],
     c2_inverse_predicate: Callable[[GroupElement], bool],
     z: GroupElement,
     c3_size: int,
 ) -> int:
-    """Number of triples (x, y, z') in C1 x C2 x C3 with x*y*z' = 1.
+    """Number of triples (x, y, z') in C1 x C2 x C3 with x*y*z' = 1, C1
+    given by the keys of its members.
 
     For the fixed representative z the triples with third entry z are the
     x in C1 with y = x^-1 z^-1 in C2, that is with x*z in C2^-1 (see the
@@ -408,12 +466,8 @@ def direct_triple_count(
     count once per member, hence the c3_size factor.
     """
     codes = _RowCodes(z.n, z.p, z.projective)
-    table = codes.right(z.entries).__getitem__
-    hits = 0
-    for x in c1_orbit:
-        if c2_inverse_predicate(codes.element(codes.canonical(tuple(map(table, x.key))))):
-            hits += 1
-    return c3_size * hits
+    products = map(codes.element, codes.images(c1_orbit, codes.right(z.entries)))
+    return c3_size * sum(map(bool, map(c2_inverse_predicate, products)))
 
 
 # ---------------------------------------------------------------------------
@@ -622,7 +676,7 @@ def lemma_sl_triple_count(n: int, p: int,
     total = 0
     for k, rep in reps:
         if k == n:
-            orbit = [rep]  # central involution
+            orbit = [rep.key]  # central involution
         else:
             orbit = class_orbit(rep, gens, cap=orbit_cap)
         cnt = direct_triple_count(orbit, is_quadratic_unipotent, z, c3_size)
@@ -658,7 +712,7 @@ def lemma_so_triple_count(m: int, p: int,
     total = 0
     for rno, reg in enumerate(regs):
         for ino, inv in enumerate(invs):
-            orbit = [group.elements[i] for i in inv.indices]
+            orbit = [group.keys[i] for i in inv.indices]
             cnt = direct_triple_count(orbit, is_quadratic_unipotent, reg.rep, reg.size)
             counts["involution%d x regular%d" % (ino, rno)] = cnt
             total += cnt

@@ -1,3 +1,10 @@
+import sys
+from pathlib import Path
+
+# this checkout's sources, after PYTHONPATH: PYTHONPATH=<other>/src pytest
+# tests that other copy with this checkout's tests
+sys.path.append(str(Path(__file__).resolve().parents[1] / "src"))
+
 import pytest
 
 from rigikit.smallgrp import (

@@ -86,7 +86,7 @@ def test_criterion_2_psl27_rigidity():
                       table.class_index("7A"))
     n = frobenius_count(table, tri)
     assert n == 168 == table.order
-    orbit = [group.elements[i] for i in class_map[tri.c1].indices]
+    orbit = [group.keys[i] for i in class_map[tri.c1].indices]
     c2_inverse = {group.elements[i].inverse().key for i in class_map[tri.c2].indices}
     direct = direct_triple_count(
         orbit, lambda m: m.key in c2_inverse,

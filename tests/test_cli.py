@@ -248,6 +248,20 @@ def test_table_with_no_trivial_row_exit_2(tmp_path, capsys):
         assert err == "error: table S3 has no trivial character row\n", verb
 
 
+def test_nonpositive_degree_exit_2(tmp_path, capsys):
+    # a zero degree divided the character sum by zero, a negative one gave a
+    # silent count
+    text = Path(fixture_path("psl2_7.ctb")).read_text()
+    target = tmp_path / "degree.ctb"
+    for degree in ("0", "-8"):
+        target.write_text(text.replace("char X6 8 ;", "char X6 %s ;" % degree))
+        for verb in ("structconst", "rigid"):
+            status, out, err = run(capsys, [verb, str(target), "2A", "3A", "7A"])
+            assert (status, out) == (2, ""), (degree, verb)
+            assert err == ("error: character row 6 has degree %s, not a positive "
+                           "integer\n" % degree), (degree, verb)
+
+
 def test_unknown_power_map_target_names_its_class_line(tmp_path, capsys):
     text = Path(fixture_path("s3.ctb")).read_text()
     target = tmp_path / "pow.ctb"

@@ -17,6 +17,7 @@ from rigikit.smallgrp import (
     closure,
     conjugacy_classes,
     direct_triple_count,
+    gl_generators,
     group_from_spec,
     identity,
     is_quadratic_unipotent,
@@ -199,7 +200,7 @@ def test_direct_triple_count_representative_independent():
     by_size = {c.size: c for c in cc}
     c2a, c3a = by_size[21], by_size[56]
     sevens = [c for c in cc if c.order == 7]
-    orbit = [psl.elements[i] for i in c2a.indices]
+    orbit = [psl.keys[i] for i in c2a.indices]
     inverses = {psl.elements[i].inverse() for i in c3a.indices}
     pred = class_membership_predicate(inverses)
     rng = random.Random(9)
@@ -377,19 +378,22 @@ def test_class_orders_of_a_cyclic_group():
 # --- the row-code kernel against GroupElement arithmetic ---------------------
 
 
-def _check_row_codes(codes, x, g):
-    """The code product x g and the code conjugate g x g^-1 against
-    GroupElement arithmetic, and the quadratic unipotent test on x and on
-    both results against the plain-integer oracle."""
-    product = codes.element(codes.canonical(
-        tuple(map(codes.right(g.entries).__getitem__, x.key))))
-    assert product == x * g and product.entries == (x * g).entries
-    conjugate = codes.element(codes.conjugate(
-        x.key, codes.right(g.inverse().entries), codes.left(g.entries)))
-    expected = g * x * g.inverse()
-    assert conjugate == expected and conjugate.entries == expected.entries
-    for m in (x, product, conjugate):
-        assert is_quadratic_unipotent(m) == quadratic_unipotent(m)
+def _check_row_codes(codes, xs, g):
+    """`images` of a level of elements xs against GroupElement arithmetic:
+    the products x g and the conjugates g x g^-1 (right table of g^-1, left
+    plan of g); and the quadratic unipotent test on every x and result
+    against the plain-integer oracle."""
+    products = list(map(codes.element, codes.images([x.key for x in xs],
+                                                     codes.right(g.entries))))
+    conjugates = list(map(codes.element, codes.images(
+        [x.key for x in xs], codes.right(g.inverse().entries), codes.left(g.entries))))
+    for x, product, conjugate in zip(xs, products, conjugates):
+        assert product == x * g and product.entries == (x * g).entries
+        expected = g * x * g.inverse()
+        assert conjugate == expected and conjugate.entries == expected.entries
+        for m in (x, product, conjugate):
+            assert is_quadratic_unipotent(m) == quadratic_unipotent(m)
+    assert len(products) == len(conjugates) == len(xs)
 
 
 @st.composite
@@ -417,16 +421,38 @@ def test_row_codes_match_group_elements(data):
     projective = data.draw(st.booleans())
     codes = _RowCodes(n, p, projective)
     g = data.draw(invertible(n, p, projective))
-    x = data.draw(invertible(n, p, projective))
+    xs = data.draw(st.lists(invertible(n, p, projective), min_size=1, max_size=3))
     if n > 1 and data.draw(st.booleans()):
         # a conjugate of 1 + E_{1n}, so that the predicate also meets its true case
         q = identity(n, p, projective).entries
         q = make_element([[v + (i == 0 and j == n - 1) for j, v in enumerate(row)]
                           for i, row in enumerate(q)], p, projective)
-        x = x * q * x.inverse()
+        xs[0] = xs[0] * q * xs[0].inverse()
         # mod scalars the rescaled conjugate is unipotent only up to a scalar
-        assert projective or quadratic_unipotent(x)
-    _check_row_codes(codes, x, g)
+        assert projective or quadratic_unipotent(xs[0])
+    _check_row_codes(codes, xs, g)
+
+
+def test_left_plans_of_the_standard_generators():
+    """The standard generators' rows take every branch of a left plan: a
+    lone 1 passed through, a lone other coefficient (scaled table), and
+    two nonzero entries (table keyed on two row codes)."""
+    rng = random.Random(29)
+    steps = set()
+    for n, p, projective in ((2, 5, False), (3, 7, False), (3, 7, True), (2, 3, True)):
+        codes = _RowCodes(n, p, projective)
+        gens = gl_generators(n, p, projective)
+        xs = [gens[0]] + [make_element([[rng.randrange(p) for _ in range(n)]
+                                        for _ in range(n)], p, projective)
+                          for _ in range(5)]
+        for g in gens:
+            steps |= {(len(rows), step is None) for rows, step in codes.left(g.entries)}
+            _check_row_codes(codes, xs, g)
+    codes = _RowCodes(4, 5, False)
+    for g in so_generators(2, 5):
+        steps |= {(len(rows), step is None) for rows, step in codes.left(g.entries)}
+        _check_row_codes(codes, [regular_unipotent_sl(4, 5)] + so_generators(2, 5), g)
+    assert steps == {(1, True), (1, False), (2, False)}
 
 
 def test_row_codes_on_conjugated_groups(conjugated_group):
@@ -435,9 +461,95 @@ def test_row_codes_on_conjugated_groups(conjugated_group):
         g = conjugated_group(kind, n, p, rng)
         codes = _RowCodes(n, p, kind == "PSL")
         others = list(g.generators) + rng.sample(g.elements, 2)
-        for x in rng.sample(g.elements, min(g.order, 200)):
-            for h in others:
-                _check_row_codes(codes, x, h)
+        xs = rng.sample(g.elements, min(g.order, 200))
+        for h in others:
+            _check_row_codes(codes, xs, h)
+
+
+def _closure_one_at_a_time(gens):
+    """Oracle: the breadth-first closure one element at a time on
+    GroupElement products; (keys, right, parent, via)."""
+    e = identity(gens[0].n, gens[0].p, gens[0].projective)
+    elements, index = [e], {e.key: 0}
+    right, parent, via = [[] for _ in gens], [0], [0]
+    for u, x in enumerate(elements):  # the list grows as it is walked
+        for gno, g in enumerate(gens):
+            y = x * g
+            v = index.get(y.key)
+            if v is None:
+                v = index[y.key] = len(elements)
+                elements.append(y)
+                parent.append(u)
+                via.append(gno)
+            right[gno].append(v)
+    return [x.key for x in elements], right, parent, via
+
+
+def _orbit_one_at_a_time(rep, gens):
+    """Oracle: the conjugation orbit's keys, breadth first one element at a
+    time, x -> g x g^-1 on GroupElement products."""
+    pairs = [(g, g.inverse()) for g in gens]
+    orbit, seen = [rep], {rep.key}
+    for x in orbit:  # the list grows as it is walked
+        for g, ginv in pairs:
+            y = g * x * ginv
+            if y.key not in seen:
+                seen.add(y.key)
+                orbit.append(y)
+    return [x.key for x in orbit]
+
+
+def test_levels_keep_the_one_at_a_time_order(conjugated_group):
+    rng = random.Random(37)
+    for kind, n, p in (("PSL", 2, 7), ("PSL", 2, 13), ("GL", 2, 3), ("SL", 2, 5),
+                       ("SL", 3, 3), ("SO", 4, 3)):
+        g = conjugated_group(kind, n, p, rng)
+        keys, right, parent, via = _closure_one_at_a_time(g.generators)
+        assert g.keys == keys and [list(r) for r in g.right] == right
+        assert list(g.parent) == parent and list(g.via) == via
+        assert [g.elements[u].key for u in range(g.order)] == keys
+        assert [x.key for x in g.elements[:3]] == keys[:3]
+        reps = [c.rep for c in conjugacy_classes(g)]
+        for rep in [reps[1], reps[-1]] + rng.sample(reps, min(len(reps), 3)):
+            orbit = class_orbit(rep, g.generators)
+            assert orbit == _orbit_one_at_a_time(rep, g.generators)
+            c, = [c for c in conjugacy_classes(g) if c.rep == rep]
+            assert sorted(orbit) == sorted(keys[u] for u in c.indices)
+
+
+def test_lemma_path_counts_triples_where_they_exist():
+    """Positive control for the lemma path (class_orbit, then
+    direct_triple_count with is_quadratic_unipotent) in SL(3,3), with C1
+    the involutions and C2 summed over the quadratic unipotent classes
+    (closed under inversion, so C2^-1 ranges over the same classes): the
+    counts equal the Dixon-table structure constants, and are nonzero for
+    z = x t of order 6, x = diag(-1, -1, 1) and t a transvection inside the
+    -1 eigenspace of x (x z = t). For z a transvection the count is 0: if
+    x = (y z)^-1, then x - 1 maps into W = L_y + L_z (the lines the two
+    transvections move to), so x is -1 on W = its -1 eigenspace, and y z
+    would be -1 on W, which two unipotent maps of a plane never give."""
+    group = group_from_spec("SL(3,3)")
+    table, class_map = character_table_dixon_mapped(group)
+    involution = make_element([[2, 0, 0], [0, 2, 0], [0, 0, 1]], 3)
+    transvection = make_element([[1, 1, 0], [0, 1, 0], [0, 0, 1]], 3)
+
+    def class_no(x):
+        u = group.index[x.key]
+        return next(c for c, cls in class_map.items() if u in cls.indices)
+
+    c1 = class_no(involution)
+    quadratic = [c for c, cls in class_map.items() if is_quadratic_unipotent(cls.rep)]
+    assert quadratic == [class_no(transvection)]
+    orbit = class_orbit(involution, sl_generators(3, 3))
+    assert len(orbit) == class_map[c1].size
+    counts = []
+    for z in (involution * transvection, transvection):
+        c3 = class_no(z)
+        direct = direct_triple_count(orbit, is_quadratic_unipotent, z, class_map[c3].size)
+        assert direct == sum(frobenius_count(table, ClassTriple(c1, c2, c3))
+                             for c2 in quadratic)
+        counts.append(direct)
+    assert counts[0] > 0 and counts[1] == 0
 
 
 def _triple_counts(group):
@@ -448,7 +560,7 @@ def _triple_counts(group):
     out = {}
     k = table.n_classes
     for c1 in range(k):
-        orbit = [els[i] for i in class_map[c1].indices]
+        orbit = [group.keys[i] for i in class_map[c1].indices]
         for c2 in range(k):
             inverses = class_membership_predicate(
                 {els[i].inverse() for i in class_map[c2].indices})
