@@ -23,17 +23,22 @@ whose residues show a failure, is checked at every root, which also names
 the least failing pair. `_split_prime` gives the proof. (Reducing
 cyclotomic integers modulo a split prime: Breuer, "Integral bases for
 subfields of cyclotomic fields", AAECC 8 (1997).)
+
+CTB input is read in one pass (`parse_ctb`): the class lines straight into
+records keyed by name, then each distinct value string once, its roots
+checked against the exponent's field on the terms `cyclo.value_terms`
+reads before `parse_value` does any arithmetic.
 """
 
 from __future__ import annotations
 
-import re
 from collections import deque
 from math import gcd, lcm, prod
 from operator import itemgetter
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .cyclo import Cyclotomic, cyc, format_value, parse_value, raw_embed
+from .cyclo import (Cyclotomic, cyc, format_value, parse_value, raw_embed, read_int,
+                    value_terms)
 # unused here, but the benchmark's tracer wraps them in this module
 from .cyclo import raw_conjugate, raw_equals_rational, raw_mul  # noqa: F401
 from .modp import (PRIME_TEST_BOUND, element_of_order, prime_factors, prime_one_mod,
@@ -41,13 +46,11 @@ from .modp import (PRIME_TEST_BOUND, element_of_order, prime_factors, prime_one_
 
 
 class CTBSyntaxError(ValueError):
-    """CTB parse failure; carries the 1-based line (and column when known)."""
+    """CTB parse failure; carries the 1-based line."""
 
-    def __init__(self, message: str, line: int, column: Optional[int] = None):
-        loc = "line %d" % line if column is None else "line %d, col %d" % (line, column)
-        super().__init__("%s (%s)" % (message, loc))
+    def __init__(self, message: str, line: int):
+        super().__init__("%s (line %d)" % (message, line))
         self.line = line
-        self.column = column
 
 
 class ClassRecord(NamedTuple):
@@ -378,12 +381,13 @@ def emit_ctb(table: CharacterTable) -> str:
     return "\n".join(lines) + "\n"
 
 
-_ROOT_ORDER = re.compile(r"E\(([^,()]*),")
-
-
 def parse_ctb(text) -> CharacterTable:
-    """Parse CTB v1 text (str or bytes). Structural checks only; run
-    `validate` for the orthogonality suite."""
+    """Parse CTB v1 text (str or bytes; bytes must be ASCII) in one pass.
+    Structural checks only; run `validate` for the orthogonality suite.
+
+    Each distinct value string is read once: its roots E(n,k) are checked
+    against the exponent's field on `value_terms`, before any arithmetic
+    at their order, and then `parse_value` builds it."""
     if isinstance(text, bytes):
         try:
             text = text.decode("ascii")
@@ -391,86 +395,68 @@ def parse_ctb(text) -> CharacterTable:
             raise CTBSyntaxError("byte 0x%02x is not ASCII" % text[exc.start],
                                  text.count(b"\n", 0, exc.start) + 1) from None
     lines = text.splitlines()
-    pos = 0
+    end = len(lines), None
+    content = ((ln, s) for ln, s in enumerate(map(str.strip, lines), 1)
+               if s and not s.startswith("#"))
 
-    def next_line():
-        nonlocal pos
-        while pos < len(lines):
-            raw = lines[pos]
-            pos += 1
-            stripped = raw.strip()
-            if stripped and not stripped.startswith("#"):
-                return stripped, pos
-        return None, pos
-
-    line, ln = next_line()
+    ln, line = next(content, end)
     if line is None or line.split() != ["CTB", "1"]:
         raise CTBSyntaxError("expected header 'CTB 1'", ln)
 
     header: Dict[str, object] = {}
     for key in ("name", "order", "exponent", "classes"):
-        line, ln = next_line()
+        ln, line = next(content, end)
         if line is None or not line.startswith(key + " "):
             raise CTBSyntaxError("expected '%s <value>' line" % key, ln)
         header[key] = line[len(key) + 1:].strip()
         if key == "name":
             continue
         try:
-            header[key] = int(header[key])
+            header[key] = read_int(header[key])
         except ValueError as exc:
             raise CTBSyntaxError("bad integer in header: %s" % exc, ln) from None
         if header[key] < 1:
             raise CTBSyntaxError("header integers must be positive", ln)
     order, exponent, n_classes = header["order"], header["exponent"], header["classes"]
 
-    class_names: List[str] = []
-    class_sizes: List[int] = []
-    class_orders: List[int] = []
-    class_pows: List[Dict[int, str]] = []
-    class_lines: List[int] = []
+    # name -> (record with power-map target names, line)
+    classes: Dict[str, Tuple[ClassRecord, int]] = {}
     for _ in range(n_classes):
-        line, ln = next_line()
+        ln, line = next(content, end)
         if line is None or not line.startswith("class "):
             raise CTBSyntaxError(
-                "expected %d class lines, got %d" % (n_classes, len(class_names)), ln)
-        fields = line.split()
-        cname = fields[1]
-        if cname in class_names:
+                "expected %d class lines, got %d" % (n_classes, len(classes)), ln)
+        _, cname, *fields = line.split()
+        if cname in classes:
             raise CTBSyntaxError("duplicate class name %r" % cname, ln)
-        size = corder = None
-        pows: Dict[int, str] = {}
-        for f in fields[2:]:
+        attrs: Dict[object, object] = {}
+        for f in fields:
             if "=" not in f:
                 raise CTBSyntaxError("bad class attribute %r" % f, ln)
             key, _, val = f.partition("=")
-            if key == "size":
-                size = _parse_pos_int(val, "size", ln)
-            elif key == "order":
-                corder = _parse_pos_int(val, "order", ln)
+            if key in ("size", "order"):
+                attr, val = key, _parse_pos_int(val, key, ln)
             elif key.startswith("pow"):
-                p = _parse_pos_int(key[3:], "power-map prime", ln)
-                pows[p] = val
+                attr = _parse_pos_int(key[3:], "power-map prime", ln)
             else:
                 raise CTBSyntaxError("unknown class attribute %r" % key, ln)
+            if attr in attrs:
+                raise CTBSyntaxError("repeated class attribute %r" % key, ln)
+            attrs[attr] = val
+        size, corder = attrs.pop("size", None), attrs.pop("order", None)
         if size is None or corder is None:
             raise CTBSyntaxError("class %s needs size= and order=" % cname, ln)
-        class_names.append(cname)
-        class_sizes.append(size)
-        class_orders.append(corder)
-        class_pows.append(pows)
-        class_lines.append(ln)
+        classes[cname] = ClassRecord(cname, size, corder, tuple(attrs.items())), ln
 
-    name_to_index = {n: i for i, n in enumerate(class_names)}
-    power_maps: List[Tuple[Tuple[int, int], ...]] = []
-    for i, pows in enumerate(class_pows):
-        resolved = {}
-        for p, target in pows.items():
-            if target not in name_to_index:
+    index = {cname: i for i, cname in enumerate(classes)}
+    records = []
+    for rec, ln in classes.values():
+        for p, target in rec.power_maps:
+            if target not in index:
                 raise CTBSyntaxError(
-                    "unknown class name %r in power map of %s" % (target, class_names[i]),
-                    class_lines[i])
-            resolved[p] = name_to_index[target]
-        power_maps.append(tuple(sorted(resolved.items())))
+                    "unknown class name %r in power map of %s" % (target, rec.name), ln)
+        records.append(rec._replace(power_maps=tuple(sorted(
+            (p, index[target]) for p, target in rec.power_maps))))
 
     # every value of a character lies in Q(zeta_exponent), which also holds
     # the roots E(2m, k) for odd m | exponent; any other root is rejected
@@ -478,65 +464,39 @@ def parse_ctb(text) -> CharacterTable:
     root_bound = lcm(2, exponent)
     parsed: Dict[str, Cyclotomic] = {}  # a table repeats few distinct values
     rows: List[Tuple[Cyclotomic, ...]] = []
-    char_names: List[str] = []
-    while True:
-        line, ln = next_line()
-        if line is None:
-            break
+    for ln, line in content:
         if not line.startswith("char "):
             raise CTBSyntaxError("expected 'char' line, got %r" % line[:20], ln)
-        body = line[5:]
-        parts = body.split(None, 1)
+        parts = line[5:].split(None, 1)
         if len(parts) != 2:
             raise CTBSyntaxError("char line needs a name and values", ln)
         cname, values_text = parts
-        pieces = values_text.split(";")
-        if len(pieces) != n_classes:
+        keys = [p.strip() for p in values_text.split(";")]
+        if len(keys) != n_classes:
             raise CTBSyntaxError(
-                "char %s has %d values, expected %d" % (cname, len(pieces), n_classes),
-                ln)
-        for m in _ROOT_ORDER.finditer(values_text.replace(" ", "").replace("\t", "")):
+                "char %s has %d values, expected %d" % (cname, len(keys), n_classes), ln)
+        for key in keys:
+            if key in parsed:
+                continue
             try:
-                n = int(m.group(1))
-            except ValueError:
-                continue  # parse_value reports the malformed root
-            if n >= 1 and root_bound % n:
+                outside = [n for _, n, _ in value_terms(key) if root_bound % n]
+                if not outside:
+                    parsed[key] = parse_value(key)
+            except ValueError as exc:
+                raise CTBSyntaxError("bad value in char %s: %s" % (cname, exc), ln) from None
+            if outside:
                 raise CTBSyntaxError(
                     "E(%d,k) in char %s: %d does not divide lcm(2, exponent) = %d"
-                    % (n, cname, n, root_bound), ln)
-        keys = [p.strip() for p in pieces]
-        try:
-            for key, p in zip(keys, pieces):
-                if key not in parsed:
-                    parsed[key] = parse_value(p)
-        except ValueError as exc:
-            raise CTBSyntaxError("bad value in char %s: %s" % (cname, exc), ln) from None
+                    % (outside[0], cname, outside[0], root_bound), ln)
         rows.append(tuple(map(parsed.__getitem__, keys)))
-        char_names.append(cname)
     if not rows:
-        raise CTBSyntaxError("table has no character rows", pos)
-
-    records = tuple(
-        ClassRecord(
-            name=class_names[i],
-            size=class_sizes[i],
-            order=class_orders[i],
-            power_maps=power_maps[i],
-        )
-        for i in range(n_classes)
-    )
-    return CharacterTable(
-        name=header["name"],
-        order=order,
-        exponent=exponent,
-        classes=records,
-        rows=tuple(rows),
-    )
+        raise CTBSyntaxError("table has no character rows", len(lines))
+    return CharacterTable(header["name"], order, exponent, tuple(records), tuple(rows))
 
 
 def _parse_pos_int(text: str, what: str, line: int) -> int:
     try:
-        v = int(text)
+        v = read_int(text)
     except ValueError:
         raise CTBSyntaxError("bad %s %r" % (what, text), line) from None
     if v < 1:
@@ -623,6 +583,8 @@ def validate(table: CharacterTable, orthogonality: bool = True) -> CheckReport:
     badpow = []
     for c in table.classes:
         pm = c.power_map
+        missing += ["%s:pow%d (%d is not a prime dividing the exponent)" % (c.name, p, p)
+                    for p in pm if p not in exp_primes]
         for p in exp_primes:
             if p not in pm:
                 missing.append("%s:pow%d" % (c.name, p))

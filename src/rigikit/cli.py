@@ -107,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_table(path: str):
     from . import chartable
-    return chartable.parse_ctb(Path(path).read_text())
+    return chartable.parse_ctb(Path(path).read_bytes())  # bytes: CTB is ASCII
 
 
 def _resolve_classes(table, names):
@@ -154,6 +154,9 @@ def cmd_rigid(args) -> int:
 
 def cmd_dixon(args) -> int:
     from . import chartable, dixon, smallgrp
+    if args.projective and not args.group.startswith("@"):
+        raise ValueError("--projective applies only to @file generators, not to %r"
+                         % args.group)
     if args.group.startswith("@"):
         text = Path(args.group[1:]).read_text()
         gens = smallgrp.parse_generator_file(text, projective=args.projective)
@@ -222,14 +225,18 @@ def cmd_dualsym(args) -> int:
 
 def cmd_regunip(args) -> int:
     from . import regunip
+    # the pool is read, and a flag without --filter refused, before any output
+    if args.filter:
+        pool = (regunip.parse_pool(Path(args.pool).read_text()) if args.pool
+                else regunip.load_pool())
+    else:
+        for flag, given in (("--pool", args.pool), ("--two-classes", args.two_classes)):
+            if given:
+                raise ValueError("%s applies only with --filter" % flag)
     order = regunip.regular_unipotent_order(args.gtype, args.p)
     print("order = %d" % order)
     if not args.filter:
         return 0
-    if args.pool:
-        pool = regunip.parse_pool(Path(args.pool).read_text())
-    else:
-        pool = regunip.load_pool()
     verdicts = regunip.filter_candidates(
         args.gtype, args.p, pool,
         require_two_unipotent_classes=args.two_classes)

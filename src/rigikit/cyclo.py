@@ -53,7 +53,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import combinations
 from math import gcd, lcm, prod
-from typing import Dict, Iterable, Tuple, Union
+from typing import Dict, Iterable, List, Tuple, Union
 
 from .modp import euler_phi, prime_factors
 
@@ -592,6 +592,12 @@ class ValueSyntaxError(ValueError):
 
 def parse_value(text: str) -> Cyclotomic:
     """Parse the external value grammar back into a canonical Cyclotomic."""
+    return linear_sum((c, zeta(n, k)) for c, n, k in value_terms(text))
+
+
+def value_terms(text: str) -> List[Tuple[Coeff, int, int]]:
+    """The terms of a value in the external grammar as (c, n, k) for
+    c*E(n,k), a rational term c as (c, 1, 0), read before any arithmetic."""
     s = text.replace(" ", "").replace("\t", "")
     if not s:
         raise ValueSyntaxError("empty value")
@@ -613,10 +619,18 @@ def parse_value(text: str) -> Cyclotomic:
     if depth != 0:
         raise ValueSyntaxError("unbalanced parenthesis in %r" % text)
     terms.append(cur)
-    return linear_sum(_parse_term(term, text) for term in terms)
+    return [_parse_term(term, text) for term in terms]
 
 
-def _parse_term(term: str, context: str) -> Tuple[Coeff, Cyclotomic]:
+def read_int(text: str) -> int:
+    """`int(text)`, refusing what `int` accepts beyond ASCII digits and a
+    sign: `_` separators and other scripts' digits."""
+    if "_" in text or not text.isascii():
+        raise ValueError("invalid literal for int() with base 10: %r" % text)
+    return int(text)
+
+
+def _parse_term(term: str, context: str) -> Tuple[Coeff, int, int]:
     t = term
     sign = 1
     if t and t[0] in "+-":
@@ -626,24 +640,24 @@ def _parse_term(term: str, context: str) -> Tuple[Coeff, Cyclotomic]:
     if not t or t[0] in "+-":
         raise ValueSyntaxError("dangling sign in %r" % context)
     if "*" in t:
-        coeff_text, _, root_text = t.partition("*")
-        return sign * _parse_rat(coeff_text, context), _parse_root(root_text, context)
-    if t.startswith("E"):
-        return sign, _parse_root(t, context)
-    return sign * _parse_rat(t, context), ONE
+        coeff_text, _, t = t.partition("*")
+        sign *= _parse_rat(coeff_text, context)
+    elif not t.startswith("E"):
+        return sign * _parse_rat(t, context), 1, 0
+    return (sign, *_parse_root(t, context))
 
 
 def _parse_rat(t: str, context: str) -> Fraction:
     try:
         if "/" in t:
             num, _, den = t.partition("/")
-            return Fraction(int(num), int(den))
-        return Fraction(int(t))
+            return Fraction(read_int(num), read_int(den))
+        return Fraction(read_int(t))
     except (ValueError, ZeroDivisionError):
         raise ValueSyntaxError("bad rational %r in %r" % (t, context)) from None
 
 
-def _parse_root(t: str, context: str) -> Cyclotomic:
+def _parse_root(t: str, context: str) -> Tuple[int, int]:
     if not (t.startswith("E(") and t.endswith(")")):
         raise ValueSyntaxError("bad root-of-unity term %r in %r" % (t, context))
     inner = t[2:-1]
@@ -651,12 +665,12 @@ def _parse_root(t: str, context: str) -> Cyclotomic:
     if len(parts) != 2:
         raise ValueSyntaxError("E(n,k) needs two arguments in %r" % context)
     try:
-        n, k = int(parts[0]), int(parts[1])
+        n, k = read_int(parts[0]), read_int(parts[1])
     except ValueError:
         raise ValueSyntaxError("non-integer arguments in %r" % context) from None
     if n < 1:
         raise ValueSyntaxError("E(n,k) needs n >= 1 in %r" % context)
-    return zeta(n, k)
+    return n, k
 
 
 ZERO = Cyclotomic(1, {}, 1)

@@ -75,52 +75,60 @@ class CandidateSubgroup(NamedTuple):
         return _pspec_matches(self.pspec, p)
 
     def max_p_element_order(self, p: int) -> int:
-        return _eval_descriptor(self.descriptor, p, self.label)
+        m = _eval_descriptor(self.descriptor, p, self.label)
+        if m is None:
+            raise DescriptorError(
+                "descriptor of %s is not evaluable at p = %d" % (self.label, p))
+        return m
 
 
 def _pspec_matches(spec: str, p: int) -> bool:
+    """Whether the pspec admits p; the whole spec is read whatever p is."""
     spec = spec.strip()
     if spec == "any":
         return True
     if spec.startswith("ne:"):
-        excluded = {int(x) for x in spec[3:].split(",")}
-        return p not in excluded
+        return p not in _ints(spec[3:])
     if ".." in spec:
-        lo, _, hi = spec.partition("..")
-        if lo and p < int(lo):
-            return False
-        if hi and p > int(hi):
-            return False
-        return True
-    return p in {int(x) for x in spec.split(",")}
+        lo, hi = (int(x) if x else None for x in spec.split(".."))
+        return (lo is None or lo <= p) and (hi is None or p <= hi)
+    return p in _ints(spec)
 
 
-def _eval_descriptor(desc: str, p: int, label: str) -> int:
+def _ints(text: str) -> Set[int]:
+    return {int(x) for x in text.split(",")}
+
+
+def _positive(text: str) -> int:
+    v = int(text)
+    if v < 1:
+        raise ValueError("%r is not a positive integer" % text)
+    return v
+
+
+def _eval_descriptor(desc: str, p: int, label: str) -> Optional[int]:
+    """The descriptor's order at p, None when a table lists neither p nor a
+    default; the whole descriptor is read whatever p is."""
     desc = desc.strip()
     if desc == "p":
         return p
     if desc.startswith("p^"):
-        return p ** int(desc[2:])
+        return p ** _positive(desc[2:])
     if desc.startswith("const:"):
-        return int(desc[6:])
+        return _positive(desc[6:])
     if desc.startswith("table:"):
+        table: Dict[int, int] = {}
         default = None
         for entry in desc[6:].split(","):
-            if not entry.startswith("p="):
-                raise DescriptorError(
-                    "bad table entry %r in descriptor of %s" % (entry, label))
             key, _, val = entry[2:].partition(":")
-            if not val:
+            if not entry.startswith("p=") or not val:
                 raise DescriptorError(
                     "bad table entry %r in descriptor of %s" % (entry, label))
             if key == "*":
-                default = int(val)
-            elif int(key) == p:
-                return int(val)
-        if default is not None:
-            return default
-        raise DescriptorError(
-            "descriptor of %s is not evaluable at p = %d" % (label, p))
+                default = _positive(val)
+            else:
+                table[int(key)] = _positive(val)
+        return table.get(p, default)
     raise DescriptorError("bad descriptor %r for %s" % (desc, label))
 
 
@@ -209,6 +217,13 @@ def parse_pool(text: str) -> List[CandidateSubgroup]:
             key, _, val = f.partition("=")
             if not val:
                 raise ValueError("bad attribute %r on pool line %d" % (f, lineno))
+            if key in attrs:
+                raise ValueError("repeated %s= on pool line %d" % (key, lineno))
+            try:
+                _check_pool_field(key, val, label)
+            except ValueError as exc:
+                raise ValueError("bad %s=%s on pool line %d: %s"
+                                 % (key, val, lineno, exc)) from None
             attrs[key] = val
         for req in ("type", "case", "p", "order"):
             if req not in attrs and not (req == "order" and "elim" in attrs):
@@ -225,6 +240,24 @@ def parse_pool(text: str) -> List[CandidateSubgroup]:
             note=attrs.get("note", ""),
         ))
     return out
+
+
+def _check_pool_field(key: str, val: str, label: str) -> None:
+    """ValueError unless `val` is a well-formed value of pool attribute `key`."""
+    if key == "type":
+        exceptional_type(val)
+    elif key == "case":
+        int(val)
+    elif key == "p":
+        _pspec_matches(val, 2)
+    elif key == "order":
+        _eval_descriptor(val, 2, label)
+    elif key == "sylow_cyclic" and val not in ("0", "1"):
+        raise ValueError("want 0 or 1")
+    elif key == "elim" and val != "citation":
+        raise ValueError("want citation")
+    elif key not in ("sylow_cyclic", "elim", "note"):
+        raise ValueError("unknown attribute")
 
 
 def parse_expected(text: str) -> List[Tuple[str, str, str]]:

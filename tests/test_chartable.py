@@ -147,6 +147,22 @@ def test_missing_header():
     ("char X1 1 ; 1 ; 1\nchar X2 1 ; -1 ; 1\nchar X3 2 ; 0 ; -1\n", "",
      "table has no character rows", 9),
     ("2A size=3", "2A size=0", "size must be positive, got 0", 8),
+    # the CTB grammar has one of each attribute and no '_' digit separators
+    ("2A size=3", "2A size=3 size=4", "repeated class attribute 'size'", 8),
+    ("pow2=3A", "pow2=3A pow2=1A", "repeated class attribute 'pow2'", 9),
+    ("order 6\n", "order 0_6\n",
+     "bad integer in header: invalid literal for int() with base 10: '0_6'", 4),
+    ("2A size=3", "2A size=3_0", "bad size '3_0'", 8),
+    ("pow3=2A\n", "pow0_3=2A\n", "bad power-map prime '0_3'", 8),
+    ("char X3 2 ; 0 ; -1", "char X3 2 ; -1_0/1_0 ; -1",
+     "bad value in char X3: bad rational '1_0/1_0' in '-1_0/1_0'", 12),
+    ("char X3 2 ; 0 ; -1", "char X3 2 ; E(3,1_0) ; -1",
+     "bad value in char X3: non-integer arguments in 'E(3,1_0)'", 12),
+    # a malformed value is reported before a root outside the field
+    ("char X3 2 ; 0 ; -1", "char X3 2 ; 1/0 ; E(100000000,1)",
+     "bad value in char X3: bad rational '1/0' in '1/0'", 12),
+    ("char X3 2 ; 0 ; -1", "char X3 2 ; E(100000000,1) ; 1/0",
+     "E(100000000,k) in char X3: 100000000 does not divide lcm(2, exponent) = 6", 12),
 ])
 def test_structural_errors_name_their_line(tmp_path, capsys, old, new, message, line):
     bad = S3_TEXT.replace(old, new)
@@ -158,6 +174,28 @@ def test_structural_errors_name_their_line(tmp_path, capsys, old, new, message, 
     target.write_text(bad)
     assert main(["validate", str(target)]) == 2
     assert capsys.readouterr() == ("", "error: %s\n" % err.value)
+
+
+def test_str_input_refuses_other_scripts_digits():
+    # bytes stop at the ASCII check; int() would read these as 6 and 2
+    for old, new, message in (
+            ("order 6", "order \u0666",
+             "bad integer in header: invalid literal for int() with base 10: '\u0666' (line 4)"),
+            ("char X3 2 ;", "char X3 \u0662 ;",
+             "bad value in char X3: bad rational '\u0662' in '\u0662' (line 12)")):
+        with pytest.raises(CTBSyntaxError) as err:
+            parse_ctb(S3_TEXT.replace(old, new))
+        assert str(err.value) == message
+
+
+def test_power_map_for_a_prime_not_dividing_the_exponent_is_named():
+    good = validate(parse_ctb(S3_TEXT))
+    bad = validate(parse_ctb(S3_TEXT.replace("pow3=2A", "pow3=2A pow5=3A pow4=1A")))
+    detail = ("2A:pow4 (4 is not a prime dividing the exponent), "
+              "2A:pow5 (5 is not a prime dividing the exponent)")
+    assert [(c.name, c.ok, c.detail) for c in bad.items] == [
+        (c.name, c.ok, c.detail) if c.name != "power_maps_complete"
+        else (c.name, False, detail) for c in good.items]
 
 
 def test_roundtrip():

@@ -17,6 +17,7 @@ from rigikit.cyclo import (
     from_terms,
     linear_sum,
     parse_value,
+    value_terms,
     zeta,
 )
 from rigikit.modp import prime_factors
@@ -247,6 +248,23 @@ def test_grammar_errors():
     for bad in ["", "E(5)", "E(x,1)", "1 + + 2", "E(5,1", "2**E(5,1)", "1/0"]:
         with pytest.raises(ValueSyntaxError):
             parse_value(bad)
+
+
+def test_digit_separators_are_refused():
+    assert int("1_0") == 10  # which the value grammar does not allow
+    for bad in ["1_0", "-1_0/1_0", "1/1_0", "E(1_0,1)", "E(5,1_0)", "2_0*E(5,1)"]:
+        with pytest.raises(ValueSyntaxError):
+            parse_value(bad)
+
+
+def test_value_terms_come_before_any_arithmetic(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("arithmetic while reading terms")
+    monkeypatch.setattr(cyclo, "zeta", forbidden)
+    monkeypatch.setattr(cyclo, "linear_sum", forbidden)
+    assert value_terms(" 2 - E(3,1) + 1/2*E(100000000, 7) - 3/4") == [
+        (2, 1, 0), (-1, 3, 1), (Fraction(1, 2), 100000000, 7), (Fraction(-3, 4), 1, 0)]
+    assert value_terms("-E(4,3)") == [(-1, 4, 3)]
 
 
 def test_sort_key_total_order():

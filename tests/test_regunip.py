@@ -169,3 +169,15 @@ def test_pool_parse_errors():
         parse_pool("candidate X case=1\n")
     with pytest.raises(ValueError):
         parse_pool("widget X type=G2 case=1 p=2 order=p\n")
+
+
+@pytest.mark.parametrize("fields,bad", [
+    ("p=5..x order=p", "p=5..x"),
+    ("p=any order=table:p=2:8,p=3:x", "order=table:p=2:8,p=3:x"),
+])
+def test_pool_fields_are_read_whole_at_load_time(fields, bad):
+    # each bad part lies past where a reader at p = 2 could stop: past the
+    # lower bound that 2 misses, or past the table entry for p = 2
+    with pytest.raises(ValueError) as err:
+        parse_pool("# pool\ncandidate X type=G2 case=0 %s\n" % fields)
+    assert str(err.value).startswith("bad %s on pool line 2: " % bad)
