@@ -24,10 +24,8 @@ the least failing pair. `_split_prime` gives the proof. (Reducing
 cyclotomic integers modulo a split prime: Breuer, "Integral bases for
 subfields of cyclotomic fields", AAECC 8 (1997).)
 
-CTB input is read in one pass (`parse_ctb`): the class lines straight into
-records keyed by name, then each distinct value string once, its roots
-checked against the exponent's field on the terms `cyclo.value_terms`
-reads before `parse_value` does any arithmetic.
+CTB input is read in one pass (`parse_ctb`) on `modp.read_lines`: the
+class lines straight into records, then each distinct value string once.
 """
 
 from __future__ import annotations
@@ -37,20 +35,11 @@ from math import gcd, lcm, prod
 from operator import itemgetter
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .cyclo import (Cyclotomic, cyc, format_value, parse_value, raw_embed, read_int,
-                    value_terms)
+from .cyclo import Cyclotomic, cyc, format_value, parse_value, raw_embed, value_terms
 # unused here, but the benchmark's tracer wraps them in this module
 from .cyclo import raw_conjugate, raw_equals_rational, raw_mul  # noqa: F401
-from .modp import (PRIME_TEST_BOUND, element_of_order, prime_factors, prime_one_mod,
-                   primitive_root)
-
-
-class CTBSyntaxError(ValueError):
-    """CTB parse failure; carries the 1-based line."""
-
-    def __init__(self, message: str, line: int):
-        super().__init__("%s (line %d)" % (message, line))
-        self.line = line
+from .modp import (PRIME_TEST_BOUND, InputSyntaxError as CTBSyntaxError, element_of_order,
+                   prime_factors, prime_one_mod, primitive_root, read_int, read_lines)
 
 
 class ClassRecord(NamedTuple):
@@ -382,22 +371,12 @@ def emit_ctb(table: CharacterTable) -> str:
 
 
 def parse_ctb(text) -> CharacterTable:
-    """Parse CTB v1 text (str or bytes; bytes must be ASCII) in one pass.
+    """Parse CTB v1 text (str, or bytes that must be ASCII) in one pass.
     Structural checks only; run `validate` for the orthogonality suite.
-
-    Each distinct value string is read once: its roots E(n,k) are checked
-    against the exponent's field on `value_terms`, before any arithmetic
-    at their order, and then `parse_value` builds it."""
-    if isinstance(text, bytes):
-        try:
-            text = text.decode("ascii")
-        except UnicodeDecodeError as exc:
-            raise CTBSyntaxError("byte 0x%02x is not ASCII" % text[exc.start],
-                                 text.count(b"\n", 0, exc.start) + 1) from None
-    lines = text.splitlines()
-    end = len(lines), None
-    content = ((ln, s) for ln, s in enumerate(map(str.strip, lines), 1)
-               if s and not s.startswith("#"))
+    Each distinct value string is read once, its roots checked against
+    the exponent's field before `parse_value` builds it."""
+    content, n_lines = read_lines(text)
+    end = n_lines, None
 
     ln, line = next(content, end)
     if line is None or line.split() != ["CTB", "1"]:
@@ -490,7 +469,7 @@ def parse_ctb(text) -> CharacterTable:
                     % (outside[0], cname, outside[0], root_bound), ln)
         rows.append(tuple(map(parsed.__getitem__, keys)))
     if not rows:
-        raise CTBSyntaxError("table has no character rows", len(lines))
+        raise CTBSyntaxError("table has no character rows", n_lines)
     return CharacterTable(header["name"], order, exponent, tuple(records), tuple(rows))
 
 

@@ -8,6 +8,7 @@ key-value block format.
 Each `cmd_*` imports the modules its verb runs, so that a job compiles no
 other; `build_parser` loads none, and its literal `--cap` defaults and
 `--type` choices are pinned to `smallgrp` and `regunip` by the tests.
+Input files are read as bytes, which `modp.read_lines` checks are ASCII.
 """
 
 from __future__ import annotations
@@ -107,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_table(path: str):
     from . import chartable
-    return chartable.parse_ctb(Path(path).read_bytes())  # bytes: CTB is ASCII
+    return chartable.parse_ctb(Path(path).read_bytes())
 
 
 def _resolve_classes(table, names):
@@ -158,8 +159,8 @@ def cmd_dixon(args) -> int:
         raise ValueError("--projective applies only to @file generators, not to %r"
                          % args.group)
     if args.group.startswith("@"):
-        text = Path(args.group[1:]).read_text()
-        gens = smallgrp.parse_generator_file(text, projective=args.projective)
+        gens = smallgrp.parse_generator_file(Path(args.group[1:]).read_bytes(),
+                                             projective=args.projective)
         # generators span some subgroup: name only the ambient group
         group = smallgrp.closure(
             gens, cap=args.cap,
@@ -227,7 +228,7 @@ def cmd_regunip(args) -> int:
     from . import regunip
     # the pool is read, and a flag without --filter refused, before any output
     if args.filter:
-        pool = (regunip.parse_pool(Path(args.pool).read_text()) if args.pool
+        pool = (regunip.parse_pool(Path(args.pool).read_bytes()) if args.pool
                 else regunip.load_pool())
     else:
         for flag, given in (("--pool", args.pool), ("--two-classes", args.two_classes)):

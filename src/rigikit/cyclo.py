@@ -55,7 +55,7 @@ from itertools import combinations
 from math import gcd, lcm, prod
 from typing import Dict, Iterable, List, Tuple, Union
 
-from .modp import euler_phi, prime_factors
+from .modp import euler_phi, prime_factors, read_int
 
 Rational = Fraction
 Coeff = Union[int, Fraction]
@@ -620,14 +620,6 @@ def value_terms(text: str) -> List[Tuple[Coeff, int, int]]:
         raise ValueSyntaxError("unbalanced parenthesis in %r" % text)
     terms.append(cur)
     return [_parse_term(term, text) for term in terms]
-
-
-def read_int(text: str) -> int:
-    """`int(text)`, refusing what `int` accepts beyond ASCII digits and a
-    sign: `_` separators and other scripts' digits."""
-    if "_" in text or not text.isascii():
-        raise ValueError("invalid literal for int() with base 10: %r" % text)
-    return int(text)
 
 
 def _parse_term(term: str, context: str) -> Tuple[Coeff, int, int]:

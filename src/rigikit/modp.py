@@ -8,13 +8,15 @@ primes l = 1 (mod n) with an element of order n in GF(l), the matrix
 product, power (by repeated squaring) and scalar shift a + s*I over GF(p),
 and one Gauss-Jordan elimination over GF(p) under the matrix inverse,
 determinant, rank and nullspace.
+Every input file is read here: `read_lines` gives its content lines and
+`read_int` its integers, plain ASCII digits.
 """
 
 from __future__ import annotations
 
 from functools import cache
 from operator import mul
-from typing import List, Tuple
+from typing import Iterator, List, Tuple
 
 
 # the first 13 primes; as Miller-Rabin bases they decide primality exactly
@@ -194,3 +196,39 @@ def nullspace(a, p: int) -> List[List[int]]:
             v[pc] = -rows[r][fc] % p
         basis.append(v)
     return basis
+
+
+# ---------------------------------------------------------------------------
+# input files
+
+
+class InputSyntaxError(ValueError):
+    """Input parse failure; carries the 1-based line."""
+
+    def __init__(self, message: str, line: int):
+        super().__init__("%s (line %d)" % (message, line))
+        self.line = line
+
+
+def read_lines(data) -> Tuple[Iterator[Tuple[int, str]], int]:
+    """(line number, stripped line) for each line of `data` (str, or bytes
+    that must be ASCII) that is neither blank nor a `#` comment, and the
+    number of lines, for errors at the end of the input."""
+    if isinstance(data, bytes):
+        try:
+            data = data.decode("ascii")
+        except UnicodeDecodeError as exc:
+            raise InputSyntaxError("byte 0x%02x is not ASCII" % data[exc.start],
+                                   data.count(b"\n", 0, exc.start) + 1) from None
+    lines = data.splitlines()
+    return ((ln, s) for ln, s in enumerate(map(str.strip, lines), 1)
+            if s and not s.startswith("#")), len(lines)
+
+
+def read_int(text: str) -> int:
+    """`int(text)`, refusing what `int` accepts beyond ASCII digits and a
+    sign: `_` separators and other scripts' digits."""
+    if "_" in text or not text.isascii():
+        raise ValueError("invalid literal for int() with base 10: %r" % text)
+    return int(text)
+

@@ -18,7 +18,7 @@ from __future__ import annotations
 from importlib import resources
 from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
-from .modp import is_prime
+from .modp import is_prime, read_int, read_lines
 
 
 class ExceptionalType(NamedTuple):
@@ -90,17 +90,17 @@ def _pspec_matches(spec: str, p: int) -> bool:
     if spec.startswith("ne:"):
         return p not in _ints(spec[3:])
     if ".." in spec:
-        lo, hi = (int(x) if x else None for x in spec.split(".."))
+        lo, hi = (read_int(x) if x else None for x in spec.split(".."))
         return (lo is None or lo <= p) and (hi is None or p <= hi)
     return p in _ints(spec)
 
 
 def _ints(text: str) -> Set[int]:
-    return {int(x) for x in text.split(",")}
+    return {read_int(x) for x in text.split(",")}
 
 
 def _positive(text: str) -> int:
-    v = int(text)
+    v = read_int(text)
     if v < 1:
         raise ValueError("%r is not a positive integer" % text)
     return v
@@ -127,7 +127,7 @@ def _eval_descriptor(desc: str, p: int, label: str) -> Optional[int]:
             if key == "*":
                 default = _positive(val)
             else:
-                table[int(key)] = _positive(val)
+                table[read_int(key)] = _positive(val)
         return table.get(p, default)
     raise DescriptorError("bad descriptor %r for %s" % (desc, label))
 
@@ -202,15 +202,13 @@ def survivors(gtype, p: int, pool: Sequence[CandidateSubgroup],
 # fixture IO
 
 
-def parse_pool(text: str) -> List[CandidateSubgroup]:
+def parse_pool(text) -> List[CandidateSubgroup]:
+    """Candidate rows of a pool file (str, or bytes that must be ASCII)."""
     out = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in read_lines(text)[0]:
         fields = line.split()
         if fields[0] != "candidate" or len(fields) < 2:
-            raise ValueError("bad pool line %d: %r" % (lineno, raw))
+            raise ValueError("bad pool line %d: %r" % (lineno, line))
         label = fields[1]
         attrs = {}
         for f in fields[2:]:
@@ -219,11 +217,7 @@ def parse_pool(text: str) -> List[CandidateSubgroup]:
                 raise ValueError("bad attribute %r on pool line %d" % (f, lineno))
             if key in attrs:
                 raise ValueError("repeated %s= on pool line %d" % (key, lineno))
-            try:
-                _check_pool_field(key, val, label)
-            except ValueError as exc:
-                raise ValueError("bad %s=%s on pool line %d: %s"
-                                 % (key, val, lineno, exc)) from None
+            _check_pool_field(key, val, label, "pool line %d" % lineno)
             attrs[key] = val
         for req in ("type", "case", "p", "order"):
             if req not in attrs and not (req == "order" and "elim" in attrs):
@@ -232,7 +226,7 @@ def parse_pool(text: str) -> List[CandidateSubgroup]:
         out.append(CandidateSubgroup(
             label=label,
             gtype=attrs["type"],
-            case=int(attrs["case"]),
+            case=read_int(attrs["case"]),
             pspec=attrs["p"],
             descriptor=attrs.get("order", "const:1"),
             sylow_cyclic=None if sylow is None else sylow == "1",
@@ -242,49 +236,55 @@ def parse_pool(text: str) -> List[CandidateSubgroup]:
     return out
 
 
-def _check_pool_field(key: str, val: str, label: str) -> None:
-    """ValueError unless `val` is a well-formed value of pool attribute `key`."""
-    if key == "type":
-        exceptional_type(val)
-    elif key == "case":
-        int(val)
-    elif key == "p":
-        _pspec_matches(val, 2)
-    elif key == "order":
-        _eval_descriptor(val, 2, label)
-    elif key == "sylow_cyclic" and val not in ("0", "1"):
-        raise ValueError("want 0 or 1")
-    elif key == "elim" and val != "citation":
-        raise ValueError("want citation")
-    elif key not in ("sylow_cyclic", "elim", "note"):
-        raise ValueError("unknown attribute")
+def _check_pool_field(key: str, val: str, label: str, where: str) -> None:
+    """ValueError, naming `where`, unless `val` is a well-formed value of
+    pool attribute `key`."""
+    try:
+        if key == "type":
+            exceptional_type(val)
+        elif key == "case":
+            read_int(val)
+        elif key == "p":
+            _pspec_matches(val, 2)
+        elif key == "order":
+            _eval_descriptor(val, 2, label)
+        elif key == "sylow_cyclic" and val not in ("0", "1"):
+            raise ValueError("want 0 or 1")
+        elif key == "elim" and val != "citation":
+            raise ValueError("want citation")
+        elif key not in ("sylow_cyclic", "elim", "note"):
+            raise ValueError("unknown attribute")
+    except ValueError as exc:
+        raise ValueError("bad %s=%s on %s: %s" % (key, val, where, exc)) from None
 
 
-def parse_expected(text: str) -> List[Tuple[str, str, str]]:
-    """(type, pspec, label) survivor expectations."""
+def parse_expected(text) -> List[Tuple[str, str, str]]:
+    """(type, pspec, label) survivor expectations (str, or bytes that must
+    be ASCII); `type` and `p` are checked as in the pool."""
     out = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in read_lines(text)[0]:
         fields = line.split()
         if fields[0] != "expect" or len(fields) != 4:
-            raise ValueError("bad expectation line %d: %r" % (lineno, raw))
+            raise ValueError("bad expectation line %d: %r" % (lineno, line))
         attrs = dict(f.partition("=")[::2] for f in fields[1:3])
+        for key in ("type", "p"):
+            if key not in attrs:
+                raise ValueError("expectation line %d lacks %s=" % (lineno, key))
+            _check_pool_field(key, attrs[key], fields[3], "expectation line %d" % lineno)
         out.append((attrs["type"], attrs["p"], fields[3]))
     return out
 
 
-def _data_text(name: str) -> str:
-    return resources.files("rigikit.data").joinpath(name).read_text()
+def _data(name: str) -> bytes:
+    return resources.files("rigikit.data").joinpath(name).read_bytes()
 
 
 def load_pool() -> List[CandidateSubgroup]:
-    return parse_pool(_data_text("lieprim_pool.txt"))
+    return parse_pool(_data("lieprim_pool.txt"))
 
 
 def load_expected() -> List[Tuple[str, str, str]]:
-    return parse_expected(_data_text("lieprim_expected.txt"))
+    return parse_expected(_data("lieprim_expected.txt"))
 
 
 def sweep_primes(limit: int = 127) -> List[int]:

@@ -21,7 +21,8 @@ right-multiplication position array per generator and its search tree
 Theory, ch. 4). No `GroupElement` is kept per position: `elements` builds
 one when it is indexed. Left multiplications are read off the tree, so
 conjugacy classes run on positions; only their representatives are built,
-and their powers are walked on row codes.
+and their powers are walked on row codes, or read by stride off an
+earlier walk.
 
 `direct_triple_count` takes no inverses: for z in C3, x^-1 z^-1 lies in C2
 iff its inverse z x, and so its conjugate x z, lies in C2^-1. Quadratic
@@ -33,13 +34,15 @@ from __future__ import annotations
 
 from array import array
 from collections.abc import Sequence as SequenceABC
+from itertools import islice
 from math import gcd
 from operator import mul
 from typing import (
     Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple)
 
 from .modp import (
-    is_prime, mat_add_scalar, mat_det, mat_inv, mat_mul, mat_pow, mat_rank, primitive_root)
+    is_prime, mat_add_scalar, mat_det, mat_inv, mat_mul, mat_pow, mat_rank, primitive_root,
+    read_int, read_lines)
 
 
 class GroupTooLargeError(ValueError):
@@ -322,14 +325,16 @@ def conjugacy_classes(group: FiniteGroup) -> List[ConjugacyClass]:
     right[g][left(g^-1)[x]], g^-1 the position u with u g = 1.
     Representatives are enumeration-least, the only elements built. Each
     class keeps the positions of its representative's powers, walked
-    through the representative's right table (the sum of the class orders
-    in all); `dixon` reads inverse classes and power maps off them."""
+    through the representative's right table, or, when an earlier walk met
+    the representative as w^t, read off that walk as w^(ts), with no
+    products; `dixon` reads inverse classes and power maps off them."""
     if group.classes is not None:
         return group.classes
     conj = [(r, group.left(r.index(0))) for r in group.right]
     codes, keys, index = group.codes, group.keys, group.index
     class_of = [-1] * len(keys)
     classes: List[ConjugacyClass] = []
+    walks: Dict[int, Tuple[List[int], int]] = {}  # u -> (walk, t) with walk[t] == u
     for start in range(len(keys)):
         if class_of[start] >= 0:
             continue
@@ -344,11 +349,18 @@ def conjugacy_classes(group: FiniteGroup) -> List[ConjugacyClass]:
                     members.append(y)
         members.sort()
         rep = group.elements[start]
-        table, powers, x, u = codes.right(rep.entries), [0], keys[start], start
-        while u:
-            powers.append(u)
-            x, = codes.images((x,), table)
-            u = index[x]
+        if start in walks:
+            walk, t = walks[start]
+            m = len(walk)
+            powers = [walk[t * s % m] for s in range(m // gcd(m, t))]
+        else:
+            table, powers, x, u = codes.right(rep.entries), [0], keys[start], start
+            while u:
+                powers.append(u)
+                x, = codes.images((x,), table)
+                u = index[x]
+            for t, u in enumerate(powers):
+                walks.setdefault(u, (powers, t))
         classes.append(ConjugacyClass(
             rep=rep, size=len(members), order=len(powers),
             indices=tuple(members), powers=tuple(powers)))
@@ -567,7 +579,7 @@ def group_from_spec(spec: str, cap: int = DEFAULT_CLOSURE_CAP) -> FiniteGroup:
             if len(args) != 2:
                 raise ValueError("group spec needs two arguments: %r" % spec)
             try:
-                n, p = int(args[0]), int(args[1])
+                n, p = read_int(args[0]), read_int(args[1])
             except ValueError:
                 raise ValueError("group spec needs integer arguments: %r"
                                  % spec) from None
@@ -589,16 +601,12 @@ def group_from_spec(spec: str, cap: int = DEFAULT_CLOSURE_CAP) -> FiniteGroup:
     raise ValueError("unrecognized group spec %r" % spec)
 
 
-def parse_generator_file(text: str, projective: bool = False) -> List[GroupElement]:
-    """Generator file format: blocks of 'matrix <n> <p>' followed by n rows."""
-    lines = [ln.strip() for ln in text.splitlines()]
+def parse_generator_file(text, projective: bool = False) -> List[GroupElement]:
+    """Generator file format: blocks of 'matrix <n> <p>' followed by n rows
+    (str, or bytes that must be ASCII)."""
+    content, n_lines = read_lines(text)
     gens: List[GroupElement] = []
-    i = 0
-    while i < len(lines):
-        line = lines[i]
-        i += 1
-        if not line or line.startswith("#"):
-            continue
+    for i, line in content:
         fields = line.split()
         if fields[0] != "matrix" or len(fields) != 3:
             raise ValueError("expected 'matrix <n> <p>' at line %d" % i)
@@ -609,18 +617,14 @@ def parse_generator_file(text: str, projective: bool = False) -> List[GroupEleme
         if not is_prime(p):
             raise ValueError("matrix modulus %d is not prime at line %d" % (p, i))
         rows = []
-        while len(rows) < n:
-            if i >= len(lines):
-                raise ValueError("matrix block truncated at line %d" % i)
-            row_line = lines[i]
-            i += 1
-            if not row_line or row_line.startswith("#"):
-                continue
+        for i, row_line in islice(content, n):
             row = [_parse_field(v, "entry %d" % (c + 1), i)
                    for c, v in enumerate(row_line.split())]
             if len(row) != n:
                 raise ValueError("expected %d entries at line %d" % (n, i))
             rows.append(row)
+        if len(rows) < n:
+            raise ValueError("matrix block truncated at line %d" % n_lines)
         gens.append(make_element(rows, p, projective))
     if not gens:
         raise ValueError("generator file contains no matrices")
@@ -629,7 +633,7 @@ def parse_generator_file(text: str, projective: bool = False) -> List[GroupEleme
 
 def _parse_field(text: str, what: str, line: int) -> int:
     try:
-        return int(text)
+        return read_int(text)
     except ValueError:
         raise ValueError("%s %r is not an integer at line %d"
                          % (what, text, line)) from None

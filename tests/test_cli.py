@@ -222,6 +222,23 @@ def test_ctb_files_are_read_as_bytes(tmp_path, capsys):
             assert run(capsys, argv) == (2, "", "error: %s\n" % message), argv
 
 
+def test_generator_and_pool_files_are_read_as_bytes(tmp_path, capsys):
+    # int() would read the U+0661 row as "0 1", a transvection of GL(2,3)
+    gens, pool = tmp_path / "gens.txt", tmp_path / "pool.txt"
+    dixon = ["dixon", "@%s" % gens]
+    regunip = ["regunip", "--type", "E8", "--p", "7", "--filter", "--pool", str(pool)]
+    good = b"candidate J1 type=G2 case=0 p=11 order=table:p=11:11\n"
+    for target, data, argv, message in (
+            (gens, "matrix 2 3\n1 1\n0 \u0661\n".encode("utf-8"), dixon,
+             "byte 0xd9 is not ASCII (line 3)"),
+            (gens, b"# \xff\nmatrix 2 3\n1 1\n0 1\n", dixon, "byte 0xff is not ASCII (line 1)"),
+            (pool, good + "candidate X type=E8 case=0 p=\u0667 order=p\n".encode("utf-8"),
+             regunip, "byte 0xd9 is not ASCII (line 2)"),
+            (pool, good + b"\n# \xff\n", regunip, "byte 0xff is not ASCII (line 3)")):
+        target.write_bytes(data)
+        assert run(capsys, argv) == (2, "", "error: %s\n" % message), data
+
+
 def test_lemma_cli(capsys):
     status, out, _ = run(capsys, ["lemma", "sl", "--n", "3", "--q", "3"])
     assert status == 0

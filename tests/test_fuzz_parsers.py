@@ -1,8 +1,11 @@
 """Property-based fuzzing of the text parsers: whatever the input,
 `parse_value` returns a value or raises `ValueSyntaxError`, `parse_ctb`
-returns a table or raises `CTBSyntaxError`, and a generator file either
+returns a table or raises `CTBSyntaxError`, a generator file either
 gives a group (closure and conjugacy classes) or raises `ValueError` or
-`GroupTooLargeError`, within a bounded time.
+`GroupTooLargeError`, and a pool or expectation file is read or raises
+`ValueError`, within a bounded time. CTB and generator files are also
+parsed as bytes with junk inserted, and pool and expectation files are
+read both ways.
 
 Values are held in the power basis of their conductor. The reduction is
 sparse and works at the radical r of the conductor n, but a root E(n, k)
@@ -20,18 +23,22 @@ from functools import reduce
 from math import lcm
 from pathlib import Path
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rigikit.chartable import CharacterTable, CTBSyntaxError, parse_ctb
 from rigikit.cyclo import Cyclotomic, ValueSyntaxError, parse_value
+from rigikit.regunip import parse_expected, parse_pool
 from rigikit.smallgrp import (
-    GroupTooLargeError, closure, conjugacy_classes, parse_generator_file)
+    GroupElement, GroupTooLargeError, closure, conjugacy_classes, parse_generator_file)
 
 ROOT_ORDER_BOUND = 5000
 DATA = Path(__file__).resolve().parents[1] / "src" / "rigikit" / "data"
 FIXTURES = [(DATA / name).read_text().splitlines()
             for name in ("s3.ctb", "psl2_7.ctb", "sl2_5.ctb")]
+POOL, EXPECTED = ((DATA / name).read_text().splitlines()
+                  for name in ("lieprim_pool.txt", "lieprim_expected.txt"))
 
 TOKENS = ["E(", "E", "(", ")", ",", "+", "-", "*", "/", " ", "\t", ";", "#",
           "=", "0", "1", "-1", "1/2", "3/0", "E(7,1)", "E(4,3)", "E(5,2)*",
@@ -67,10 +74,10 @@ def test_parse_value_raises_only_syntax_errors(text):
 
 
 @st.composite
-def mutated_ctb(draw):
-    """A shipped CTB file with up to three lines inserted, deleted,
-    replaced or spliced with a fragment."""
-    lines = list(draw(st.sampled_from(FIXTURES)))
+def mutated(draw, files=FIXTURES):
+    """One of the shipped `files` (CTB by default) with up to three lines
+    inserted, deleted, replaced or spliced with a fragment."""
+    lines = list(draw(st.sampled_from(files)))
     for _ in range(draw(st.integers(1, 3))):
         i = draw(st.integers(0, len(lines) - 1))
         op = draw(st.sampled_from(["insert", "delete", "replace", "splice"]))
@@ -89,6 +96,14 @@ def mutated_ctb(draw):
     return "\n".join(lines) + "\n"
 
 
+def with_junk(text: str, junk: bytes, at: int) -> bytes:
+    """`text` as UTF-8 bytes with `junk` inserted at byte `at` (or at the end)."""
+    # lone surrogates from st.characters() become invalid UTF-8 bytes
+    data = text.encode("utf-8", "surrogatepass")
+    at = min(at, len(data))
+    return data[:at] + junk + data[at:]
+
+
 def _parse_ctb_outcome(data) -> None:
     try:
         table = parse_ctb(data)
@@ -98,19 +113,16 @@ def _parse_ctb_outcome(data) -> None:
 
 
 @settings(max_examples=300, deadline=2000)
-@given(mutated_ctb())
+@given(mutated())
 def test_parse_ctb_raises_only_syntax_errors(text):
     assume(_root_orders_bounded(text))
     _parse_ctb_outcome(text)
 
 
 @settings(max_examples=100, deadline=2000)
-@given(mutated_ctb(), st.binary(max_size=4), st.integers(0, 400))
+@given(mutated(), st.binary(max_size=4), st.integers(0, 400))
 def test_parse_ctb_bytes_raise_only_syntax_errors(text, junk, at):
-    # lone surrogates from st.characters() become invalid UTF-8 bytes
-    data = text.encode("utf-8", "surrogatepass")
-    at = min(at, len(data))
-    data = data[:at] + junk + data[at:]
+    data = with_junk(text, junk, at)
     assume(_root_orders_bounded(data.decode("latin-1")))
     _parse_ctb_outcome(data)
 
@@ -145,3 +157,28 @@ def test_generator_file_gives_a_group_or_value_error(text, projective):
     except (ValueError, GroupTooLargeError):
         return
     assert sum(c.size for c in conjugacy_classes(group)) == group.order
+
+
+@settings(max_examples=100, deadline=2000)
+@given(generator_file(), st.booleans(), st.binary(max_size=4), st.integers(0, 100))
+def test_generator_file_bytes_raise_only_value_errors(text, projective, junk, at):
+    try:
+        gens = parse_generator_file(with_junk(text, junk, at), projective)
+    except ValueError:
+        return
+    assert gens and all(isinstance(g, GroupElement) for g in gens)
+
+
+@pytest.mark.parametrize("parse,files", [(parse_pool, [POOL]), (parse_expected, [EXPECTED])],
+                         ids=["pool", "expected"])
+@settings(max_examples=100, deadline=2000)
+@given(data=st.data())
+def test_pool_files_raise_only_value_errors(parse, files, data):
+    text = data.draw(mutated(files))
+    for source in (text, with_junk(text, data.draw(st.binary(max_size=4)),
+                                   data.draw(st.integers(0, 9000)))):
+        try:
+            rows = parse(source)
+        except ValueError:
+            continue
+        assert isinstance(rows, list)

@@ -9,6 +9,7 @@ from sympy.polys.matrices import DomainMatrix
 from rigikit.dixon import DixonError, _solve_in_basis
 from rigikit.modp import (
     PRIME_TEST_BOUND,
+    InputSyntaxError,
     element_of_order,
     euler_phi,
     gauss_jordan,
@@ -22,6 +23,8 @@ from rigikit.modp import (
     nullspace,
     prime_factors,
     prime_one_mod,
+    read_int,
+    read_lines,
 )
 from rigikit.smallgrp import make_element
 
@@ -185,3 +188,21 @@ def test_prime_one_mod_and_element_order():
             w = element_of_order(n, ell)
             powers = [pow(w, e, ell) for e in range(1, n + 1)]
             assert powers.index(1) == n - 1
+
+
+def test_read_lines_numbers_the_content_lines_and_counts_all():
+    text = "# head\n\n  a b  \r\n\tc\n#\n"
+    for data in (text, text.encode("ascii")):
+        content, n_lines = read_lines(data)
+        assert (list(content), n_lines) == ([(3, "a b"), (4, "c")], 5)
+    # the whole input is checked when it is handed over, before any line is read
+    with pytest.raises(InputSyntaxError) as err:
+        read_lines(b"a\n\nb \xe9\n")
+    assert (str(err.value), err.value.line) == ("byte 0xe9 is not ASCII (line 3)", 3)
+
+
+def test_read_int_takes_plain_digits_only():
+    assert [read_int(t) for t in ("0", "-12", "+7", " 5 ")] == [0, -12, 7, 5]
+    for bad in ("1_0", "\u0661", "x", ""):
+        with pytest.raises(ValueError, match="invalid literal for int"):
+            read_int(bad)

@@ -1,3 +1,5 @@
+from importlib import resources
+
 import pytest
 
 from rigikit.regunip import (
@@ -9,6 +11,7 @@ from rigikit.regunip import (
     filter_candidates,
     load_expected,
     load_pool,
+    parse_expected,
     parse_pool,
     regular_unipotent_order,
     reproduction_report,
@@ -181,3 +184,30 @@ def test_pool_fields_are_read_whole_at_load_time(fields, bad):
     with pytest.raises(ValueError) as err:
         parse_pool("# pool\ncandidate X type=G2 case=0 %s\n" % fields)
     assert str(err.value).startswith("bad %s on pool line 2: " % bad)
+
+
+@pytest.mark.parametrize("text,message", [
+    ("expect type=E8 p=abc L\n",
+     "bad p=abc on expectation line 1: invalid literal for int() with base 10: 'abc'"),
+    ("# expectations\nexpect type=E9 p=7 L\n",
+     "bad type=E9 on expectation line 2: unknown exceptional type 'E9' (want G2/F4/E6/E7/E8)"),
+    ("expect type=E8 p=1_1 L\n",
+     "bad p=1_1 on expectation line 1: invalid literal for int() with base 10: '1_1'"),
+    ("expect type=E8 p=5..x L\n",
+     "bad p=5..x on expectation line 1: invalid literal for int() with base 10: 'x'"),
+    ("expect type=E8 q=7 L\n", "expectation line 1 lacks p="),
+    ("expect p=7 p=11 L\n", "expectation line 1 lacks type="),
+    ("expect type=E8 p=7\n", "bad expectation line 1: 'expect type=E8 p=7'"),
+    ("expect type=E8 p=7 L\n# \xff\n".encode("latin-1"), "byte 0xff is not ASCII (line 2)"),
+])
+def test_expectation_errors_name_line_and_field(text, message):
+    with pytest.raises(ValueError) as err:
+        parse_expected(text)
+    assert str(err.value) == message
+
+
+def test_shipped_files_read_the_same_as_text_and_as_bytes():
+    data = resources.files("rigikit.data")
+    for name, parse, loaded in (("lieprim_pool.txt", parse_pool, load_pool()),
+                                ("lieprim_expected.txt", parse_expected, load_expected())):
+        assert parse(data.joinpath(name).read_text()) == loaded

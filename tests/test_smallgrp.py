@@ -1,4 +1,5 @@
 import random
+import re
 from collections import Counter
 from math import gcd
 
@@ -257,6 +258,10 @@ def test_group_spec_errors():
             group_from_spec(bad)
     with pytest.raises(ValueError, match=r"integer arguments: 'SL\(a,3\)'"):
         group_from_spec("SL(a,3)")
+    # int() would read these as GL(2,5) and GL(2,11)
+    for spec in ("GL(\u0662,5)", "GL(2,1_1)"):
+        with pytest.raises(ValueError, match=re.escape("integer arguments: %r" % spec)):
+            group_from_spec(spec)
 
 
 def test_generator_file_roundtrip():
@@ -354,8 +359,11 @@ def test_recorded_arrays_tree_and_classes(conjugated_group):
 
 def test_class_powers_are_the_representative_powers(conjugated_group):
     rng = random.Random(23)
-    for kind, n, p in (("PSL", 2, 7), ("GL", 2, 3), ("SL", 2, 5), ("SO", 4, 3)):
-        g = conjugated_group(kind, n, p, rng)
+    # in the abelian groups most powers are read by stride off an earlier walk
+    abelian = [closure([make_element([[2]], 61)]),
+               closure([make_element([[3, 0], [0, 1]], 7), make_element([[1, 0], [0, 3]], 7)])]
+    for g in [conjugated_group(kind, n, p, rng) for kind, n, p in (
+            ("PSL", 2, 7), ("GL", 2, 3), ("SL", 2, 5), ("SO", 4, 3))] + abelian:
         class_of = {u: c for c in conjugacy_classes(g) for u in c.indices}
         for c in conjugacy_classes(g):
             x, walked = g.elements[0], []
