@@ -5,7 +5,9 @@ sums, double-coset value formulas, and the dual-group symmetry checks.
 Everything is exact. GL2 allows prime powers q >= 3; SL2 and PGL2 are
 restricted to odd primes so the four half-degree SL2 characters carry
 the classical quadratic Gauss sum of Q(zeta_q). Only GL2's classes,
-values and R_{T,theta} are written down. On z u, z central and u = 1 or
+values and R_{T,theta} are written down, and GL2's rows are indexed as
+its classes: a linear, Steinberg, principal or cuspidal row per central,
+unipotent, split or nonsplit class. On z u, z central and u = 1 or
 a transvection, a GL2 character is its central character at z times its
 degree or its transvection value; a Steinberg row is a linear row times
 St; only the torus columns take a formula per row kind. The other two
@@ -17,8 +19,9 @@ PGL2 is the quotient by the center, its classes the images of GL2's.
 R_{T,theta} commutes with both, so each family's is GL2's at a lift of
 theta, read through the row map.
 
-Class kinds come from element orders, torus elements are classed through
-the power map, and the dual-group data are read off the Lusztig series:
+Element orders are read off the power map, class kinds from the orders,
+torus elements are classed through the power map, and the dual-group
+data are read off the Lusztig series:
 the constituents of the R_{T,theta} that a semisimple class of the dual
 group names.
 """
@@ -27,8 +30,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import gcd, lcm
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from math import lcm
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from .chartable import CharacterTable, CheckReport, CheckResult, build_table_mapped
 from .cyclo import ZERO, Cyclotomic, cyc, from_terms, linear_sum, zeta
@@ -153,42 +156,18 @@ def _nonsplit_rep(e: int, q: int) -> int:
     return min(e, (e * q) % n)
 
 
-def _nonsplit_reps(q: int) -> List[int]:
-    """One exponent e of Z/(q^2-1) per orbit {e, qe} off (q+1)Z, in
-    first-seen order: the nonsplit classes and the cuspidal rows of GL2."""
-    return list(dict.fromkeys(
-        _nonsplit_rep(e, q) for e in range(q * q - 1) if e % (q + 1)))
-
-
 def _gl2_class_list(q: int):
-    """Labels, sizes, orders, in a fixed construction order."""
-    n1, n2 = q - 1, q * q - 1
-    labels: List[Label] = []
-    sizes: List[int] = []
-    for a in range(n1):
-        labels.append(("central", a))
-        sizes.append(1)
-    for a in range(n1):
-        labels.append(("unipotent", a))
-        sizes.append(n2)
-    for a in range(n1):
-        for b in range(a + 1, n1):
-            labels.append(("split", (a, b)))
-            sizes.append(q * (q + 1))
-    for r in _nonsplit_reps(q):
-        labels.append(("nonsplit", r))
-        sizes.append(q * (q - 1))
-    return labels, sizes, [_gl2_order(lab, q) for lab in labels]
-
-
-def _gl2_order(label: Label, q: int) -> int:
-    """Order of an element of the labelled GL2 class."""
-    n1, (kind, x) = q - 1, label
-    if kind == "split":
-        return lcm(n1 // gcd(x[0], n1), n1 // gcd(x[1], n1))
-    if kind == "nonsplit":
-        return (q * q - 1) // gcd(x, q * q - 1)
-    return n1 // gcd(x, n1) * (_characteristic(q) if kind == "unipotent" else 1)
+    """Labels and sizes, in a fixed construction order; a nonsplit class is
+    one exponent e of Z/(q^2-1) per orbit {e, qe} off (q+1)Z, first seen."""
+    n1 = q - 1
+    labels: List[Label] = [("central", a) for a in range(n1)]
+    labels += [("unipotent", a) for a in range(n1)]
+    labels += [("split", (a, b)) for a in range(n1) for b in range(a + 1, n1)]
+    labels += [("nonsplit", r) for r in dict.fromkeys(
+        _nonsplit_rep(e, q) for e in range(q * q - 1) if e % (q + 1))]
+    size = {"central": 1, "unipotent": q * q - 1, "split": q * (q + 1),
+            "nonsplit": q * (q - 1)}
+    return labels, [size[kind] for kind, _ in labels]
 
 
 def _gl2_class_of_power(label: Label, r: int, q: int) -> Label:
@@ -215,11 +194,11 @@ def _gl2_class_of_power(label: Label, r: int, q: int) -> Label:
 
 
 def _gl2_row_labels(q: int) -> List[RowLabel]:
-    n1 = q - 1
-    out: List[RowLabel] = [("lin", k) for k in range(n1)]
-    out += [("stlin", k) for k in range(n1)]
-    out += [("prin", (i, j)) for i in range(n1) for j in range(i + 1, n1)]
-    return out + [("cusp", r) for r in _nonsplit_reps(q)]
+    """One row per class: the row kinds lin, stlin, prin and cusp are indexed
+    as the class kinds central, unipotent, split and nonsplit."""
+    kind = {"central": "lin", "unipotent": "stlin", "split": "prin",
+            "nonsplit": "cusp"}
+    return [(kind[k], x) for k, x in _gl2_class_list(q)[0]]
 
 
 def _gl2_value(row: RowLabel, cls: Label, q: int) -> Cyclotomic:
@@ -254,19 +233,29 @@ def _reduced_root_sum(n: int, a: int, b: int) -> Cyclotomic:
 
 
 def _assemble(family: str, q: int, order: int, labels: List[Label],
-              sizes: List[int], orders: List[int], power_label,
+              sizes: List[int], power_label,
               gl2_row: Dict[RowLabel, RowLabel], value) -> Rank1Family:
     """The canonical table of one family at q and its label maps.
 
-    `labels`, `sizes` and `orders` list the classes and `gl2_row` maps each
-    row label to the GL2 row it is read off, each in any order;
-    `power_label(label, r)` labels the class of x^r and `value(row label,
-    class label)` is a character value.
+    `labels` and `sizes` list the classes and `gl2_row` maps each row label
+    to the GL2 row it is read off, each in any order; `power_label(label,
+    r)` labels the class of x^r and `value(row label, class label)` is a
+    character value. The order of x is the least divisor r of the group
+    order with x^r the identity, ("central", 0): from the group order down,
+    each prime is divided out while the power stays the identity. Every
+    prime of the group order divides the exponent (Cauchy).
     """
+    primes = prime_factors(order)
+    orders = []
+    for lab in labels:
+        r = order
+        for ell in primes:
+            while r % ell == 0 and power_label(lab, r // ell) == ("central", 0):
+                r //= ell
+        orders.append(r)
     row_labels = list(gl2_row)
     label_pos = {lab: i for i, lab in enumerate(labels)}
     exponent = lcm(*orders)
-    primes = prime_factors(exponent)
     class_infos = [
         (size, o, {r: label_pos[power_label(lab, r)] for r in primes})
         for lab, size, o in zip(labels, sizes, orders)
@@ -293,10 +282,10 @@ def build_gl2(q: int) -> Rank1Family:
     _characteristic(q)  # a non-prime-power q is named before q < 3
     if q < 3:
         raise ValueError("GL2 needs q >= 3")
-    labels, sizes, orders = _gl2_class_list(q)
+    labels, sizes = _gl2_class_list(q)
     assert len(labels) == q * q - 1
     return _assemble(
-        "GL2", q, q * (q - 1) * (q * q - 1), labels, sizes, orders,
+        "GL2", q, q * (q - 1) * (q * q - 1), labels, sizes,
         lambda lab, r: _gl2_class_of_power(lab, r, q),
         {rl: rl for rl in _gl2_row_labels(q)},
         lambda row, cls: _gl2_value(row, cls, q))
@@ -329,11 +318,10 @@ def build_sl2(q: int) -> Rank1Family:
             return ("split", (x, q - 1 - x))
         return ("nonsplit", _nonsplit_rep(x * (q - 1), q))
 
-    # sizes and orders are GL2's; each unipotent class of GL2 splits in two
-    gl2 = {lab: (size, o) for lab, size, o in zip(*_gl2_class_list(q))}
-    sizes = [gl2[gl2_rep(lab)][0] // (2 if lab[0] == "unipotent" else 1)
+    # sizes are GL2's; each unipotent class of GL2 splits in two
+    gl2_size = dict(zip(*_gl2_class_list(q)))
+    sizes = [gl2_size[gl2_rep(lab)] // (2 if lab[0] == "unipotent" else 1)
              for lab in labels]
-    orders = [gl2[gl2_rep(lab)][1] for lab in labels]
     from_gl2 = {gl2_rep(lab): lab for lab in labels}
 
     def power_label(label: Label, r: int) -> Label:
@@ -371,7 +359,7 @@ def build_sl2(q: int) -> Rank1Family:
         flips = (row[0] == "eta") + row[1] + (cls[1][-1] == "d")
         return halves[(-1) ** flips] * v
 
-    return _assemble("SL2", q, q * (q * q - 1), labels, sizes, orders,
+    return _assemble("SL2", q, q * (q * q - 1), labels, sizes,
                      power_label, gl2_row, value)
 
 
@@ -403,7 +391,7 @@ def build_pgl2(q: int) -> Rank1Family:
         return cls if cls[0] == "nonsplit" else (cls[0], 0)
 
     sizes: Dict[Label, int] = {}  # q - 1 GL2 elements over each element
-    for lab, size in zip(*_gl2_class_list(q)[:2]):
+    for lab, size in zip(*_gl2_class_list(q)):
         image = quotient(lab)
         sizes[image] = sizes.get(image, 0) + size
     labels = list(sizes)
@@ -411,17 +399,6 @@ def build_pgl2(q: int) -> Rank1Family:
 
     def power_label(label: Label, r: int) -> Label:
         return quotient(_gl2_class_of_power(gl2_rep(label), r, q))
-
-    def order(label: Label) -> int:
-        # x^r is central for the GL2 order r of x: divide out primes while
-        # the power stays central
-        r = _gl2_order(gl2_rep(label), q)
-        for ell in prime_factors(r):
-            while r % ell == 0 and power_label(label, r // ell) == ("central", 0):
-                r //= ell
-        return r
-
-    orders = [order(lab) for lab in labels]
 
     # rows: the GL2 characters with trivial central character
     gl2_row: Dict[RowLabel, RowLabel] = {
@@ -435,7 +412,7 @@ def build_pgl2(q: int) -> Rank1Family:
         return _gl2_value(gl2_row[row], gl2_rep(cls), q)
 
     return _assemble("PGL2", q, q * (q * q - 1), labels,
-                     [size // n1 for size in sizes.values()], orders,
+                     [size // n1 for size in sizes.values()],
                      power_label, gl2_row, value)
 
 
@@ -469,14 +446,11 @@ def torus_element_class(fam: Rank1Family, torus: str, t) -> int:
 
 
 def torus_elements(fam: Rank1Family, torus: str):
+    """The torus parameters; its characters have the same parameters."""
     n = _torus_modulus(fam, torus)
     if fam.family == "GL2" and torus == "split":
         return [(a, b) for a in range(n) for b in range(n)]
     return list(range(n))
-
-
-def torus_characters(fam: Rank1Family, torus: str):
-    return torus_elements(fam, torus)  # same parameter space
 
 
 def _theta_exponent(fam: Rank1Family, torus: str, theta, t) -> int:
@@ -484,10 +458,6 @@ def _theta_exponent(fam: Rank1Family, torus: str, theta, t) -> int:
     if fam.family == "GL2" and torus == "split":
         return theta[0] * t[0] + theta[1] * t[1]
     return theta * t
-
-
-def theta_value(fam: Rank1Family, torus: str, theta, t) -> Cyclotomic:
-    return zeta(_torus_modulus(fam, torus), _theta_exponent(fam, torus, theta, t))
 
 
 def weyl_on_torus(fam: Rank1Family, torus: str, t):
@@ -547,11 +517,9 @@ def theta_independence(fam: Rank1Family) -> Tuple[CheckReport, List[GreenFunctio
     greens: List[GreenFunction] = []
     for torus in ("split", "nonsplit"):
         values: Dict[str, int] = {}
+        dls = [dl_character(fam, torus, theta) for theta in torus_elements(fam, torus)]
         for j, alg in fam.unipotent_class_indices():
-            seen = set()
-            for theta in torus_characters(fam, torus):
-                dl = dl_character(fam, torus, theta)
-                seen.add(fam.dl_value(dl, j))
+            seen = {fam.dl_value(dl, j) for dl in dls}
             name = "valuni_%s_%s_%s" % (torus, alg, fam.table.classes[j].name)
             if len(seen) != 1:
                 items.append(CheckResult(
@@ -578,18 +546,14 @@ def theta_independence(fam: Rank1Family) -> Tuple[CheckReport, List[GreenFunctio
 # torus character sums (vanishing off common kernels)
 
 
-def torus_character_sum(fam: Rank1Family, torus: str, H, s):
-    """(sum over theta in H of R_{T,theta}(s), hypothesis satisfied?).
+def torus_character_sums(fam: Rank1Family, torus: str, H, points):
+    """(sum over theta in H of R_{T,theta}(s), hypothesis satisfied?) at each
+    s in points.
 
     H is a subgroup of the torus character group, listed by its members.
-    The sum vanishes whenever some theta in H is nontrivial on s.
+    The sum vanishes whenever some theta in H is nontrivial on s. The row
+    multiplicities of the sum do not depend on s.
     """
-    return next(_torus_character_sums(fam, torus, H, [s]))
-
-
-def _torus_character_sums(fam: Rank1Family, torus: str, H, points):
-    """`torus_character_sum` at each s in points; the row multiplicities of
-    sum over theta in H of R_{T,theta} do not depend on s."""
     n = _torus_modulus(fam, torus)
     multiplicity: Dict[int, int] = {}
     for theta in H:
@@ -606,10 +570,9 @@ def vanishing_sum_report(fam: Rank1Family) -> CheckReport:
     """Full-character-group sums vanish on every nonidentity torus element."""
     items = []
     for torus in ("split", "nonsplit"):
-        H = torus_characters(fam, torus)
-        points = torus_elements(fam, torus)
+        H = points = torus_elements(fam, torus)  # the whole character group
         for s, (total, qualified) in zip(
-                points, _torus_character_sums(fam, torus, H, points)):
+                points, torus_character_sums(fam, torus, H, points)):
             if not qualified:
                 continue  # s in every kernel (the identity): hypothesis fails
             name = "sum_%s_s%s" % (torus, s)
@@ -755,7 +718,8 @@ def _coset_value(fam: Rank1Family, s_class: int, datum: DualSemisimpleDatum,
         s_param = _central_torus_param(fam, torus, lab)
         sign = 1 if torus == "split" else -1
         index = fam.order_pprime() // _pprime(fam.torus_order(torus), fam.p)
-        rhs = cyc(sign * index) * theta_value(fam, torus, theta, s_param)
+        rhs = cyc(sign * index) * zeta(_torus_modulus(fam, torus),
+                                       _theta_exponent(fam, torus, theta, s_param))
     elif lab[0] != torus:
         rhs = ZERO
     else:
@@ -822,32 +786,6 @@ def coset_values_report(fam: Rank1Family, famGstar: Rank1Family) -> CheckReport:
 # the dual symmetry of semisimple character values
 
 
-def eps_centralizer(family: str, kind: str) -> int:
-    """(-1)^(F-rank of the connected centralizer) of a semisimple class.
-
-    The regular character attached to t carries this sign definitionally
-    (its defining sum twists each torus term by the torus sign), so the
-    regular-character symmetry identity holds with both sides decorated by
-    it; the semisimple-character identity needs no decoration.
-    """
-    if family == "GL2":
-        ranks = {"central": 2, "split": 2, "nonsplit": 1}
-    else:
-        ranks = {"central": 1, "split": 1, "nonsplit": 0}
-    return -1 if ranks[kind] % 2 else 1
-
-
-def _constituents_agree_on_semisimple(fam: Rank1Family,
-                                      rows: Sequence[int]) -> bool:
-    if len(rows) == 1:
-        return True
-    ss = fam.semisimple_class_indices()
-    first = fam.table.rows[rows[0]]
-    return all(
-        all(fam.table.rows[r][j] == first[j] for j in ss) for r in rows[1:]
-    )
-
-
 def dual_symmetry_report(famG: Rank1Family, famGstar: Rank1Family,
                          regular: bool = False) -> CheckReport:
     """|C(t)|_{p'} chi_t(s) = |C(s)|_{p'} chi_s(t) over all semisimple pairs.
@@ -871,11 +809,21 @@ def dual_symmetry_report(famG: Rank1Family, famGstar: Rank1Family,
         return d.reg_rows if regular else d.ss_rows
 
     def eps(family: str, label: Label) -> int:
-        return eps_centralizer(family, label[0]) if regular else 1
+        # (-1)^(F-rank of the connected centralizer) of a semisimple class.
+        # The regular character attached to t carries this sign by definition
+        # (its defining sum twists each torus term by the torus sign), so the
+        # regular-character identity holds with both sides decorated by it;
+        # the semisimple-character identity needs no decoration. The F-rank
+        # is 1 on the central and split classes, 0 on the nonsplit ones, plus
+        # 1 in GL2 for its center.
+        rank = (label[0] != "nonsplit") + (family == "GL2")
+        return -1 if regular and rank % 2 else 1
 
+    semisimple = famG.semisimple_class_indices()
     items: List[CheckResult] = []
     for d in data_t:
-        if not _constituents_agree_on_semisimple(famG, rows_of(d)):
+        first, *others = (famG.table.rows[r] for r in rows_of(d))
+        if any(row[j] != first[j] for row in others for j in semisimple):
             items.append(CheckResult(
                 "constituents_%s" % (d.dual_label,), False,
                 "constituents differ on a semisimple class"))
@@ -883,7 +831,7 @@ def dual_symmetry_report(famG: Rank1Family, famGstar: Rank1Family,
     per_t = [(str(dt.dual_label), famG.table.rows[rows_of(dt)[0]],
               eps(famGstar.family, dt.dual_label) * dt.centralizer_pprime,
               dt.dual_class_index) for dt in data_t]
-    for s_class in famG.semisimple_class_indices():
+    for s_class in semisimple:
         ds = by_class_s.get(s_class)
         if ds is None:
             items.append(CheckResult("pairing_s%d" % s_class, False,

@@ -8,7 +8,7 @@ subgroup lists with their known maximal p-element orders), never derived
 here; rows whose elimination rests on classification input rather than
 order arithmetic are flagged eliminated-by-citation.
 
-Fixture descriptor grammar: `const:<m>` | `p` | `p^<a>` |
+Fixture descriptor grammar: `const:<m>` | `p` | `p^<a>` (1 <= a <= 64) |
 `table:p=<v>:<m>,...` where the table may end with a `p=*:<m>` default
 entry for primes not listed (used for primes not dividing the group order).
 """
@@ -113,7 +113,12 @@ def _eval_descriptor(desc: str, p: int, label: str) -> Optional[int]:
     if desc == "p":
         return p
     if desc.startswith("p^"):
-        return p ** _positive(desc[2:])
+        # regular unipotent orders are at most p^5 (2^5 at E8), so every
+        # exponent from 5 up gives the same verdicts; 64 bounds the work
+        a = _positive(desc[2:])
+        if a > 64:
+            raise ValueError("exponent %d is above 64" % a)
+        return p ** a
     if desc.startswith("const:"):
         return _positive(desc[6:])
     if desc.startswith("table:"):

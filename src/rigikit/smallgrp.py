@@ -205,9 +205,13 @@ class _RowCodes:
         return x
 
 
+def _matrix(n: int, entries: Dict[Tuple[int, int], int]) -> List[List[int]]:
+    """The n x n identity with the given (row, col): value entries set."""
+    return [[entries.get((i, j), int(i == j)) for j in range(n)] for i in range(n)]
+
+
 def identity(n: int, p: int, projective: bool = False) -> GroupElement:
-    ent = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-    return GroupElement(ent, p, projective, _canonical=True)
+    return make_element(_matrix(n, {}), p, projective)
 
 
 def make_element(rows: Sequence[Sequence[int]], p: int,
@@ -490,14 +494,13 @@ def sl_generators(n: int, p: int, projective: bool = False) -> List[GroupElement
     """Transvection plus a Weyl-style cycle; generates SL_n(p) for prime p."""
     if n < 2:
         raise ValueError("SL needs n >= 2")
-    t = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    t[0][1] = 1
     w = [[0] * n for _ in range(n)]
     sign = 1 if n % 2 == 1 else -1
     w[0][n - 1] = sign  # so that det = 1
     for i in range(1, n):
         w[i][i - 1] = 1
-    return [make_element(t, p, projective), make_element(w, p, projective)]
+    return [make_element(_matrix(n, {(0, 1): 1}), p, projective),
+            make_element(w, p, projective)]
 
 
 def gl_generators(n: int, p: int, projective: bool = False) -> List[GroupElement]:
@@ -505,9 +508,7 @@ def gl_generators(n: int, p: int, projective: bool = False) -> List[GroupElement
         raise ValueError("GL needs n >= 1")
     gens = sl_generators(n, p, projective) if n >= 2 else []
     g = primitive_root(p)
-    d = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    d[0][0] = g
-    gens.append(make_element(d, p, projective))
+    gens.append(make_element(_matrix(n, {(0, 0): g}), p, projective))
     return gens
 
 
@@ -528,27 +529,19 @@ def so_generators(m: int, p: int) -> List[GroupElement]:
             if i == j:
                 continue
             # root e_i - e_j
-            e = [[1 if a == b else 0 for b in range(dim)] for a in range(dim)]
-            e[i][j] = 1
-            e[dual(j)][dual(i)] = -1 % p
-            gens.append(make_element(e, p))
+            gens.append(make_element(
+                _matrix(dim, {(i, j): 1, (dual(j), dual(i)): -1}), p))
     for i in range(m):
         for j in range(i + 1, m):
             # roots e_i + e_j and -(e_i + e_j)
-            e = [[1 if a == b else 0 for b in range(dim)] for a in range(dim)]
-            e[i][dual(j)] = 1
-            e[j][dual(i)] = -1 % p
-            gens.append(make_element(e, p))
-            f = [[1 if a == b else 0 for b in range(dim)] for a in range(dim)]
-            f[dual(j)][i] = 1
-            f[dual(i)][j] = -1 % p
-            gens.append(make_element(f, p))
+            gens.append(make_element(
+                _matrix(dim, {(i, dual(j)): 1, (j, dual(i)): -1}), p))
+            gens.append(make_element(
+                _matrix(dim, {(dual(j), i): 1, (dual(i), j): -1}), p))
     g = primitive_root(p)
     for i in range(m):
-        d = [[1 if a == b else 0 for b in range(dim)] for a in range(dim)]
-        d[i][i] = g
-        d[dual(i)][dual(i)] = pow(g, -1, p)
-        gens.append(make_element(d, p))
+        gens.append(make_element(
+            _matrix(dim, {(i, i): g, (dual(i), dual(i)): pow(g, -1, p)}), p))
     # even permutation swapping two hyperbolic pairs; in SO minus Omega
     perm = list(range(dim))
     perm[0], perm[dim - 1] = perm[dim - 1], perm[0]
@@ -645,10 +638,7 @@ def _parse_field(text: str, what: str, line: int) -> int:
 
 def regular_unipotent_sl(n: int, p: int) -> GroupElement:
     """Single Jordan block J_n(1)."""
-    rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    for i in range(n - 1):
-        rows[i][i + 1] = 1
-    return make_element(rows, p)
+    return make_element(_matrix(n, {(i, i + 1): 1 for i in range(n - 1)}), p)
 
 
 def sl_regular_unipotent_class_size(n: int, q: int) -> int:
@@ -668,15 +658,9 @@ def lemma_sl_triple_count(n: int, p: int,
     z = regular_unipotent_sl(n, p)
     c3_size = sl_regular_unipotent_class_size(n, p)
     counts: Dict[str, int] = {}
-    reps = []
-    for k in range(2, n, 2):  # -1 eigenvalue multiplicity, det stays 1
-        rows = [[0] * n for _ in range(n)]
-        for i in range(n):
-            rows[i][i] = p - 1 if i < k else 1
-        reps.append((k, make_element(rows, p)))
-    if n % 2 == 0:
-        rows = [[p - 1 if i == j else 0 for j in range(n)] for i in range(n)]
-        reps.append((n, make_element(rows, p)))
+    # k: -1 eigenvalue multiplicity, even so that det stays 1
+    reps = [(k, make_element(_matrix(n, {(i, i): -1 for i in range(k)}), p))
+            for k in range(2, n + 1, 2)]
     total = 0
     for k, rep in reps:
         if k == n:

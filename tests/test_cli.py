@@ -188,6 +188,7 @@ def test_flags_that_would_do_nothing_exit_2(capsys):
     ("type=E9", "bad type=E9 on pool line 2: unknown exceptional type 'E9' "
                 "(want G2/F4/E6/E7/E8)"),
     ("order=p^-1", "bad order=p^-1 on pool line 2: '-1' is not a positive integer"),
+    ("order=p^65", "bad order=p^65 on pool line 2: exponent 65 is above 64"),
     ("order=table:p=7:0", "bad order=table:p=7:0 on pool line 2: "
                           "'0' is not a positive integer"),
     ("sylow_cyclic=yes", "bad sylow_cyclic=yes on pool line 2: want 0 or 1"),

@@ -20,8 +20,7 @@ from rigikit.dl_rank1 import (
     gauss_sum,
     semisimple_value_on_unipotent,
     theta_independence,
-    torus_character_sum,
-    torus_characters,
+    torus_character_sums,
     torus_element_class,
     torus_elements,
     unipotent_values_report,
@@ -38,7 +37,7 @@ def dl_inner_product(a, b) -> int:
 
 
 def theta_is_regular(fam, torus, theta) -> bool:
-    """theta, reduced as torus_characters lists it, is not fixed by the
+    """theta, reduced as torus_elements lists it, is not fixed by the
     Weyl element."""
     return weyl_on_torus(fam, torus, theta) != theta
 
@@ -84,7 +83,7 @@ def test_unipotent_values_are_rational_integers():
     for name, q in (("GL2", 5), ("SL2", 7), ("PGL2", 7)):
         fam = build_family(name, q)
         for torus in ("split", "nonsplit"):
-            for theta in torus_characters(fam, torus):
+            for theta in torus_elements(fam, torus):
                 dl = dl_character(fam, torus, theta)
                 for j, _alg in fam.unipotent_class_indices():
                     assert fam.dl_value(dl, j).is_integer()
@@ -113,7 +112,7 @@ def test_dl_degrees_and_inner_products():
         for torus in ("split", "nonsplit"):
             eps = 1 if torus == "split" else -1
             expected_deg = eps * fam.order_pprime() // fam.torus_order(torus)
-            for theta in torus_characters(fam, torus):
+            for theta in torus_elements(fam, torus):
                 dl = dl_character(fam, torus, theta)
                 deg = fam.dl_value(dl, 0)
                 assert deg.to_integer() == expected_deg
@@ -126,7 +125,7 @@ def test_dl_orthogonality_nonconjugate_pairs():
     fam = build_family("SL2", 7)
     chars = {}
     for torus in ("split", "nonsplit"):
-        for theta in torus_characters(fam, torus):
+        for theta in torus_elements(fam, torus):
             chars[(torus, theta)] = dl_character(fam, torus, theta)
     keys = sorted(chars)
     for a in keys:
@@ -184,7 +183,7 @@ def test_vanishing_sums_full_group():
 def test_vanishing_sum_trivial_subgroup_documents_precondition():
     fam = build_family("GL2", 5)
     # H = {trivial}: the hypothesis fails and the sum is R_{T,1}(s) != 0
-    total, qualified = torus_character_sum(fam, "split", [(0, 0)], (1, 0))
+    [(total, qualified)] = torus_character_sums(fam, "split", [(0, 0)], [(1, 0)])
     assert not qualified
     assert not total.is_zero()
 
