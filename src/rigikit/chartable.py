@@ -30,7 +30,10 @@ class lines straight into records, then each distinct value string once.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import deque
+from collections.abc import Sequence as SequenceABC
+from itertools import accumulate
 from math import gcd, lcm, prod
 from operator import itemgetter
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
@@ -279,20 +282,23 @@ def build_table_mapped(
     order: int,
     exponent: int,
     class_infos: Sequence[Tuple[int, int, Dict[int, int]]],
-    rows: Sequence[Sequence[Cyclotomic]],
+    ids: Sequence[Sequence[int]],
+    values: Sequence[Cyclotomic],
 ) -> Tuple[CharacterTable, List[int], List[int]]:
     """Assemble a canonical table, also returning the layout permutations
     (class_order[new] = old index, row_order[new] = old index).
 
     `class_infos` holds (size, element_order, {prime: class index}) in any
-    order; `rows` are indexed the same way. Exactly one class, the identity,
-    has element order 1 and size 1; each row's degree is read there. Classes
-    and rows are permuted to the canonical layout and classes are named
-    `<order><letter>`.
+    order; `ids[r][i]` indexes in `values` the value of row r at class i,
+    classes indexed as `class_infos`, and `values` may repeat a value.
+    Exactly one class, the identity, has element order 1 and size 1; each
+    row's degree is read there. Classes and rows are permuted to the
+    canonical layout and classes are named `<order><letter>`.
     """
-    values = sorted({v for row in rows for v in row}, key=Cyclotomic.sort_key)
-    value_id = {v: i for i, v in enumerate(values)}
-    ids = [[value_id[v] for v in row] for row in rows]
+    distinct = sorted(set(values), key=Cyclotomic.sort_key)
+    value_id = {v: i for i, v in enumerate(distinct)}
+    renumber = [value_id[v] for v in values]
+    ids = [list(map(renumber.__getitem__, row)) for row in ids]
     class_keys = [(co, cs) for (cs, co, _pm) in class_infos]
     identities = [i for i, key in enumerate(class_keys) if key == (1, 1)]
     if len(identities) != 1:
@@ -300,8 +306,8 @@ def build_table_mapped(
                          "size 1, found %d" % len(identities))
     ident = identities[0]
     one = value_id.get(cyc(1))
-    row_keys = [(0 if all(x == one for x in row_ids) else 1, row[ident].to_integer())
-                for row, row_ids in zip(rows, ids)]
+    row_keys = [(0 if all(x == one for x in row_ids) else 1,
+                 distinct[row_ids[ident]].to_integer()) for row_ids in ids]
     power_maps = [tuple(sorted(pm.items())) for _cs, _co, pm in class_infos]
     class_order, row_order = canonical_layout(class_keys, row_keys, ids, power_maps)
     old_to_new = {old: new for new, old in enumerate(class_order)}
@@ -323,7 +329,7 @@ def build_table_mapped(
             )
         )
     new_rows = tuple(  # one object per distinct value, so equal values are identical
-        tuple(values[ids[r][i]] for i in class_order) for r in row_order
+        tuple(distinct[ids[r][i]] for i in class_order) for r in row_order
     )
     table = CharacterTable(
         name=name,
@@ -493,31 +499,88 @@ class CheckResult(NamedTuple):
     detail: str = ""
 
 
+class CheckRun(NamedTuple):
+    """Identities named `prefix + suffix`, one per suffix, of which only the
+    failures are stored, by position; a suffix tuple may be shared by many
+    runs."""
+
+    prefix: str
+    suffixes: Sequence[str]
+    failures: Dict[int, str]  # position -> detail
+
+
+def _as_run(check) -> CheckRun:
+    """A run as given, a lone CheckResult as a run of one."""
+    if isinstance(check, CheckRun):
+        return check
+    return CheckRun(check.name, ("",), {} if check.ok else {0: check.detail})
+
+
+def _result(run: CheckRun, pos: int) -> CheckResult:
+    detail = run.failures.get(pos)
+    return CheckResult(run.prefix + run.suffixes[pos], detail is None, detail or "")
+
+
+class _Items(SequenceABC):
+    """A read-only view of a report's runs as its identities, each
+    `CheckResult` built when it is indexed."""
+
+    __slots__ = ("runs", "starts")
+
+    def __init__(self, runs: List[CheckRun]):
+        self.runs = runs
+        self.starts = list(accumulate((len(r.suffixes) for r in runs), initial=0))
+
+    def __len__(self) -> int:
+        return self.starts[-1]
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[x] for x in range(*i.indices(len(self)))]
+        if not -len(self) <= i < len(self):
+            raise IndexError("check index out of range")
+        i %= len(self)
+        r = bisect_right(self.starts, i) - 1
+        return _result(self.runs[r], i - self.starts[r])
+
+    def __iter__(self):
+        for run in self.runs:
+            for pos in range(len(run.suffixes)):
+                yield _result(run, pos)
+
+
 class CheckReport:
     """Named check results; a failed check is an item, not an error.
 
-    A plain class, not a NamedTuple: the benchmark's tracer tells the
-    (report, Green functions) pair of `dl_rank1.theta_independence` from a
-    report by `isinstance(result, tuple)`."""
+    `checks` are `CheckRun`s and lone `CheckResult`s, in report order;
+    `items` views them as one `CheckResult` per identity, and only failures
+    are stored. A plain class, not a NamedTuple: the benchmark's tracer
+    tells the (report, Green functions) pair of
+    `dl_rank1.theta_independence` from a report by `isinstance(result,
+    tuple)`."""
 
     __slots__ = ("title", "items")
 
-    def __init__(self, title: str, items: Tuple[CheckResult, ...]):
+    def __init__(self, title: str, checks: Sequence):
         self.title = title
-        self.items = items
+        self.items = _Items([_as_run(c) for c in checks])
 
     @property
     def ok(self) -> bool:
-        return all(c.ok for c in self.items)
+        return not any(run.failures for run in self.items.runs)
 
     def failures(self) -> Tuple[CheckResult, ...]:
-        return tuple(c for c in self.items if not c.ok)
+        return tuple(_result(run, pos) for run in self.items.runs
+                     for pos in sorted(run.failures))
 
-    def machine_block(self) -> str:
-        return "\n".join(
-            "%s = %s" % (c.name, "pass" if c.ok else "FAIL: %s" % c.detail)
-            for c in self.items
-        )
+    def machine_block(self):
+        """The `name = pass` and `name = FAIL: detail` lines, one at a time."""
+        for run in self.items.runs:
+            failures = run.failures
+            for pos, suffix in enumerate(run.suffixes):
+                detail = failures.get(pos)
+                yield "%s%s = %s" % (run.prefix, suffix,
+                                     "pass" if detail is None else "FAIL: " + detail)
 
     def __str__(self):
         lines = []

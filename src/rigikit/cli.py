@@ -176,7 +176,7 @@ def _print_report(rep, machine: bool, head: str, noun: str) -> int:
     """Print a check report (a summary line and the failures, or the
     machine block); return the exit status it calls for."""
     if machine:
-        print(rep.machine_block())
+        sys.stdout.writelines(line + "\n" for line in rep.machine_block())
     else:
         bad = rep.failures()
         print("%s: %d %s, %s" % (head, len(rep.items), noun,

@@ -27,10 +27,10 @@ from __future__ import annotations
 
 from math import isqrt, lcm
 from operator import mul
-from typing import List, Tuple
+from typing import Dict, List, Tuple
 
 from .chartable import CharacterTable, build_table_mapped
-from .cyclo import from_terms
+from .cyclo import Cyclotomic, from_terms
 from .modp import (
     element_of_order, gauss_jordan, mat_add_scalar, mat_mul, mat_pow, nullspace,
     prime_factors, prime_one_mod)
@@ -196,7 +196,8 @@ def character_table_dixon_mapped(group: FiniteGroup):
         w = pow(omega, exponent // m, ell)
         roots[m] = ([pow(w, t, ell) for t in range(m)], pow(m, -1, ell))
 
-    rows = []
+    value_id: Dict[Cyclotomic, int] = {}  # a table repeats few distinct values
+    ids = []
     for v, deg in zip(thetas, degrees):
         val_mod = [v[j] * deg % ell * size_inv[j] % ell for j in range(k)]
         row = []
@@ -211,8 +212,8 @@ def character_table_dixon_mapped(group: FiniteGroup):
                     if mult > deg:
                         raise DixonError("multiplicity %d exceeds degree %d" % (mult, deg))
                     terms[s] = mult
-            row.append(from_terms(m, terms))
-        rows.append(tuple(row))
+            row.append(value_id.setdefault(from_terms(m, terms), len(value_id)))
+        ids.append(row)
 
     exp_primes = prime_factors(exponent)
     class_infos = [(c.size, c.order, {p: class_of[c.powers[p % c.order]] for p in exp_primes})
@@ -223,7 +224,8 @@ def character_table_dixon_mapped(group: FiniteGroup):
         order=order,
         exponent=exponent,
         class_infos=class_infos,
-        rows=rows,
+        ids=ids,
+        values=list(value_id),
     )
     class_map = {new: classes[old] for new, old in enumerate(class_order)}
     return table, class_map

@@ -29,11 +29,10 @@ group names.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
 from math import lcm
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
-from .chartable import CharacterTable, CheckReport, CheckResult, build_table_mapped
+from .chartable import CharacterTable, CheckReport, CheckResult, CheckRun, build_table_mapped
 from .cyclo import ZERO, Cyclotomic, cyc, from_terms, linear_sum, zeta
 from .modp import prime_factors
 
@@ -201,49 +200,64 @@ def _gl2_row_labels(q: int) -> List[RowLabel]:
     return [(kind[k], x) for k, x in _gl2_class_list(q)[0]]
 
 
-def _gl2_value(row: RowLabel, cls: Label, q: int) -> Cyclotomic:
+ValueKey = Tuple  # (c, n, a, b): c * (zeta_n^a + zeta_n^b), or c * zeta_n^a if b is None
+_ZERO_KEY: ValueKey = (0, 1, 0, None)
+
+
+def _key(c: int, n: int, a: int, b: Optional[int] = None) -> ValueKey:
+    """The value key of c * (zeta_n^a + zeta_n^b), or of c * zeta_n^a if b is
+    None: exponents reduced mod n and sorted, every zero one key."""
+    if c == 0:
+        return _ZERO_KEY
+    if b is None:
+        return c, n, a % n, None
+    return (c, n, *sorted((a % n, b % n)))
+
+
+def _key_value(key: ValueKey) -> Cyclotomic:
+    c, n, a, b = key
+    if c == 0:
+        return ZERO
+    v = zeta(n, a) if b is None else zeta(n, a) + zeta(n, b)
+    return v if c == 1 else cyc(c) * v
+
+
+def _gl2_value(row: RowLabel, cls: Label, q: int) -> ValueKey:
+    """The key (`_key`) of the GL2 value of the row at the class."""
     (rk, k), (kind, x) = row, cls
     if rk == "stlin":  # lin times the Steinberg character
         steinberg = {"central": q, "unipotent": 0, "split": 1, "nonsplit": -1}
-        return steinberg[kind] * _gl2_value(("lin", k), cls, q)
+        c, n, a, b = _gl2_value(("lin", k), cls, q)
+        return _key(steinberg[kind] * c, n, a, b)
     if kind in ("central", "unipotent"):
         # z u, z = g^x central: the central character at z, zeta^(c x), times
         # the degree (u = 1) or the value at a transvection u
         c = 2 * k if rk == "lin" else sum(k) if rk == "prin" else k
         degree, transvection = {"lin": (1, 1), "prin": (q + 1, 1), "cusp": (q - 1, -1)}[rk]
-        return (degree if kind == "central" else transvection) * zeta(q - 1, c * x)
+        return _key(degree if kind == "central" else transvection, q - 1, c * x)
     if rk == "lin":  # alpha(det); a nonsplit e has det g^e
-        return zeta(q - 1, k * (sum(x) if kind == "split" else x))
+        return _key(1, q - 1, k * (sum(x) if kind == "split" else x))
     if (rk == "prin") != (kind == "split"):
-        return ZERO  # prin vanishes off the split torus, cusp off the nonsplit
+        return _ZERO_KEY  # prin vanishes off the split torus, cusp off the nonsplit
     if rk == "prin":
         (i, j), (a, b) = k, x
-        return _root_sum(q - 1, i * a + j * b, j * a + i * b)
-    return -_root_sum(q * q - 1, k * x, k * x * q)
-
-
-def _root_sum(n: int, a: int, b: int) -> Cyclotomic:
-    """zeta_n^a + zeta_n^b, built once per pair of exponents mod n."""
-    return _reduced_root_sum(n, *sorted((a % n, b % n)))
-
-
-@cache
-def _reduced_root_sum(n: int, a: int, b: int) -> Cyclotomic:
-    return zeta(n, a) + zeta(n, b)
+        return _key(1, q - 1, i * a + j * b, j * a + i * b)
+    return _key(-1, q * q - 1, k * x, k * x * q)
 
 
 def _assemble(family: str, q: int, order: int, labels: List[Label],
-              sizes: List[int], power_label,
-              gl2_row: Dict[RowLabel, RowLabel], value) -> Rank1Family:
+              sizes: List[int], power_label, gl2_row: Dict[RowLabel, RowLabel],
+              value, build=_key_value) -> Rank1Family:
     """The canonical table of one family at q and its label maps.
 
     `labels` and `sizes` list the classes and `gl2_row` maps each row label
     to the GL2 row it is read off, each in any order; `power_label(label,
-    r)` labels the class of x^r and `value(row label, class label)` is a
-    character value. The order of x is the least divisor r of the group
-    order with x^r the identity, ("central", 0): from the group order down,
-    each prime is divided out while the power stays the identity. Every
-    prime of the group order divides the exponent (Cauchy).
+    r)` labels the class of x^r and `value(row label, class label)` is the
+    key of a character value, which `build` turns into the value, once per
+    distinct key. The order of x is the least divisor r of the group order
+    with x^r the identity, ("central", 0): from the group order down, each
+    prime is divided out while the power stays the identity. Every prime of
+    the group order divides the exponent (Cauchy).
     """
     primes = prime_factors(order)
     orders = []
@@ -260,11 +274,12 @@ def _assemble(family: str, q: int, order: int, labels: List[Label],
         (size, o, {r: label_pos[power_label(lab, r)] for r in primes})
         for lab, size, o in zip(labels, sizes, orders)
     ]
-    seen: Dict[Cyclotomic, Cyclotomic] = {}  # one object per distinct value
-    rows = [[seen.setdefault(v, v) for v in (value(rl, cl) for cl in labels)]
-            for rl in row_labels]
+    key_id: Dict[ValueKey, int] = {}
+    ids = [[key_id.setdefault(value(rl, cl), len(key_id)) for cl in labels]
+           for rl in row_labels]
     table, class_order, row_order = build_table_mapped(
-        "%s(%d)" % (family, q), order, exponent, class_infos, rows)
+        "%s(%d)" % (family, q), order, exponent, class_infos, ids,
+        list(map(build, key_id)))
     class_labels = {new: labels[old] for new, old in enumerate(class_order)}
     label_to_row = {row_labels[old]: new for new, old in enumerate(row_order)}
     gl2_row_to_rows: Dict[RowLabel, List[int]] = {}
@@ -344,23 +359,24 @@ def build_sl2(q: int) -> Rank1Family:
     gl2_row.update({("xi", 0): xi, ("xi", 1): xi, ("eta", 0): eta, ("eta", 1): eta})
 
     # the halves differ on the unipotent classes only, by the Gauss sum:
-    # (1 + sign * gamma) / 2 there, 1/2 elsewhere
+    # (1 + gamma) / 2 or (1 - gamma) / 2 there, 1/2 elsewhere; a value's key
+    # is its factor's index here and its GL2 value's key
     half = cyc(Fraction(1, 2))
     gamma = gauss_sum(q)
-    halves = {s: half * (cyc(1) + cyc(s) * gamma) for s in (1, -1)}
+    factors = (cyc(1), half, half * (cyc(1) + gamma), half * (cyc(1) - gamma))
 
-    def value(row: RowLabel, cls: Label) -> Cyclotomic:
-        v = _gl2_value(gl2_row[row], gl2_rep(cls), q)
+    def value(row: RowLabel, cls: Label) -> Tuple[int, ValueKey]:
+        key = _gl2_value(gl2_row[row], gl2_rep(cls), q)
         if row[0] not in ("xi", "eta"):
-            return v
+            return 0, key
         if cls[0] != "unipotent":
-            return half * v
+            return 1, key
         # + for xi, index 0 and class c; each of eta, 1 and d flips it
         flips = (row[0] == "eta") + row[1] + (cls[1][-1] == "d")
-        return halves[(-1) ** flips] * v
+        return 2 + flips % 2, key
 
-    return _assemble("SL2", q, q * (q * q - 1), labels, sizes,
-                     power_label, gl2_row, value)
+    return _assemble("SL2", q, q * (q * q - 1), labels, sizes, power_label,
+                     gl2_row, value, lambda key: factors[key[0]] * _key_value(key[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +424,7 @@ def build_pgl2(q: int) -> Rank1Family:
     gl2_row.update((("cusp", s), ("cusp", _nonsplit_rep(s * n1, q)))
                    for s in range(1, (q + 1) // 2))
 
-    def value(row: RowLabel, cls: Label) -> Cyclotomic:
+    def value(row: RowLabel, cls: Label) -> ValueKey:
         return _gl2_value(gl2_row[row], gl2_rep(cls), q)
 
     return _assemble("PGL2", q, q * (q * q - 1), labels,
@@ -639,9 +655,10 @@ def semisimple_value_on_unipotent(fam: Rank1Family, datum: DualSemisimpleDatum,
     """Value of the semisimple character bundle on a unipotent class,
     reproduced from the Green-function coefficients and asserted against
     the table."""
-    alg = dict(fam.unipotent_class_indices()).get(class_index)
-    if alg is None:
+    order = fam.table.classes[class_index].order
+    if _pprime(order, fam.p) != 1:
         raise ValueError("class %d is not unipotent" % class_index)
+    alg = "one" if order == 1 else "regular"
 
     def coset_avg(psi_entry) -> Fraction:
         val1, vals = psi_entry
@@ -671,8 +688,9 @@ def unipotent_values_report(famG: Rank1Family,
     """Every semisimple character's unipotent values from Green coefficients;
     the regular-unipotent value must be +1 or -1."""
     items = []
+    unipotent = famG.unipotent_class_indices()
     for datum in dual_data(famG, famGstar):
-        for j, alg in famG.unipotent_class_indices():
+        for j, alg in unipotent:
             name = "ssval_%s_%s" % (datum.dual_label, famG.table.classes[j].name)
             try:
                 v = semisimple_value_on_unipotent(famG, datum, j)
@@ -702,39 +720,40 @@ def dl_value_via_cosets(fam: Rank1Family, s_class: int,
         raise ValueError("dual class %s has no torus of type %s"
                          % (datum.dual_label, torus))
     dl = dl_character(fam, torus, theta)
-    return _coset_value(fam, s_class, datum, dl, fam.dl_value(dl, s_class))
+    formula = _key_value(_coset_key(fam, s_class, datum, dl))
+    table_value = fam.dl_value(dl, s_class)
+    if formula != table_value:
+        raise IdentityViolation(_coset_mismatch(fam, s_class, dl, formula, table_value))
+    return formula
 
 
-def _coset_value(fam: Rank1Family, s_class: int, datum: DualSemisimpleDatum,
-                 dl: DLCharacter, table_value: Cyclotomic) -> Cyclotomic:
-    """`dl_value_via_cosets` with R_{T,theta} and its value at s_class
-    already built."""
+def _coset_key(fam: Rank1Family, s_class: int, datum: DualSemisimpleDatum,
+               dl: DLCharacter) -> ValueKey:
+    """The value key of the double-coset formula for R_{T,theta}(s)."""
     torus, theta = dl.torus, dl.theta
     lab = fam.class_labels[s_class]
     if lab[0] not in ("central", "split", "nonsplit"):
         raise ValueError("class %s is not semisimple" % (lab,))
-
+    n = _torus_modulus(fam, torus)
     if lab[0] == "central":
         s_param = _central_torus_param(fam, torus, lab)
         sign = 1 if torus == "split" else -1
         index = fam.order_pprime() // _pprime(fam.torus_order(torus), fam.p)
-        rhs = cyc(sign * index) * zeta(_torus_modulus(fam, torus),
-                                       _theta_exponent(fam, torus, theta, s_param))
-    elif lab[0] != torus:
-        rhs = ZERO
-    else:
-        s_param = lab[1]  # split pair or nonsplit exponent
-        # one double coset with index factor |W(t)| = 2, or s and its Weyl image
-        w_param = s_param if datum.weyl_order == 2 else weyl_on_torus(fam, torus, s_param)
-        rhs = _root_sum(_torus_modulus(fam, torus),
-                        _theta_exponent(fam, torus, theta, s_param),
-                        _theta_exponent(fam, torus, theta, w_param))
-    if rhs != table_value:
-        raise IdentityViolation(
-            "double-coset value mismatch at class %s, torus %s, theta %s: "
-            "formula %s, table %s"
-            % (fam.table.classes[s_class].name, torus, theta, rhs, table_value))
-    return rhs
+        return _key(sign * index, n, _theta_exponent(fam, torus, theta, s_param))
+    if lab[0] != torus:
+        return _ZERO_KEY
+    s_param = lab[1]  # split pair or nonsplit exponent
+    # one double coset with index factor |W(t)| = 2, or s and its Weyl image
+    w_param = s_param if datum.weyl_order == 2 else weyl_on_torus(fam, torus, s_param)
+    return _key(1, n, _theta_exponent(fam, torus, theta, s_param),
+                _theta_exponent(fam, torus, theta, w_param))
+
+
+def _coset_mismatch(fam: Rank1Family, s_class: int, dl: DLCharacter,
+                    formula: Cyclotomic, table_value: Cyclotomic) -> str:
+    return ("double-coset value mismatch at class %s, torus %s, theta %s: "
+            "formula %s, table %s" % (fam.table.classes[s_class].name, dl.torus,
+                                      dl.theta, formula, table_value))
 
 
 def _pprime(n: int, p: int) -> int:
@@ -755,11 +774,17 @@ def _central_torus_param(fam: Rank1Family, torus: str, lab: Label):
 
 def coset_values_report(fam: Rank1Family, famGstar: Rank1Family) -> CheckReport:
     """Double-coset formula against table values for all semisimple classes
-    and all dual data, both tori (value 0 when s misses the torus)."""
-    items = []
+    and all dual data, both tori (value 0 when s misses the torus): one run
+    per dual datum and torus over the semisimple classes. Formula and table
+    values are built once per key and interned, so that equal values are
+    one object."""
     semisimple = fam.semisimple_class_indices()
+    names = tuple(fam.table.classes[j].name for j in semisimple)
     rows = fam.table.rows
+    interned: Dict[Cyclotomic, Cyclotomic] = {}
     sums: Dict[tuple, Cyclotomic] = {}  # ((c, v), ...) -> sum of c * v
+    formulas: Dict[ValueKey, Cyclotomic] = {}
+    runs = []
     for datum in dual_data(fam, famGstar):
         for torus in ("split", "nonsplit"):
             theta = datum.theta_for(torus)
@@ -767,19 +792,22 @@ def coset_values_report(fam: Rank1Family, famGstar: Rank1Family) -> CheckReport:
                 continue
             dl = dl_character(fam, torus, theta)
             terms = dl.decomposition.items()
-            prefix = "valRT_%s_%s_" % (datum.dual_label, torus)
-            for j in semisimple:
-                name = prefix + fam.table.classes[j].name
+            failures: Dict[int, str] = {}
+            for pos, j in enumerate(semisimple):
                 key = tuple([(c, rows[r][j]) for r, c in terms])
-                value = sums.get(key)
-                if value is None:
-                    value = sums[key] = linear_sum(key)
-                try:
-                    _coset_value(fam, j, datum, dl, value)
-                    items.append(CheckResult(name, True))
-                except IdentityViolation as exc:
-                    items.append(CheckResult(name, False, str(exc)))
-    return CheckReport("double-coset semisimple values", tuple(items))
+                table_value = sums.get(key)
+                if table_value is None:
+                    v = linear_sum(key)
+                    table_value = sums[key] = interned.setdefault(v, v)
+                formula_key = _coset_key(fam, j, datum, dl)
+                formula = formulas.get(formula_key)
+                if formula is None:
+                    v = _key_value(formula_key)
+                    formula = formulas[formula_key] = interned.setdefault(v, v)
+                if formula is not table_value:
+                    failures[pos] = _coset_mismatch(fam, j, dl, formula, table_value)
+            runs.append(CheckRun("valRT_%s_%s_" % (datum.dual_label, torus), names, failures))
+    return CheckReport("double-coset semisimple values", runs)
 
 
 # ---------------------------------------------------------------------------
@@ -791,18 +819,24 @@ def dual_symmetry_report(famG: Rank1Family, famGstar: Rank1Family,
     """|C(t)|_{p'} chi_t(s) = |C(s)|_{p'} chi_s(t) over all semisimple pairs.
 
     chi_t is evaluated through a single constituent (constituent agreement
-    on semisimple classes is asserted first); `regular` switches both sides
-    to the Steinberg-twisted partners.
+    on semisimple classes is checked first, a failure naming the first
+    class where they differ); `regular` switches both sides to the
+    Steinberg-twisted partners. Each s-class pairs with a dual datum, and
+    gives one run over the t names. Each side is built once per (factor,
+    value) and interned, so that equal sides are one object.
     """
     data_t = dual_data(famG, famGstar)
     data_s = dual_data(famGstar, famG)
     by_class_s = {d.dual_class_index: d for d in data_s}
+    classes = famG.table.classes
+    interned: Dict[Cyclotomic, Cyclotomic] = {}
     scaled: Dict[Tuple[int, Cyclotomic], Cyclotomic] = {}  # (c, v) -> c * v
 
     def scale(c: int, v: Cyclotomic) -> Cyclotomic:
         out = scaled.get((c, v))
         if out is None:
-            out = scaled[c, v] = cyc(c) * v
+            out = cyc(c) * v
+            out = scaled[c, v] = interned.setdefault(out, out)
         return out
 
     def rows_of(d: DualSemisimpleDatum) -> Tuple[int, ...]:
@@ -820,33 +854,38 @@ def dual_symmetry_report(famG: Rank1Family, famGstar: Rank1Family,
         return -1 if regular and rank % 2 else 1
 
     semisimple = famG.semisimple_class_indices()
-    items: List[CheckResult] = []
+    checks: List = []
     for d in data_t:
         first, *others = (famG.table.rows[r] for r in rows_of(d))
-        if any(row[j] != first[j] for row in others for j in semisimple):
-            items.append(CheckResult(
+        differ = next(((j, row[j]) for j in semisimple for row in others
+                       if row[j] != first[j]), None)
+        if differ is not None:
+            j, v = differ
+            checks.append(CheckResult(
                 "constituents_%s" % (d.dual_label,), False,
-                "constituents differ on a semisimple class"))
-    # per t: its name, its character's row, eps * |C(t)|_{p'}, its class
-    per_t = [(str(dt.dual_label), famG.table.rows[rows_of(dt)[0]],
+                "constituents differ on class %s: %s and %s" % (classes[j].name, first[j], v)))
+    t_names = tuple(str(dt.dual_label) for dt in data_t)
+    # per t: its character's row, eps * |C(t)|_{p'}, its class
+    per_t = [(famG.table.rows[rows_of(dt)[0]],
               eps(famGstar.family, dt.dual_label) * dt.centralizer_pprime,
               dt.dual_class_index) for dt in data_t]
     for s_class in semisimple:
+        s_name = classes[s_class].name
         ds = by_class_s.get(s_class)
         if ds is None:
-            items.append(CheckResult("pairing_s%d" % s_class, False,
-                                     "no dual datum matches class %d" % s_class))
+            checks.append(CheckResult("pairing_s%s" % s_name, False,
+                                      "no dual datum matches class %s" % s_name))
             continue
         c_s = eps(famG.family, famG.class_labels[s_class]) \
             * famG.centralizer_pprime(s_class)
         row_s = famGstar.table.rows[rows_of(ds)[0]]
-        prefix = "sym%s_s=%s_t=" % ("_reg" if regular else "",
-                                    famG.table.classes[s_class].name)
-        for t_name, row_t, c_t, t_class in per_t:
+        failures: Dict[int, str] = {}
+        for pos, (row_t, c_t, t_class) in enumerate(per_t):
             lhs, rhs = scale(c_t, row_t[s_class]), scale(c_s, row_s[t_class])
-            ok = lhs == rhs
-            items.append(CheckResult(prefix + t_name, ok,
-                                     "" if ok else "lhs %s, rhs %s" % (lhs, rhs)))
+            if lhs is not rhs:
+                failures[pos] = "lhs %s, rhs %s" % (lhs, rhs)
+        checks.append(CheckRun("sym%s_s=%s_t=" % ("_reg" if regular else "", s_name),
+                               t_names, failures))
     title = "dual symmetry (%s)" % ("regular characters" if regular
                                     else "semisimple characters")
-    return CheckReport(title, tuple(items))
+    return CheckReport(title, checks)

@@ -221,7 +221,7 @@ def test_check_report_formats():
     bad = CheckResult("sizes", False, "sum 7")
     rep = CheckReport("demo", (bad, CheckResult("order", True)))
     assert not rep.ok and rep.failures() == (bad,)
-    assert rep.machine_block() == "sizes = FAIL: sum 7\norder = pass"
+    assert list(rep.machine_block()) == ["sizes = FAIL: sum 7", "order = pass"]
     assert str(rep) == "%-24s FAIL: sum 7\n%-24s pass" % ("sizes", "order")
     assert CheckReport("empty", ()).ok
     with pytest.raises(AttributeError):
@@ -363,7 +363,15 @@ def _rebuild(table, class_order, row_order=None):
         infos.append((c.size, c.order, {p: new_of[i] for p, i in c.power_maps}))
     row_order = range(len(table.rows)) if row_order is None else row_order
     rows = [[table.rows[r][old] for old in class_order] for r in row_order]
-    return build_table_mapped(table.name, table.order, table.exponent, infos, rows)[0]
+    return build_table_mapped(table.name, table.order, table.exponent, infos,
+                              *_flat_ids(rows))[0]
+
+
+def _flat_ids(rows):
+    """Ids and values with one value per entry, so equal values repeat."""
+    k = len(rows[0])
+    return [range(r * k, (r + 1) * k) for r in range(len(rows))], \
+        [v for row in rows for v in row]
 
 
 def test_build_table_from_rotated_classes():
@@ -379,7 +387,7 @@ def test_build_table_needs_one_identity_class():
     rows = [[cyc(1), cyc(1)], [cyc(1), cyc(-1)]]
     for infos, found in (([(1, 2, {}), (1, 2, {})], 0), ([(1, 1, {}), (1, 1, {})], 2)):
         with pytest.raises(ValueError, match="found %d" % found):
-            build_table_mapped("C2", 2, 2, infos, rows)
+            build_table_mapped("C2", 2, 2, infos, *_flat_ids(rows))
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import gc
+import tracemalloc
 from math import gcd
 
 import pytest
@@ -10,7 +12,7 @@ from rigikit.dl_rank1 import (
     _gl2_class_list,
     _gl2_row_labels,
     _gl2_value,
-    _root_sum,
+    _key_value,
     build_family,
     coset_values_report,
     dl_character,
@@ -280,10 +282,109 @@ def test_dual_symmetry_names_constituents_that_differ():
                 and d.dual_label[0] == "split"]
     j = sl.semisimple_class_indices()[-1]
     r = datum.ss_rows[1]
+    assert sl.table.classes[j].name == "6A" and sl.table.rows[r][j] == cyc(0)
     report = dual_symmetry_report(_with_value(sl, r, j, sl.table.rows[r][j] + cyc(1)), pgl)
-    assert ("constituents_%s" % (datum.dual_label,),
-            "constituents differ on a semisimple class") in [
-        (c.name, c.detail) for c in report.failures()]
+    assert [(c.name, c.detail) for c in report.failures()] == [
+        ("constituents_('split', 2)", "constituents differ on class 6A: 0 and 1")]
+
+
+def test_dual_symmetry_pairing_failure_names_the_class():
+    # a unipotent class whose table order is made prime to p counts as
+    # semisimple, and no dual datum matches it
+    fam = build_family("GL2", 5)
+    j = fam.label_to_class[("unipotent", 0)]
+    classes = list(fam.table.classes)
+    assert classes[j].name == "5A"
+    classes[j] = classes[j]._replace(order=4)
+    bad = fam._replace(table=fam.table._replace(classes=tuple(classes)))
+    report = dual_symmetry_report(bad, bad)
+    assert len(report.items) == 20 * 20 + 1
+    assert [(c.name, c.detail) for c in report.failures()] == [
+        ("pairing_s5A", "no dual datum matches class 5A")]
+
+
+def test_rank1_reports_keep_only_failures():
+    # every identity is counted, but only failures are stored: each report
+    # keeps a few tens of KB, not an object and a name per identity
+    fam = build_family("GL2", 13)
+    for report_of, count in ((coset_values_report, 26208), (dual_symmetry_report, 24336)):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            report = report_of(fam, fam)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert report.ok and len(report.items) == count
+        assert retained < 256 * 1024, (report_of.__name__, retained)
+
+
+def _coset_items_oracle(fam, famGstar):
+    """coset_values_report's items built one by one."""
+    items = []
+    for datum in dual_data(fam, famGstar):
+        for torus in ("split", "nonsplit"):
+            if datum.theta_for(torus) is None:
+                continue
+            for j in fam.semisimple_class_indices():
+                name = "valRT_%s_%s_%s" % (datum.dual_label, torus, fam.table.classes[j].name)
+                try:
+                    dl_value_via_cosets(fam, j, datum, torus)
+                    items.append((name, True, ""))
+                except IdentityViolation as exc:
+                    items.append((name, False, str(exc)))
+    return items
+
+
+def _dual_symmetry_items_oracle(famG, famGstar, regular):
+    """dual_symmetry_report's items built one by one, for a pair whose
+    constituents agree and whose semisimple classes all pair."""
+    by_class_s = {d.dual_class_index: d for d in dual_data(famGstar, famG)}
+
+    def row_of(fam, d):
+        return fam.table.rows[(d.reg_rows if regular else d.ss_rows)[0]]
+
+    def eps(family, label):
+        rank = (label[0] != "nonsplit") + (family == "GL2")
+        return -1 if regular and rank % 2 else 1
+
+    items = []
+    for s in famG.semisimple_class_indices():
+        ds = by_class_s[s]
+        c_s = eps(famG.family, famG.class_labels[s]) * famG.centralizer_pprime(s)
+        for dt in dual_data(famG, famGstar):
+            c_t = eps(famGstar.family, dt.dual_label) * dt.centralizer_pprime
+            lhs = cyc(c_t) * row_of(famG, dt)[s]
+            rhs = cyc(c_s) * row_of(famGstar, ds)[dt.dual_class_index]
+            name = "sym%s_s=%s_t=%s" % ("_reg" if regular else "",
+                                        famG.table.classes[s].name, dt.dual_label)
+            items.append((name, lhs == rhs, "" if lhs == rhs else "lhs %s, rhs %s" % (lhs, rhs)))
+    return items
+
+
+def test_rank1_report_items_match_the_item_by_item_oracle():
+    fam = build_family("GL2", 5)
+    r = fam.label_to_row[("prin", (0, 1))]
+    j = fam.label_to_class[("split", (0, 1))]
+    bad = _with_value(fam, r, j, fam.table.rows[r][j] + cyc(1))
+    for report, oracle in (
+            (coset_values_report(bad, fam), _coset_items_oracle(bad, fam)),
+            (dual_symmetry_report(bad, fam), _dual_symmetry_items_oracle(bad, fam, False)),
+            (dual_symmetry_report(bad, fam, regular=True),
+             _dual_symmetry_items_oracle(bad, fam, True))):
+        items = report.items
+        assert [(c.name, c.ok, c.detail) for c in items] == oracle
+        assert not report.ok and [tuple(c) for c in report.failures()] == [
+            c for c in oracle if not c[1]]
+        lines = list(report.machine_block())
+        assert len(lines) == len(items) == len(oracle)
+        for i, line in enumerate(lines):
+            c = items[i]
+            assert line == "%s = %s" % (c.name, "pass" if c.ok else "FAIL: " + c.detail)
+        assert items[-1] == items[len(items) - 1] and items[1:3] == [items[1], items[2]]
+        with pytest.raises(IndexError):
+            items[len(items)]
 
 
 def test_dual_data_counts_match():
@@ -536,7 +637,7 @@ def _gl2_reference_value(row, cls, q):
             return zeta(n1, (i + j) * cls[1])
         if kind == "split":
             a, b = cls[1]
-            return _root_sum(n1, i * a + j * b, j * a + i * b)
+            return zeta(n1, i * a + j * b) + zeta(n1, j * a + i * b)
         return cyc(0)
     e0 = row[1]
     if kind == "central":
@@ -546,7 +647,7 @@ def _gl2_reference_value(row, cls, q):
     if kind == "split":
         return cyc(0)
     e = cls[1]
-    return -_root_sum(n2, e0 * e, e0 * e * q)
+    return -(zeta(n2, e0 * e) + zeta(n2, e0 * e * q))
 
 
 @pytest.mark.parametrize("q", (3, 4, 5, 7, 8, 9, 11, 13, 16))
@@ -554,5 +655,5 @@ def test_gl2_values_match_the_case_by_case_table(q):
     classes = _gl2_class_list(q)[0]
     for row in _gl2_row_labels(q):
         for cls in classes:
-            assert _gl2_value(row, cls, q) == _gl2_reference_value(row, cls, q), \
-                (row, cls)
+            assert _key_value(_gl2_value(row, cls, q)) \
+                == _gl2_reference_value(row, cls, q), (row, cls)
