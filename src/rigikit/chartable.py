@@ -30,10 +30,7 @@ class lines straight into records, then each distinct value string once.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections import deque
-from collections.abc import Sequence as SequenceABC
-from itertools import accumulate
 from math import gcd, lcm, prod
 from operator import itemgetter
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
@@ -373,7 +370,8 @@ def emit_ctb(table: CharacterTable) -> str:
     text = {v: format_value(v) for v in {v for row in table.rows for v in row}}
     for r, row in enumerate(table.rows):
         lines.append("char X%d %s" % (r + 1, " ; ".join(map(text.__getitem__, row))))
-    return "\n".join(lines) + "\n"
+    lines.append("")  # the final newline, without a copy of the whole text
+    return "\n".join(lines)
 
 
 def parse_ctb(text) -> CharacterTable:
@@ -521,27 +519,18 @@ def _result(run: CheckRun, pos: int) -> CheckResult:
     return CheckResult(run.prefix + run.suffixes[pos], detail is None, detail or "")
 
 
-class _Items(SequenceABC):
-    """A read-only view of a report's runs as its identities, each
-    `CheckResult` built when it is indexed."""
+class _Items:
+    """A report's runs viewed as its identities: counted, and iterated one
+    `CheckResult` at a time."""
 
-    __slots__ = ("runs", "starts")
+    __slots__ = ("runs", "count")
 
     def __init__(self, runs: List[CheckRun]):
         self.runs = runs
-        self.starts = list(accumulate((len(r.suffixes) for r in runs), initial=0))
+        self.count = sum(len(r.suffixes) for r in runs)
 
     def __len__(self) -> int:
-        return self.starts[-1]
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[x] for x in range(*i.indices(len(self)))]
-        if not -len(self) <= i < len(self):
-            raise IndexError("check index out of range")
-        i %= len(self)
-        r = bisect_right(self.starts, i) - 1
-        return _result(self.runs[r], i - self.starts[r])
+        return self.count
 
     def __iter__(self):
         for run in self.runs:

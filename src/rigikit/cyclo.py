@@ -24,17 +24,20 @@ the sparse exponent dict with no reduction mod Phi, so rejecting a value
 costs time in its number of terms, whatever the conductor.
 
 A primitive root of unity needs no descent: zeta_n^k with gcd(k, n) = 1
-has conductor n, or n/2 when n = 2 (mod 4), so `zeta` only folds and
-reduces it.
+has conductor n, or n/2 when n = 2 (mod 4), so `zeta` (memoized) only
+folds and reduces it.
 
 Internally a value keeps integer numerators and one common denominator,
 so the frequent basis reductions run in pure integer arithmetic; the
 public coefficient view is in `fractions.Fraction`.
 
-Every sum of values (`Cyclotomic.__add__`, `parse_value`, the character
-sums of `dl_rank1` and `rigidity`) is one `linear_sum`: the terms are
-embedded at the lcm conductor over one denominator, added in integers and
-canonicalized once. The reduction mod Phi_n works at the radical r of n:
+Every sum of values (`Cyclotomic.__add__`, `parse_value`, `from_terms`,
+rational multiples, `dl_rank1`'s value keys, the character sums of
+`dl_rank1` and `rigidity`) is one `linear_sum`: the terms are embedded at
+the lcm conductor over one denominator, added in integers and
+canonicalized once. The one other route, a product of irrational values,
+canonicalizes at the lcm of two conductors, which is never 2 mod 4. The
+reduction mod Phi_n works at the radical r of n:
 Phi_n(x) = Phi_r(x^s) with s = n/r (Washington, "Introduction to
 Cyclotomic Fields", GTM 83, section 2), so zeta_n^e for e = q*s + t, t < s,
 is zeta_n^t * zeta_r^q: a basis element when q < phi(r), else row q of the
@@ -336,12 +339,7 @@ class Cyclotomic:
         if other is NotImplemented:
             return NotImplemented
         if other._n == 1:
-            c0 = other._num.get(0, 0)
-            if not c0:
-                return ZERO
-            num = {e: c * c0 for e, c in self._num.items()}
-            n, num2, den = _normalize_content(self._n, num, self._den * other._den)
-            return Cyclotomic(n, num2, den)
+            return linear_sum(((other.to_rational(), self),))
         if self._n == 1:
             return other * self
         m = lcm(self._n, other._n)
@@ -352,7 +350,8 @@ class Cyclotomic:
             for e2, c2 in other._num.items():
                 e = (e1s + e2 * sb) % m
                 raw[e] = raw.get(e, 0) + c1 * c2
-        return _canonical_int(m, raw, self._den * other._den)
+        num = _reduce_int(m, raw)  # m is not 2 mod 4: no fold
+        return Cyclotomic(*_normalize_content(*_shrink_int(m, num, self._den * other._den)))
 
     __rmul__ = __mul__
 
@@ -434,14 +433,6 @@ class Cyclotomic:
         return format_value(self)
 
 
-def _canonical_int(n: int, raw: Dict[int, int], den: int) -> Cyclotomic:
-    """Canonicalize an integer exponent dict over a common denominator."""
-    if n % 4 == 2:
-        n, raw = _fold_even_conductor(n, raw)
-    num = _reduce_int(n, raw)
-    return Cyclotomic(*_normalize_content(*_shrink_int(n, num, den)))
-
-
 def _coerce(x) -> "Cyclotomic":
     if isinstance(x, Cyclotomic):
         return x
@@ -454,6 +445,7 @@ def _coerce(x) -> "Cyclotomic":
 # public constructors
 
 
+@cache
 def zeta(n: int, k: int = 1) -> Cyclotomic:
     """The root of unity zeta_n^k in canonical form."""
     if n < 1:
@@ -478,12 +470,7 @@ def cyc(x: Union[int, Fraction, Cyclotomic]) -> Cyclotomic:
 
 def from_terms(n: int, terms: Dict[int, Coeff]) -> Cyclotomic:
     """Sum of c_e * zeta_n^e over the given exponent map, canonicalized."""
-    den = lcm(*(c.denominator for c in terms.values()))
-    raw: Dict[int, int] = {}
-    for e, c in terms.items():
-        key = e % n
-        raw[key] = raw.get(key, 0) + c.numerator * (den // c.denominator)
-    return _canonical_int(n, raw, den)
+    return linear_sum((c, zeta(n, e)) for e, c in terms.items())
 
 
 def linear_sum(pairs: Iterable[Tuple[Coeff, Cyclotomic]]) -> Cyclotomic:

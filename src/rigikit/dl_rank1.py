@@ -33,7 +33,7 @@ from math import lcm
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from .chartable import CharacterTable, CheckReport, CheckResult, CheckRun, build_table_mapped
-from .cyclo import ZERO, Cyclotomic, cyc, from_terms, linear_sum, zeta
+from .cyclo import Cyclotomic, cyc, from_terms, linear_sum, zeta
 from .modp import prime_factors
 
 Label = Tuple  # ("central", a) | ("unipotent", ...) | ("split", ...) | ("nonsplit", ...)
@@ -216,10 +216,7 @@ def _key(c: int, n: int, a: int, b: Optional[int] = None) -> ValueKey:
 
 def _key_value(key: ValueKey) -> Cyclotomic:
     c, n, a, b = key
-    if c == 0:
-        return ZERO
-    v = zeta(n, a) if b is None else zeta(n, a) + zeta(n, b)
-    return v if c == 1 else cyc(c) * v
+    return linear_sum((c, zeta(n, e)) for e in (a, b) if e is not None)
 
 
 def _gl2_value(row: RowLabel, cls: Label, q: int) -> ValueKey:

@@ -3,16 +3,19 @@
 Elements are immutable matrices over GF(p), optionally taken modulo scalars
 (projective groups scale so the first nonzero entry is 1). The `key` of an
 element, a canonical identity, is the tuple of its row codes: a row v has
-the code sum v_i p^(n-1-i). `closure`, `class_orbit` and
-`direct_triple_count` multiply on these codes through lazily filled tables,
-the "grease" tables of Parker's Meat-Axe (Computational Group Theory,
-Durham 1982): x g takes T_g[r] for each row code r of x, where
-T_g[c] = code(v g). A left factor needs no transpose: row i of g y is
-sum_j g_ij y_j, so a left plan maps each row of g y from the rows of y it
-reads (a lone row passes through or is scaled; several read a table keyed
-on their codes). Tables grow with the rows met, never to p^n entries.
-`_RowCodes.images` applies these tables to a whole breadth-first level at
-once, one row position at a time.
+the code sum v_i p^(n-1-i). Every element is keyed by the one row-code
+kernel of its (n, p, projective), `_codes`: a `GroupElement` built from
+entries, a product or an inverse takes its key from the kernel's
+`canonical` and its entries from the kernel's digits. `closure`,
+`class_orbit` and `direct_triple_count` multiply on these codes through
+lazily filled tables, the "grease" tables of Parker's Meat-Axe
+(Computational Group Theory, Durham 1982): x g takes T_g[r] for each row
+code r of x, where T_g[c] = code(v g). A left factor needs no transpose:
+row i of g y is sum_j g_ij y_j, so a left plan maps each row of g y from
+the rows of y it reads (a lone row passes through or is scaled; several
+read a table keyed on their codes). Tables grow with the rows met, never
+to p^n entries. `_RowCodes.images` applies these tables to a whole
+breadth-first level at once, one row position at a time.
 
 `closure` enumerates a group breadth-first, level by level, in a
 deterministic order, and keeps the key of each position, one
@@ -34,6 +37,7 @@ from __future__ import annotations
 
 from array import array
 from collections.abc import Sequence as SequenceABC
+from functools import cache
 from itertools import islice
 from math import gcd
 from operator import mul
@@ -60,31 +64,17 @@ class GroupElement:
 
     __slots__ = ("n", "p", "entries", "projective", "key")
 
-    def __init__(self, entries: Tuple[Tuple[int, ...], ...], p: int,
-                 projective: bool = False, _canonical: bool = False):
-        n = len(entries)
-        if not _canonical:
-            entries = tuple(tuple(v % p for v in row) for row in entries)
-            if projective:
-                entries = _projective_scale(entries, p)
-        self.n = n
-        self.p = p
-        self.entries = entries
-        self.projective = projective
-        self.key = tuple(_row_code(row, p) for row in entries)
+    def __init__(self, entries: Sequence[Sequence[int]], p: int, projective: bool = False):
+        self.n, self.p, self.projective = len(entries), p, projective
+        codes = _codes(self.n, p, projective)
+        self.key = codes.canonical(tuple(_row_code([v % p for v in row], p) for row in entries))
+        self.entries = tuple(map(codes.digits.__getitem__, self.key))
 
     def __mul__(self, other: "GroupElement") -> "GroupElement":
-        p = self.p
-        prod = mat_mul(self.entries, other.entries, p)
-        if self.projective:
-            prod = _projective_scale(prod, p)
-        return GroupElement(prod, p, self.projective, _canonical=True)
+        return GroupElement(mat_mul(self.entries, other.entries, self.p), self.p, self.projective)
 
     def inverse(self) -> "GroupElement":
-        inv = mat_inv(self.entries, self.p)
-        if self.projective:
-            inv = _projective_scale(inv, self.p)
-        return GroupElement(inv, self.p, self.projective, _canonical=True)
+        return GroupElement(mat_inv(self.entries, self.p), self.p, self.projective)
 
     def det(self) -> int:
         return mat_det(self.entries, self.p)
@@ -100,17 +90,6 @@ class GroupElement:
         rows = "; ".join(" ".join(str(v) for v in row) for row in self.entries)
         return "GroupElement[%s | GF(%d)%s]" % (
             rows, self.p, " mod scalars" if self.projective else "")
-
-
-def _projective_scale(entries, p):
-    for row in entries:
-        for v in row:
-            if v:
-                if v == 1:
-                    return entries
-                inv = pow(v, -1, p)
-                return tuple(tuple(x * inv % p for x in row2) for row2 in entries)
-    return entries
 
 
 def _row_code(row, p: int) -> int:
@@ -205,6 +184,12 @@ class _RowCodes:
         return x
 
 
+@cache
+def _codes(n: int, p: int, projective: bool) -> _RowCodes:
+    """The process's row-code kernel of n x n matrices over GF(p)."""
+    return _RowCodes(n, p, projective)
+
+
 def _matrix(n: int, entries: Dict[Tuple[int, int], int]) -> List[List[int]]:
     """The n x n identity with the given (row, col): value entries set."""
     return [[entries.get((i, j), int(i == j)) for j in range(n)] for i in range(n)]
@@ -216,7 +201,7 @@ def identity(n: int, p: int, projective: bool = False) -> GroupElement:
 
 def make_element(rows: Sequence[Sequence[int]], p: int,
                  projective: bool = False) -> GroupElement:
-    return GroupElement(tuple(tuple(r) for r in rows), p, projective)
+    return GroupElement(rows, p, projective)
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +284,7 @@ def closure(generators: Sequence[GroupElement], cap: int = DEFAULT_CLOSURE_CAP,
             raise ValueError("generators live in different matrix groups")
         if not g.det():
             raise ValueError("generator %d is singular" % (no + 1))
-    codes = _RowCodes(n, p, projective)
+    codes = _codes(n, p, projective)
     tables = [codes.right(g.entries) for g in gens]
     keys = [identity(n, p, projective).key]
     index = {keys[0]: 0}
@@ -377,7 +362,7 @@ def class_orbit(rep: GroupElement, generators: Sequence[GroupElement],
     """Keys of the conjugation orbit of rep under the group the generators
     generate, without enumerating that group, breadth first and one level
     at a time: x -> g x g^-1 for each generator g in turn."""
-    codes = _RowCodes(rep.n, rep.p, rep.projective)
+    codes = _codes(rep.n, rep.p, rep.projective)
     steps = [(codes.right(g.inverse().entries), codes.left(g.entries))
              for g in generators]
     orbit = [rep.key]
@@ -481,7 +466,7 @@ def direct_triple_count(
     class of inverses C2^-1, not of C2. The class of z contributes this
     count once per member, hence the c3_size factor.
     """
-    codes = _RowCodes(z.n, z.p, z.projective)
+    codes = _codes(z.n, z.p, z.projective)
     products = map(codes.element, codes.images(c1_orbit, codes.right(z.entries)))
     return c3_size * sum(map(bool, map(c2_inverse_predicate, products)))
 

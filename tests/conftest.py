@@ -6,9 +6,16 @@ from pathlib import Path
 sys.path.append(str(Path(__file__).resolve().parents[1] / "src"))
 
 import pytest
+from hypothesis import settings
 
 from rigikit.smallgrp import (
     closure, gl_generators, make_element, sl_generators, so_generators)
+
+# no example database: a run replays no example that an earlier run stored
+# in .hypothesis/, so a run under a fixed --hypothesis-seed is reproducible
+# from its log alone
+settings.register_profile("rigikit", database=None)
+settings.load_profile("rigikit")
 
 
 def _conjugated_group(kind, n, p, rng):

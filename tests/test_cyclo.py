@@ -130,7 +130,7 @@ def test_lone_root_parses_without_arithmetic_at_its_order(monkeypatch):
     # adding the term to zero would canonicalize at n = 10^8
     def forbidden(*args):
         raise AssertionError("canonicalized at the root's order")
-    monkeypatch.setattr(cyclo, "_canonical_int", forbidden)
+    monkeypatch.setattr(cyclo, "_shrink_int", forbidden)
     assert str(parse_value("E(100000000,1)")) == "E(100000000,1)"
     assert str(parse_value("-2*E(100000000,3)")) == "-2*E(100000000,3)"
 
@@ -228,10 +228,13 @@ def test_is_zero_against_the_reduction_mod_phi():
 
 
 def test_zeta_matches_the_full_canonicalization():
-    # zeta builds a primitive root at its known conductor with no descent
+    # zeta builds a primitive root at its known conductor with no descent;
+    # the oracle reduces zeta_n^k mod Phi_n at n itself and descends
     for n in range(1, 401):
         for k in range(n):
-            assert zeta(n, k) == from_terms(n, {k: 1}), (n, k)
+            num = cyclo._reduce_int(n, {k: 1})
+            full = cyclo.Cyclotomic(*cyclo._normalize_content(*cyclo._shrink_int(n, num, 1)))
+            assert zeta(n, k) == full == from_terms(n, {k: 1}), (n, k)
 
 
 def test_trace_divisible_value_does_not_descend():

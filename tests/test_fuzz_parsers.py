@@ -62,6 +62,12 @@ def _root_orders_bounded(text: str) -> bool:
     return reduce(lcm, orders, 1) <= ROOT_ORDER_BOUND
 
 
+def test_no_example_database():
+    # tests/conftest.py loads a profile with no database, so no run
+    # replays an example stored by an earlier one
+    assert settings().database is None
+
+
 @settings(max_examples=300, deadline=1000)
 @given(fragments)
 def test_parse_value_raises_only_syntax_errors(text):

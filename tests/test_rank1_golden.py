@@ -1,7 +1,8 @@
 """The full `--machine` reports of `dl --check all` and `dualsym` against a
 recorded transcript: every identity name, its order and its verdict, plus
 one summary-format report of each verb; and the emitted CTB bytes of the
-generic rank-1 tables against recorded hashes.
+generic rank-1 tables and of Dixon tables of enumerated groups against
+recorded hashes.
 
 golden/rank1_reports.txt holds one block per command: a `$ rigikit ARGS`
 line followed by the command's exact stdout (each command exits 0).
@@ -78,3 +79,50 @@ def test_rank1_ctb_bytes():
     for (family, q), digest in CTB_SHA256.items():
         text = emit_ctb(build_family(family, q).table)
         assert hashlib.sha256(text.encode()).hexdigest() == digest, (family, q)
+
+
+# sha256 of the stdout of `dixon SPEC`
+DIXON_CTB_SHA256 = {
+    "SL(2,5)": "dcb870432af7b5b2db871fb2766bbfa1ed259ba6fb0b9d3e53f5d3c549dacd76",
+    "PSL(2,7)": "29cc6a7f0fa4d94cf840f4f6eed7a9808972a051f9ad5a6ff1ffe2c164b6d29c",
+    "GL(2,3)": "327e9b8c30f63805085d4db3a0784c89265ad1fbbd1284b8338fa68f93076a16",
+    "PGL(2,5)": "a6e1c7c652da453e543b21954397986135fd29734d22d7f7023f5335af875cf4",
+    "SO(4,3)": "84cbfadb2d06dade866c613199bcbda5ec70f5174b49df86833108a89aaa3b9f",
+    "SL(3,3)": "8a2be98c3f7dec4e0e84dfb7905e76deebf066c29c50184cdd48b42a9dc02be2",
+    "GL(1,13)": "6e6551357d12cc6150d3c88dfa37c56a1a2e083569706b79ac2a9f3bcb7d8ab0",
+}
+
+# GL(2,5)'s standard generators conjugated by one seeded matrix
+CONJUGATED_GL2_5 = """\
+matrix 2 5
+1 2
+0 1
+matrix 2 5
+3 0
+3 2
+matrix 2 5
+2 4
+0 1
+"""
+
+# sha256 of the stdout of `dixon @FILE` on CONJUGATED_GL2_5, by --projective
+DIXON_FILE_SHA256 = {
+    False: "0d829106d678f0140aaa35f74d4c57a5fa3e6a6de9e0cbf5a6e6dc202fae9294",
+    True: "106ecaab594fa5ff46eb0917a824b621d990e93591bca835b3dc768b0cb6e6ae",
+}
+
+
+@pytest.mark.parametrize("spec", sorted(DIXON_CTB_SHA256))
+def test_dixon_ctb_bytes(capsys, spec):
+    assert main(["dixon", spec]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == DIXON_CTB_SHA256[spec]
+
+
+@pytest.mark.parametrize("projective", [False, True])
+def test_dixon_file_ctb_bytes(capsys, tmp_path, projective):
+    path = tmp_path / "gens.txt"
+    path.write_text(CONJUGATED_GL2_5)
+    assert main(["dixon", "@%s" % path] + ["--projective"] * projective) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == DIXON_FILE_SHA256[projective]

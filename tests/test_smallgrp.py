@@ -1,6 +1,7 @@
 import random
 import re
 from collections import Counter
+from itertools import permutations
 from math import gcd
 
 import pytest
@@ -11,6 +12,7 @@ from rigikit.dixon import character_table_dixon_mapped
 from rigikit.modp import euler_phi
 from rigikit.rigidity import ClassTriple, frobenius_count
 from rigikit.smallgrp import (
+    _codes,
     _RowCodes,
     GroupTooLargeError,
     UnsupportedSpectrumError,
@@ -299,6 +301,62 @@ def test_projective_canonicalization():
     assert a == b and hash(a) == hash(b)
     c = make_element([[1, 1], [0, 1]], 7, projective=False)
     assert a != c
+
+
+def reduce_and_scale(rows, p, projective):
+    """Oracle: the entries mod p, and mod scalars scaled by the inverse of
+    the first nonzero entry in row-major order."""
+    rows = [[v % p for v in row] for row in rows]
+    if projective:
+        s = pow(next((v for row in rows for v in row if v), 1), -1, p)
+        rows = [[v * s % p for v in row] for row in rows]
+    return tuple(map(tuple, rows))
+
+
+def row_codes(rows, p):
+    return tuple(sum(v * p ** (len(row) - 1 - i) for i, v in enumerate(row)) for row in rows)
+
+
+def plain_product(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def plain_det(a, p):
+    n = len(a)
+    total = 0
+    for perm in permutations(range(n)):
+        sign = (-1) ** sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = sign
+        for i in range(n):
+            term *= a[i][perm[i]]
+        total += term
+    return total % p
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_elements_match_the_reduce_and_scale_oracle(data):
+    n = data.draw(st.integers(1, 4))
+    p = data.draw(st.sampled_from([2, 3, 5, 7, 11]))
+    projective = data.draw(st.booleans())
+    matrix = st.lists(st.lists(st.integers(-3 * p, 3 * p), min_size=n, max_size=n),
+                      min_size=n, max_size=n)
+    a_rows, b_rows = data.draw(matrix), data.draw(matrix)
+    a, b = make_element(a_rows, p, projective), make_element(b_rows, p, projective)
+    for x, rows in ((a, a_rows), (b, b_rows)):
+        assert x.entries == reduce_and_scale(rows, p, projective)
+        assert x.key == row_codes(x.entries, p)
+        built = _codes(n, p, projective).element(x.key)
+        assert built == x and built.entries == x.entries
+    product = a * b
+    assert product.entries == reduce_and_scale(plain_product(a_rows, b_rows), p, projective)
+    assert product.key == row_codes(product.entries, p)
+    if plain_det(a_rows, p):
+        inv = a.inverse()
+        assert inv.entries == reduce_and_scale(inv.entries, p, projective)
+        assert inv.key == row_codes(inv.entries, p)
+        one = reduce_and_scale(plain_product(a_rows, inv.entries), p, projective)
+        assert one == tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
 def test_element_orders():
