@@ -7,7 +7,8 @@ key-value block format.
 
 Each `cmd_*` imports the modules its verb runs, so that a job compiles no
 other; `build_parser` loads none, and its literal `--cap` defaults and
-`--type` choices are pinned to `smallgrp` and `regunip` by the tests.
+`--type` choices are pinned to `smallgrp`, `dl_rank1` and `regunip` by the
+tests.
 Input files are read as bytes, which `modp.read_lines` checks are ASCII.
 """
 
@@ -65,6 +66,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--emit", action="store_true", help="print the CTB table")
     p.add_argument("--check", choices=["valuni", "sums", "ssvals", "cosets", "all"],
                    help="run the named identity suite")
+    p.add_argument("--cap", type=int, default=8_000_000,
+                   help="refuse a table of more than CAP entries (k^2 for k classes)")
     p.add_argument("--machine", action="store_true")
 
     p = sub.add_parser("dualsym",
@@ -74,6 +77,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", required=True, type=int)
     p.add_argument("--regular", action="store_true",
                    help="check the regular-character variant instead")
+    p.add_argument("--cap", type=int, default=8_000_000,
+                   help="refuse a table of more than CAP entries (k^2 for k classes)")
     p.add_argument("--machine", action="store_true")
 
     p = sub.add_parser("regunip",
@@ -188,7 +193,7 @@ def _print_report(rep, machine: bool, head: str, noun: str) -> int:
 
 def cmd_dl(args) -> int:
     from . import chartable, dl_rank1
-    fam = dl_rank1.build_family(args.family, args.q)
+    fam = dl_rank1.build_family(args.family, args.q, cap=args.cap)
     status = 0
     if args.emit or not args.check:
         sys.stdout.write(chartable.emit_ctb(fam.table))
@@ -200,7 +205,7 @@ def cmd_dl(args) -> int:
             reports.append(dl_rank1.vanishing_sum_report(fam))
         if args.check in ("ssvals", "cosets", "all"):
             dual = fam if fam.family == "GL2" else dl_rank1.build_family(
-                "PGL2" if fam.family == "SL2" else "SL2", args.q)
+                "PGL2" if fam.family == "SL2" else "SL2", args.q, cap=args.cap)
             if args.check in ("ssvals", "all"):
                 reports.append(dl_rank1.unipotent_values_report(fam, dual))
             if args.check in ("cosets", "all"):
@@ -214,11 +219,11 @@ def cmd_dl(args) -> int:
 def cmd_dualsym(args) -> int:
     from . import dl_rank1
     if args.pair == "GL2":
-        fam = dl_rank1.build_family("GL2", args.q)
+        fam = dl_rank1.build_family("GL2", args.q, cap=args.cap)
         dual = fam
     else:
-        fam = dl_rank1.build_family("SL2", args.q)
-        dual = dl_rank1.build_family("PGL2", args.q)
+        fam = dl_rank1.build_family("SL2", args.q, cap=args.cap)
+        dual = dl_rank1.build_family("PGL2", args.q, cap=args.cap)
     rep = dl_rank1.dual_symmetry_report(fam, dual, regular=args.regular)
     return _print_report(rep, args.machine, "%s at q = %d" % (rep.title, args.q),
                          "pairs")

@@ -39,6 +39,10 @@ from .modp import prime_factors
 Label = Tuple  # ("central", a) | ("unipotent", ...) | ("split", ...) | ("nonsplit", ...)
 RowLabel = Tuple
 
+# the most table entries (k^2 for k classes) `build_family` builds by
+# default: GL2(49), k = 2400, peaks at 254 MB, about 44 bytes per entry
+DEFAULT_TABLE_CAP = 8_000_000
+
 
 class IdentityViolation(AssertionError):
     """An exact character identity failed; always a bug or a bad table."""
@@ -295,7 +299,7 @@ def build_gl2(q: int) -> Rank1Family:
     if q < 3:
         raise ValueError("GL2 needs q >= 3")
     labels, sizes = _gl2_class_list(q)
-    assert len(labels) == q * q - 1
+    assert len(labels) == class_count("GL2", q)
     return _assemble(
         "GL2", q, q * (q - 1) * (q * q - 1), labels, sizes,
         lambda lab, r: _gl2_class_of_power(lab, r, q),
@@ -317,7 +321,7 @@ def build_sl2(q: int) -> Rank1Family:
     labels += [("unipotent", z + tau) for z in ("", "z") for tau in ("c", "d")]
     labels += [("split", l) for l in range(1, h)]
     labels += [("nonsplit", m) for m in range(1, (q + 1) // 2)]
-    assert len(labels) == q + 4
+    assert len(labels) == class_count("SL2", q)
 
     def gl2_rep(cls: Label) -> Label:
         # the GL2 class holding the SL2 class; -1 is the scalar g^h
@@ -408,7 +412,7 @@ def build_pgl2(q: int) -> Rank1Family:
         image = quotient(lab)
         sizes[image] = sizes.get(image, 0) + size
     labels = list(sizes)
-    assert len(labels) == q + 2
+    assert len(labels) == class_count("PGL2", q)
 
     def power_label(label: Label, r: int) -> Label:
         return quotient(_gl2_class_of_power(gl2_rep(label), r, q))
@@ -429,14 +433,22 @@ def build_pgl2(q: int) -> Rank1Family:
                      power_label, gl2_row, value)
 
 
-def build_family(family: str, q: int) -> Rank1Family:
-    if family == "GL2":
-        return build_gl2(q)
-    if family == "SL2":
-        return build_sl2(q)
-    if family == "PGL2":
-        return build_pgl2(q)
-    raise ValueError("unknown family %r (want GL2, SL2 or PGL2)" % family)
+def class_count(family: str, q: int) -> int:
+    """k, the number of classes (and rows) of the family's table at q."""
+    return {"GL2": q * q - 1, "SL2": q + 4, "PGL2": q + 2}[family]
+
+
+def build_family(family: str, q: int, cap: int = DEFAULT_TABLE_CAP) -> Rank1Family:
+    """The family's table at q. A table of more than `cap` entries is
+    refused with ValueError before any work, q's own checks included."""
+    builders = {"GL2": build_gl2, "SL2": build_sl2, "PGL2": build_pgl2}
+    if family not in builders:
+        raise ValueError("unknown family %r (want GL2, SL2 or PGL2)" % family)
+    k = class_count(family, q)
+    if k * k > cap:
+        raise ValueError("%s(%d) has k = %d classes, k^2 = %d table entries, above "
+                         "the cap of %d" % (family, q, k, k * k, cap))
+    return builders[family](q)
 
 
 # ---------------------------------------------------------------------------

@@ -5,17 +5,20 @@ Elements are immutable matrices over GF(p), optionally taken modulo scalars
 element, a canonical identity, is the tuple of its row codes: a row v has
 the code sum v_i p^(n-1-i). Every element is keyed by the one row-code
 kernel of its (n, p, projective), `_codes`: a `GroupElement` built from
-entries, a product or an inverse takes its key from the kernel's
-`canonical` and its entries from the kernel's digits. `closure`,
-`class_orbit` and `direct_triple_count` multiply on these codes through
-lazily filled tables, the "grease" tables of Parker's Meat-Axe
-(Computational Group Theory, Durham 1982): x g takes T_g[r] for each row
-code r of x, where T_g[c] = code(v g). A left factor needs no transpose:
-row i of g y is sum_j g_ij y_j, so a left plan maps each row of g y from
-the rows of y it reads (a lone row passes through or is scaled; several
-read a table keyed on their codes). Tables grow with the rows met, never
-to p^n entries. `_RowCodes.images` applies these tables to a whole
-breadth-first level at once, one row position at a time.
+entries takes its key from the kernel's `canonical` of its reduced rows,
+and its entries from the kernel's digits; a product or an inverse, whose
+`mat_mul`/`mat_inv` rows are reduced already, is coded without reducing
+again. `closure`, `class_orbit` and `direct_triple_count` multiply on these
+codes through lazily filled tables, the "grease" tables of Parker's
+Meat-Axe (Computational Group Theory, Durham 1982): x g takes T_g[r] for
+each row code r of x, where T_g[c] = code(v g). A left factor needs no
+transpose: row i of g y is sum_j g_ij y_j, so a left plan maps each row of
+g y from the rows of y it reads (a lone row passes through or is scaled;
+several read a table keyed on their codes, each entry filled digit-wise
+through p x p tables of (a x + b y) % p, one per coefficient pair, with no
+loop per column). Tables grow with the rows met, never to p^n entries.
+`_RowCodes.images` applies these tables to a whole breadth-first level at
+once, one row position at a time.
 
 `closure` enumerates a group breadth-first, level by level, in a
 deterministic order, and keeps the key of each position, one
@@ -30,7 +33,12 @@ earlier walk.
 `direct_triple_count` takes no inverses: for z in C3, x^-1 z^-1 lies in C2
 iff its inverse z x, and so its conjugate x z, lies in C2^-1. Quadratic
 unipotents are closed under inversion, as (y^-1 - 1)^2 = y^-2 (y - 1)^2,
-so the lemma drivers test x z with `is_quadratic_unipotent` itself.
+so the lemma drivers test x z with `is_quadratic_unipotent` itself. All
+members of a class share one trace, and a unipotent one has trace n, so
+the drivers state n: each x z is first summed off its row codes, through
+one lazily filled table per row position from a code to its diagonal
+digit, and only the about 1 in p products of trace n are built and tested.
+A trace is no invariant modulo scalars, so projective keys take no trace.
 """
 
 from __future__ import annotations
@@ -38,9 +46,9 @@ from __future__ import annotations
 from array import array
 from collections.abc import Sequence as SequenceABC
 from functools import cache
-from itertools import islice
+from itertools import compress, islice
 from math import gcd
-from operator import mul
+from operator import getitem, mul
 from typing import (
     Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple)
 
@@ -67,14 +75,15 @@ class GroupElement:
     def __init__(self, entries: Sequence[Sequence[int]], p: int, projective: bool = False):
         self.n, self.p, self.projective = len(entries), p, projective
         codes = _codes(self.n, p, projective)
-        self.key = codes.canonical(tuple(_row_code([v % p for v in row], p) for row in entries))
+        self.key = codes.canonical(tuple(codes.code([v % p for v in row]) for row in entries))
         self.entries = tuple(map(codes.digits.__getitem__, self.key))
 
     def __mul__(self, other: "GroupElement") -> "GroupElement":
-        return GroupElement(mat_mul(self.entries, other.entries, self.p), self.p, self.projective)
+        return _codes(self.n, self.p, self.projective).reduced(
+            mat_mul(self.entries, other.entries, self.p))
 
     def inverse(self) -> "GroupElement":
-        return GroupElement(mat_inv(self.entries, self.p), self.p, self.projective)
+        return _codes(self.n, self.p, self.projective).reduced(mat_inv(self.entries, self.p))
 
     def det(self) -> int:
         return mat_det(self.entries, self.p)
@@ -90,13 +99,6 @@ class GroupElement:
         rows = "; ".join(" ".join(str(v) for v in row) for row in self.entries)
         return "GroupElement[%s | GF(%d)%s]" % (
             rows, self.p, " mod scalars" if self.projective else "")
-
-
-def _row_code(row, p: int) -> int:
-    c = 0
-    for v in row:
-        c = c * p + v
-    return c
 
 
 class _Lazy(dict):
@@ -119,40 +121,65 @@ class _RowCodes:
 
     def __init__(self, n: int, p: int, projective: bool):
         self.n, self.p, self.projective = n, p, projective
-        self.digits = _Lazy(lambda c: tuple(c // p ** (n - 1 - i) % p for i in range(n)))
+        self.weights = weights = tuple(p ** (n - 1 - i) for i in range(n))
+        self.digits = _Lazy(lambda c: tuple(c // w % p for w in weights))
+        # diagonal[i][c] = digit i of c: the (i, i) entry when c is row i
+        self.diagonal = [_Lazy(lambda c, w=w: c // w % p) for w in weights]
+        # mix[a, b][x][y] = (a x + b y) % p: the digit of a v + b w where v
+        # has digit x and w digit y
+        self.mix = _Lazy(lambda ab: [[(ab[0] * x + ab[1] * y) % p for y in range(p)]
+                                     for x in range(p)])
         # projective rescaling: c -> inverse of the first nonzero entry of its
         # row, and s -> the table c -> code(s v)
         self.lead = _Lazy(
             lambda c: pow(next((d for d in self.digits[c] if d), 1), -1, p))
         self.scaled = _Lazy(lambda s: _Lazy(
-            lambda c: _row_code([s * d % p for d in self.digits[c]], p)))
+            lambda c: self.code([s * d % p for d in self.digits[c]])))
+
+    def code(self, row: Iterable[int]) -> int:
+        """The code of a row of reduced entries."""
+        return sum(map(mul, self.weights, row))
 
     def right(self, entries) -> _Lazy:
         """T[c] = code(v g) for the matrix g with these entries."""
         digits, p = self.digits, self.p
         cols = tuple(zip(*entries))
-        return _Lazy(lambda c: _row_code(
-            [sum(map(mul, digits[c], col)) % p for col in cols], p))
+        return _Lazy(lambda c: self.code(
+            [sum(map(mul, digits[c], col)) % p for col in cols]))
 
     def left(self, entries) -> List[Tuple[Tuple[int, ...], Optional[Callable]]]:
         """A plan for g y, one step per row of g: row i of g y is
         sum_j g_ij y_j, so a step names the rows j with g_ij != 0 and maps
         their codes to the code of row i (None passes a lone row with
         coefficient 1 through; a lone other coefficient s reads the scaled
-        table; several rows read a lazy table keyed on their codes)."""
-        digits, p = self.digits, self.p
+        table; several rows read a lazy table keyed on their codes, filled
+        by `combine`)."""
         plan = []
         for row in entries:
             rows = tuple(j for j, s in enumerate(row) if s)
             coeffs = tuple(row[j] for j in rows)
             if len(rows) > 1:
-                step = _Lazy(lambda cs, coeffs=coeffs: _row_code(
-                    [sum(map(mul, coeffs, col)) % p for col in zip(*map(digits.__getitem__, cs))],
-                    p)).__getitem__
+                step = _Lazy(self.combine(coeffs)).__getitem__
             else:
                 step = None if coeffs == (1,) else self.scaled[coeffs[0]].__getitem__
             plan.append((rows, step))
         return plan
+
+    def combine(self, coeffs: Tuple[int, ...]) -> Callable:
+        """The map from the codes of rows y_1..y_m (m >= 2) to the code of
+        sum_k a_k y_k, for the nonzero coefficients a_k: digit-wise through
+        the mix tables of (a_1, a_2), then of (1, a_k) for each later row."""
+        digits, code = self.digits, self.code
+        mixes = [self.mix[coeffs[:2]].__getitem__]
+        mixes += [self.mix[1, a].__getitem__ for a in coeffs[2:]]
+
+        def fill(cs):
+            rows = map(digits.__getitem__, cs)
+            d = next(rows)
+            for mix, e in zip(mixes, rows):
+                d = map(getitem, map(mix, d), e)
+            return code(d)
+        return fill
 
     def canonical(self, rows: Tuple[int, ...]) -> Tuple[int, ...]:
         if self.projective:
@@ -182,6 +209,10 @@ class _RowCodes:
         x.n, x.p, x.projective, x.key = self.n, self.p, self.projective, rows
         x.entries = tuple(map(self.digits.__getitem__, rows))
         return x
+
+    def reduced(self, entries: Sequence[Sequence[int]]) -> "GroupElement":
+        """The element with these entries, already reduced mod p."""
+        return self.element(self.canonical(tuple(map(self.code, entries))))
 
 
 @cache
@@ -455,6 +486,7 @@ def direct_triple_count(
     c2_inverse_predicate: Callable[[GroupElement], bool],
     z: GroupElement,
     c3_size: int,
+    trace: Optional[int] = None,
 ) -> int:
     """Number of triples (x, y, z') in C1 x C2 x C3 with x*y*z' = 1, C1
     given by the keys of its members.
@@ -465,10 +497,25 @@ def direct_triple_count(
     one right-table lookup per row of x: it must test membership of the
     class of inverses C2^-1, not of C2. The class of z contributes this
     count once per member, hence the c3_size factor.
+
+    `trace`, when given, is the trace mod p of every member of C2^-1: a
+    product x*z with another trace is rejected off its row codes, before any
+    element is built. A trace is no class invariant modulo scalars, so a
+    projective z with a trace raises ValueError.
     """
+    if trace is not None and z.projective:
+        raise ValueError("a trace is not a class invariant modulo scalars")
     codes = _codes(z.n, z.p, z.projective)
-    products = map(codes.element, codes.images(c1_orbit, codes.right(z.entries)))
-    return c3_size * sum(map(bool, map(c2_inverse_predicate, products)))
+    right = codes.right(z.entries)
+    if trace is None:
+        products = codes.images(c1_orbit, right)
+    else:
+        # the rows of every x*z by position, and the sums of their diagonal digits
+        cols = [list(map(right.__getitem__, col)) for col in zip(*c1_orbit)]
+        sums = map(sum, zip(*map(map, [d.__getitem__ for d in codes.diagonal], cols)))
+        hits = set(range(trace % z.p, z.n * (z.p - 1) + 1, z.p))
+        products = compress(zip(*cols), map(hits.__contains__, sums))
+    return c3_size * sum(map(bool, map(c2_inverse_predicate, map(codes.element, products))))
 
 
 # ---------------------------------------------------------------------------
@@ -652,7 +699,7 @@ def lemma_sl_triple_count(n: int, p: int,
             orbit = [rep.key]  # central involution
         else:
             orbit = class_orbit(rep, gens, cap=orbit_cap)
-        cnt = direct_triple_count(orbit, is_quadratic_unipotent, z, c3_size)
+        cnt = direct_triple_count(orbit, is_quadratic_unipotent, z, c3_size, trace=n)
         counts["involution(-1^%d)" % k] = cnt
         total += cnt
     counts["total"] = total
@@ -686,7 +733,8 @@ def lemma_so_triple_count(m: int, p: int,
     for rno, reg in enumerate(regs):
         for ino, inv in enumerate(invs):
             orbit = [group.keys[i] for i in inv.indices]
-            cnt = direct_triple_count(orbit, is_quadratic_unipotent, reg.rep, reg.size)
+            cnt = direct_triple_count(orbit, is_quadratic_unipotent, reg.rep, reg.size,
+                                      trace=dim)
             counts["involution%d x regular%d" % (ino, rno)] = cnt
             total += cnt
     counts["total"] = total

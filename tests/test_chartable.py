@@ -697,7 +697,25 @@ def test_stable_tables_take_one_root_per_check(monkeypatch):
     for kind, key in (("fixture", "psl2_7.ctb"), ("generic", ("GL2", 13))):
         calls.clear()
         assert validate(source_table(kind, key)).ok
-        assert len(calls) == 2
+        # square: the rows' Gram product proves the columns (validate's docstring)
+        assert [transpose for *_, transpose in calls] == [False]
+
+
+def test_a_table_with_fewer_rows_than_classes_runs_both_checks(monkeypatch):
+    calls = []
+    gram_failure = chartable._gram_failure
+
+    def counted(*args):
+        calls.append(args)
+        return gram_failure(*args)
+    monkeypatch.setattr(chartable, "_gram_failure", counted)
+    psl = source_table("fixture", "psl2_7.ctb")
+    # the rows left are still orthonormal; the columns lose a row's terms
+    short = with_rows(psl, psl.rows[:-1])
+    rows, cols = validated_orthogonality(short)
+    assert rows.ok and not cols.ok
+    assert {transpose for *_, transpose in calls} == {False, True}
+    assert (rows, cols) == exact_orthogonality(short)
 
 
 def test_units_cover_every_prime_of_the_deviations_ring():

@@ -536,6 +536,9 @@ def test_top_level_reexports_resolve_on_use():
 
 @pytest.mark.parametrize("argv,out", [
     pytest.param(["dixon", "SL(3,5)", "--cap", "100"], "", id="GroupTooLargeError"),
+    # k = 1021^2 - 1, about 10^12 entries: refused before any work
+    pytest.param(["dl", "--family", "GL2", "--q", "1021"], "", id="dl-table-cap"),
+    pytest.param(["dualsym", "--pair", "GL2", "--q", "1021"], "", id="dualsym-table-cap"),
     pytest.param(["structconst", "order7.ctb", "2A", "2A", "3A"], "",
                  id="InconsistentTableError"),
     pytest.param(["validate", "junk.ctb"], "", id="CTBSyntaxError"),
@@ -556,9 +559,12 @@ def test_domain_errors_exit_2_out_of_process(tmp_path, argv, out):
 
 
 def test_parser_literals_match_the_modules():
-    from rigikit import regunip, smallgrp
+    from rigikit import dl_rank1, regunip, smallgrp
     from rigikit.cli import build_parser
     parser = build_parser()
+    assert parser.parse_args(["dl", "--family", "GL2", "--q", "3"]).cap \
+        == parser.parse_args(["dualsym", "--pair", "GL2", "--q", "3"]).cap \
+        == dl_rank1.DEFAULT_TABLE_CAP
     assert parser.parse_args(["dixon", "SL(2,3)"]).cap == smallgrp.DEFAULT_CLOSURE_CAP
     assert parser.parse_args(["lemma", "sl", "--n", "2", "--q", "3"]).cap \
         == smallgrp.DEFAULT_ORBIT_CAP
@@ -567,3 +573,15 @@ def test_parser_literals_match_the_modules():
     verbs = next(a for a in parser._actions if a.dest == "command").choices
     (gtype,) = (a for a in verbs["regunip"]._actions if a.dest == "gtype")
     assert gtype.choices == sorted(regunip.EXCEPTIONAL_TYPES)
+
+
+def test_table_cap_names_k_and_its_square(capsys):
+    from rigikit.dl_rank1 import DEFAULT_TABLE_CAP, class_count
+    # GL2(49) (k = 2400) and CI's GL2(25) stay under the default cap
+    assert class_count("GL2", 25) ** 2 < class_count("GL2", 49) ** 2 <= DEFAULT_TABLE_CAP
+    status, out, err = run(capsys, ["dl", "--family", "GL2", "--q", "7", "--cap", "2303"])
+    assert (status, out) == (2, "")
+    assert "k = 48 classes, k^2 = 2304 table entries, above the cap of 2303" in err
+    status, out, err = run(capsys, ["dualsym", "--pair", "SL2PGL2", "--q", "7", "--cap", "120"])
+    assert (status, out) == (2, "") and "SL2(7) has k = 11 classes, k^2 = 121" in err
+    assert run(capsys, ["dl", "--family", "GL2", "--q", "7", "--cap", "2304"])[0] == 0

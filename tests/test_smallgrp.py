@@ -521,6 +521,31 @@ def test_left_plans_of_the_standard_generators():
     assert steps == {(1, True), (1, False), (2, False)}
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_left_steps_match_the_reduce_and_combine_oracle(data):
+    """A left step on the codes of rows y_j gives the code of
+    sum_j a_j y_j reduced mod p, for 1 to n nonzero coefficients a_j."""
+    n = data.draw(st.integers(2, 4))
+    p = data.draw(st.sampled_from([3, 5, 7, 11]))
+    m = data.draw(st.integers(1, n))
+    row = [0] * n
+    for j in data.draw(st.permutations(range(n)))[:m]:
+        row[j] = data.draw(st.integers(1, p - 1))
+    digit = st.integers(0, p - 1)
+    ys = data.draw(st.lists(st.lists(digit, min_size=n, max_size=n), min_size=n, max_size=n))
+    codes = _RowCodes(n, p, data.draw(st.booleans()))
+    (rows, step), = codes.left([row])
+    assert rows == tuple(j for j in range(n) if row[j])
+    ins = [row_codes(ys, p)[j] for j in rows]
+    arg = ins[0] if m == 1 else tuple(ins)
+    expected, = row_codes([[sum(row[j] * y[i] for j, y in enumerate(ys)) % p
+                            for i in range(n)]], p)
+    assert (arg if step is None else step(arg)) == expected
+    if step is not None:
+        assert step(arg) == expected  # read back from the filled table
+
+
 def test_row_codes_on_conjugated_groups(conjugated_group):
     rng = random.Random(23)
     for kind, n, p in (("PSL", 2, 7), ("PSL", 2, 13), ("GL", 2, 3), ("SO", 4, 3)):
@@ -620,7 +645,9 @@ def test_lemma_path_counts_triples_where_they_exist():
 
 def _triple_counts(group):
     """(direct_triple_count, frobenius_count) for every class triple, the
-    predicate testing C2^-1 as direct_triple_count asks."""
+    predicate testing C2^-1 as direct_triple_count asks; off scalars the
+    count with the trace of C2^-1 stated is asserted equal to the count
+    without it."""
     table, class_map = character_table_dixon_mapped(group)
     els = group.elements
     out = {}
@@ -628,23 +655,39 @@ def _triple_counts(group):
     for c1 in range(k):
         orbit = [group.keys[i] for i in class_map[c1].indices]
         for c2 in range(k):
-            inverses = class_membership_predicate(
-                {els[i].inverse() for i in class_map[c2].indices})
+            inverses = {els[i].inverse() for i in class_map[c2].indices}
+            trace = None
+            if not group.codes.projective:  # a class has one trace, off scalars
+                trace, = {sum(x.entries[i][i] for i in range(x.n)) % x.p for x in inverses}
+            inverses = class_membership_predicate(inverses)
             for c3 in range(k):
                 z = class_map[c3]
                 names = tuple(table.classes[c].name for c in (c1, c2, c3))
-                out[names] = (direct_triple_count(orbit, inverses, z.rep, z.size),
-                              frobenius_count(table, ClassTriple(c1, c2, c3)))
+                direct = direct_triple_count(orbit, inverses, z.rep, z.size)
+                if trace is not None:
+                    assert direct == direct_triple_count(
+                        orbit, inverses, z.rep, z.size, trace=trace), names
+                out[names] = (direct, frobenius_count(table, ClassTriple(c1, c2, c3)))
     return out
 
 
 def test_direct_triple_count_against_character_table(conjugated_group):
     rng = random.Random(31)
-    for kind, n, p in (("PSL", 2, 7), ("GL", 2, 3), ("SL", 2, 5)):
+    # more than 1/share of each group's class triples have a nonzero count
+    for kind, n, p, share in (("PSL", 2, 7, 4), ("GL", 2, 3, 4), ("SL", 2, 5, 4),
+                              ("SL", 3, 3, 4), ("SO", 4, 3, 8)):
         counts = _triple_counts(conjugated_group(kind, n, p, rng))
         assert all(direct == frobenius for direct, frobenius in counts.values()), kind
-        assert sum(1 for direct, _ in counts.values() if direct) > len(counts) // 4
+        assert sum(1 for direct, _ in counts.values() if direct) > len(counts) // share
         if kind == "PSL":
             # 7A is not real (7A^-1 = 7B): testing C2 in place of C2^-1 swaps these
             assert counts["2A", "7A", "7A"] == (168, 168)
             assert counts["2A", "7B", "7A"] == (0, 0)
+
+
+def test_a_stated_trace_is_refused_modulo_scalars():
+    psl = group_from_spec("PSL(2,7)")
+    z = psl.elements[1]
+    assert direct_triple_count([z.key], bool, z, 1) == 1
+    with pytest.raises(ValueError, match="modulo scalars"):
+        direct_triple_count([z.key], bool, z, 1, trace=2)
