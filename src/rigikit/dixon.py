@@ -16,6 +16,11 @@ splits under one of them by matrix powers alone: for a shift s,
 (M + s)^((l - 1)/2) is 0, +1 or -1 on each eigenspace, and the three kernels
 part the subspace (the equal-degree split of Cantor and Zassenhaus, Math.
 Comp. 36, 1981, applied to matrices). `dixon` does no polynomial arithmetic.
+Subspace bases are kept in reduced echelon form, so a vector's coordinates
+are its entries at the pivots: a class matrix restricts to a subspace
+through its pivot rows, with no solve, and each eigenvector comes out
+scaled to 1 at the identity class. Pieces stay invariant because the class
+algebra is commutative; the split does not recheck it.
 
 Each value lifts to an exact cyclotomic at its own class order m:
 omega^(exponent/m) has order m mod l, and the multiplicity of each m-th
@@ -100,7 +105,8 @@ def _split(a, ell: int):
     kernels of a + s, h - 1 and h + 1 add up to the whole space; the least s
     that makes two of them nonzero splits it (s = -lambda does, for any
     eigenvalue lambda). A kernel sum short of the dimension means a is not
-    diagonalizable over GF(l)."""
+    diagonalizable over GF(l). The pieces are coordinate bases, which the
+    caller maps back to its space and echelonizes."""
     d = len(a)
     if not any((a[r][c] - (a[0][0] if r == c else 0)) % ell
                for r in range(d) for c in range(d)):
@@ -138,52 +144,37 @@ def character_table_dixon_mapped(group: FiniteGroup):
     mats, inverse_class = _class_constants(group, classes, class_of)
 
     # split common eigenspaces, walking class matrices in class order: each
-    # subspace is split under M_i until M_i is scalar on every piece
-    subspaces = [[[int(i == j) for j in range(k)] for i in range(k)]]
+    # subspace is split under M_i until M_i is scalar on every piece. On an
+    # echelon basis b with pivot columns P, M_i b_j = sum_t A[t][j] b_t has
+    # A[t][j] = (M_i b_j)[P_t], so only the pivot rows of M_i are read
+    subspaces = [([[int(i == j) for j in range(k)] for i in range(k)], list(range(k)))]
     for mat in mats[1:]:
         if len(subspaces) == k:
             break
         done, work = [], subspaces
         while work:
-            basis = work.pop()
+            basis, pivots = work.pop()
             if len(basis) > 1:
-                # restriction A of M_i to the subspace: M b_j = sum_t A[t][j] b_t
-                images = [[sum(map(mul, row, vec)) % ell for row in mat] for vec in basis]
-                pieces = _split(_solve_in_basis(basis, images, ell), ell)
+                pieces = _split([[sum(map(mul, mat[p], vec)) % ell for vec in basis]
+                                 for p in pivots], ell)
                 if pieces:
-                    work.extend(mat_mul(piece, basis, ell) for piece in pieces)
+                    for piece in pieces:
+                        rows = list(mat_mul(piece, basis, ell))
+                        piece_pivots = gauss_jordan(rows, ell, k)[0]
+                        if len(piece_pivots) != len(piece):
+                            raise DixonError("basis is dependent")
+                        work.append((rows, piece_pivots))
                     continue
-            done.append(basis)
+            done.append((basis, pivots))
         subspaces = done
     if len(subspaces) != k:
         raise DixonError("class matrices failed to split eigenspaces")
 
-    # normalize eigenvectors at the identity class (index 0)
-    thetas = []
-    for basis in subspaces:
-        v = basis[0]
-        if v[0] % ell == 0:
-            raise DixonError("eigenvector vanishes at the identity class")
-        inv0 = pow(v[0], -1, ell)
-        thetas.append([x * inv0 % ell for x in v])
-
     # the degree is the divisor d <= sqrt|G| of |G| with d^2 = |G|/t (mod ell),
     # unique since ell > 2 sqrt|G|: for two such divisors the prime ell divides
     # (d1 - d2)(d1 + d2), whose factors are below ell in size, so d1 = d2
-    sizes = [c.size for c in classes]
-    size_inv = [pow(s, -1, ell) for s in sizes]
+    size_inv = [pow(c.size, -1, ell) for c in classes]
     small_divisors = [d for d in range(1, isqrt(order) + 1) if order % d == 0]
-    degrees = []
-    for v in thetas:
-        t = sum(v[j] * v[inverse_class[j]] % ell * size_inv[j] for j in range(k)) % ell
-        if t == 0:
-            raise DixonError("degenerate norm in degree recovery")
-        dsq = order % ell * pow(t, -1, ell) % ell
-        deg = next((d for d in small_divisors if d * d % ell == dsq), None)
-        if deg is None:
-            raise DixonError("no divisor d of %d below its square root has "
-                             "d^2 = %d mod %d" % (order, dsq, ell))
-        degrees.append(deg)
 
     # x^t for t < m, as class numbers, where m is the order of x in C_j
     power_class = [[class_of[u] for u in c.powers] for c in classes]
@@ -198,7 +189,18 @@ def character_table_dixon_mapped(group: FiniteGroup):
 
     value_id: Dict[Cyclotomic, int] = {}  # a table repeats few distinct values
     ids = []
-    for v, deg in zip(thetas, degrees):
+    for (v,), pivots in subspaces:
+        # v is 1 at its pivot: the identity class (index 0) unless v is 0 there
+        if pivots != [0]:
+            raise DixonError("eigenvector vanishes at the identity class")
+        t = sum(v[j] * v[inverse_class[j]] % ell * size_inv[j] for j in range(k)) % ell
+        if t == 0:
+            raise DixonError("degenerate norm in degree recovery")
+        dsq = order % ell * pow(t, -1, ell) % ell
+        deg = next((d for d in small_divisors if d * d % ell == dsq), None)
+        if deg is None:
+            raise DixonError("no divisor d of %d below its square root has "
+                             "d^2 = %d mod %d" % (order, dsq, ell))
         val_mod = [v[j] * deg % ell * size_inv[j] % ell for j in range(k)]
         row = []
         for j, c in enumerate(classes):
@@ -229,20 +231,6 @@ def character_table_dixon_mapped(group: FiniteGroup):
     )
     class_map = {new: classes[old] for new, old in enumerate(class_order)}
     return table, class_map
-
-
-def _solve_in_basis(basis, images, ell):
-    """Coordinates A[t][j] of each image j on basis vector t (the basis is
-    independent and must span the images)."""
-    d = len(basis)
-    # row-reduce [basis columns | image columns]
-    m = [[vec[r] for vec in basis] + [vec[r] for vec in images]
-         for r in range(len(basis[0]))]
-    if len(gauss_jordan(m, ell, d)[0]) < d:
-        raise DixonError("basis is dependent")
-    if any(any(row[d:]) for row in m[d:]):
-        raise DixonError("subspace is not invariant")
-    return [row[d:] for row in m[:d]]
 
 
 def _group_label(group: FiniteGroup) -> str:

@@ -9,7 +9,6 @@ from sympy.polys.matrices import DomainMatrix
 from rigikit.chartable import emit_ctb, same_character_data, validate
 from rigikit.dixon import (
     DixonError,
-    _solve_in_basis,
     _split,
     character_table_dixon,
     character_table_dixon_mapped,
@@ -176,16 +175,25 @@ def _row_space(rows, ell):
 
 def _split_down(a, ell):
     """Row bases of the pieces that `_split` reaches, applied again to the
-    restriction of a to each piece until a is scalar on every one."""
+    restriction of a to each piece until a is scalar on every one. Each
+    piece is put in reduced echelon form by sympy, and the restriction is
+    read off its pivot columns P: A[t][j] = (a b_j)[P_t]."""
     pieces = _split(a, ell)
     if pieces is None:
         return [[[int(i == j) for j in range(len(a))] for i in range(len(a))]]
     assert len(pieces) > 1
     out = []
     for piece in pieces:
-        images = [[sum(x * y for x, y in zip(row, v)) % ell for row in a] for v in piece]
-        for sub in _split_down(_solve_in_basis(piece, images, ell), ell):
-            out.append(_ints(_dm(sub, ell) * _dm(piece, ell), ell))
+        echelon, pivots = _dm(piece, ell).rref()
+        basis = _ints(echelon, ell)
+        assert len(pivots) == len(basis)
+        restricted = [[sum(x * y for x, y in zip(a[p], v)) % ell for v in basis]
+                      for p in pivots]
+        # the piece is invariant: a b_j = sum_t A[t][j] b_t in full
+        images = [[sum(x * y for x, y in zip(row, v)) % ell for row in a] for v in basis]
+        assert images == _ints(_dm(restricted, ell).transpose() * _dm(basis, ell), ell)
+        for sub in _split_down(restricted, ell):
+            out.append(_ints(_dm(sub, ell) * _dm(basis, ell), ell))
     return out
 
 

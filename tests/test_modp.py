@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from sympy import GF, isprime, prevprime, primefactors, totient
 from sympy.polys.matrices import DomainMatrix
 
-from rigikit.dixon import DixonError, _solve_in_basis
 from rigikit.modp import (
     PRIME_TEST_BOUND,
     InputSyntaxError,
@@ -121,30 +120,6 @@ def test_matrix_power(data):
     p, a = data.draw(matrices(square=True, primes=WIDE_PRIMES))
     e = data.draw(st.sampled_from([1, 2, max(1, (p - 1) // 2)]))
     assert [list(r) for r in mat_pow(a, e, p)] == from_sympy(to_sympy(a, p) ** e, p)
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.data())
-def test_coordinates_in_basis(data):
-    p = data.draw(st.sampled_from(PRIMES))
-    k = data.draw(st.integers(1, 6))
-    d = data.draw(st.integers(1, k))
-    basis = [[data.draw(st.integers(0, p - 1)) for _ in range(k)] for _ in range(d)]
-    if to_sympy(basis, p).rank() < d:
-        with pytest.raises(DixonError):
-            _solve_in_basis(basis, [[0] * k], p)
-        return
-    n_images = data.draw(st.integers(1, 4))
-    coords = [[data.draw(st.integers(0, p - 1)) for _ in range(n_images)]
-              for _ in range(d)]
-    # image j = sum over t of coords[t][j] * basis[t], computed by the oracle
-    images = from_sympy((to_sympy(coords, p).transpose() * to_sympy(basis, p)), p)
-    assert _solve_in_basis(basis, images, p) == coords
-    if d < k:
-        units = [[int(i == j) for j in range(k)] for i in range(k)]
-        outside = next(u for u in units if to_sympy(basis + [u], p).rank() > d)
-        with pytest.raises(DixonError):
-            _solve_in_basis(basis, [outside], p)
 
 
 def test_integer_functions_against_sympy():

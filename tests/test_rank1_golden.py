@@ -90,6 +90,8 @@ DIXON_CTB_SHA256 = {
     "SO(4,3)": "84cbfadb2d06dade866c613199bcbda5ec70f5174b49df86833108a89aaa3b9f",
     "SL(3,3)": "8a2be98c3f7dec4e0e84dfb7905e76deebf066c29c50184cdd48b42a9dc02be2",
     "GL(1,13)": "6e6551357d12cc6150d3c88dfa37c56a1a2e083569706b79ac2a9f3bcb7d8ab0",
+    "GL(2,7)": "81d493aefa0c5af0bc509322a36d8e7e825bd71e0745259bc4e4a2b0c64849c8",
+    "PSL(2,11)": "74e516f24a00be1cbd35ee74c2d85737d163adf0948281d667ee032ce3d896b3",
 }
 
 # GL(2,5)'s standard generators conjugated by one seeded matrix
