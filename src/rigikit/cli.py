@@ -53,7 +53,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="enumerate a matrix group and emit its exact "
                             "character table as CTB")
     p.add_argument("group", help="group spec: SL(n,p) GL(n,p) SO(2m,p) "
-                                 "PSL(2,p) PGL(2,p), or @file of generators")
+                                 "PSL(n,p) PGL(n,p), or @file of generators")
     p.add_argument("--cap", type=int, default=2_000_000)
     p.add_argument("--projective", action="store_true",
                    help="with @file generators: take the group modulo scalars")

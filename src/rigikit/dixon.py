@@ -22,20 +22,21 @@ through its pivot rows, with no solve, and each eigenvector comes out
 scaled to 1 at the identity class. Pieces stay invariant because the class
 algebra is commutative; the split does not recheck it.
 
-Each value lifts to an exact cyclotomic at its own class order m:
-omega^(exponent/m) has order m mod l, and the multiplicity of each m-th
-root of unity is recovered by a discrete Fourier inversion of length m mod
-l. Output is in canonical table layout (`chartable.canonical_layout`).
+Each value lifts to an exact cyclotomic at its own class order m: the
+multiplicities of the m-th roots of unity in chi(x) are the product of the
+tuple (chi(x^t) mod l, t < m) with one inverse-DFT matrix mod l per order
+m, and each distinct tuple is lifted once. Output is in canonical table
+layout (`chartable.canonical_layout`).
 """
 
 from __future__ import annotations
 
 from math import isqrt, lcm
 from operator import mul
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from .chartable import CharacterTable, build_table_mapped
-from .cyclo import Cyclotomic, from_terms
+from .cyclo import from_terms
 from .modp import (
     element_of_order, gauss_jordan, mat_add_scalar, mat_mul, mat_pow, nullspace,
     prime_factors, prime_one_mod)
@@ -176,19 +177,18 @@ def character_table_dixon_mapped(group: FiniteGroup):
     size_inv = [pow(c.size, -1, ell) for c in classes]
     small_divisors = [d for d in range(1, isqrt(order) + 1) if order % d == 0]
 
-    # x^t for t < m, as class numbers, where m is the order of x in C_j
-    power_class = [[class_of[u] for u in c.powers] for c in classes]
-
     # chi(x) for x of order m is a sum of m-th roots of unity, and
     # omega^(exponent/m) has order m mod ell: the multiplicity of zeta_m^s is
-    # m^-1 sum_{t<m} chi(x^t) omega^(-(exponent/m) t s) mod ell
-    roots = {}
+    # m^-1 sum_{t<m} chi(x^t) omega^(-(exponent/m) t s) mod ell, row s of dft[m]
+    dft = {}
     for m in {c.order for c in classes}:
-        w = pow(omega, exponent // m, ell)
-        roots[m] = ([pow(w, t, ell) for t in range(m)], pow(m, -1, ell))
+        w, inv_m = pow(omega, -(exponent // m), ell), pow(m, -1, ell)
+        dft[m] = [[inv_m * pow(w, t * s, ell) % ell for t in range(m)] for s in range(m)]
 
-    value_id: Dict[Cyclotomic, int] = {}  # a table repeats few distinct values
-    ids = []
+    # the tuple (chi(x^t) for t < m) fixes chi(x), and its t = 0 entry is the
+    # degree, so each distinct tuple is lifted once for every row sharing it
+    value_of = {}
+    values, ids = [], []
     for (v,), pivots in subspaces:
         # v is 1 at its pivot: the identity class (index 0) unless v is 0 there
         if pivots != [0]:
@@ -203,18 +203,16 @@ def character_table_dixon_mapped(group: FiniteGroup):
                              "d^2 = %d mod %d" % (order, dsq, ell))
         val_mod = [v[j] * deg % ell * size_inv[j] % ell for j in range(k)]
         row = []
-        for j, c in enumerate(classes):
-            m = c.order
-            w_pows, inv_m = roots[m]
-            chi = [val_mod[cls] for cls in power_class[j]]
-            terms = {}
-            for s in range(m):
-                mult = sum(chi[t] * w_pows[-t * s % m] for t in range(m)) % ell * inv_m % ell
-                if mult:
-                    if mult > deg:
-                        raise DixonError("multiplicity %d exceeds degree %d" % (mult, deg))
-                    terms[s] = mult
-            row.append(value_id.setdefault(from_terms(m, terms), len(value_id)))
+        for c in classes:
+            chi = tuple(val_mod[class_of[u]] for u in c.powers)
+            if chi not in value_of:
+                mults = [sum(map(mul, chi, f)) % ell for f in dft[c.order]]
+                over = [mult for mult in mults if mult > deg]
+                if over:
+                    raise DixonError("multiplicity %d exceeds degree %d" % (over[0], deg))
+                value_of[chi] = len(values)
+                values.append(from_terms(c.order, {s: n for s, n in enumerate(mults) if n}))
+            row.append(value_of[chi])
         ids.append(row)
 
     exp_primes = prime_factors(exponent)
@@ -227,7 +225,7 @@ def character_table_dixon_mapped(group: FiniteGroup):
         exponent=exponent,
         class_infos=class_infos,
         ids=ids,
-        values=list(value_id),
+        values=values,
     )
     class_map = {new: classes[old] for new, old in enumerate(class_order)}
     return table, class_map

@@ -595,8 +595,8 @@ def order_sl(n: int, q: int) -> int:
 
 
 def group_from_spec(spec: str, cap: int = DEFAULT_CLOSURE_CAP) -> FiniteGroup:
-    """Build a group from a spec string: SL(n,p), GL(n,p), SO(2m,p), PSL(2,p),
-    PGL(2,p)."""
+    """Build a group from a spec string: SL(n,p), GL(n,p), SO(2m,p), PSL(n,p),
+    PGL(n,p)."""
     text = spec.strip().upper().replace(" ", "")
     for kind in ("PSL", "PGL", "SL", "GL", "SO"):
         if text.startswith(kind + "(") and text.endswith(")"):

@@ -1,4 +1,5 @@
 import random
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -6,7 +7,9 @@ from hypothesis import strategies as st
 from sympy import GF
 from sympy.polys.matrices import DomainMatrix
 
-from rigikit.chartable import emit_ctb, same_character_data, validate
+from rigikit import dixon
+from rigikit.chartable import build_table_mapped, emit_ctb, same_character_data, validate
+from rigikit.cyclo import zeta
 from rigikit.dixon import (
     DixonError,
     _split,
@@ -155,6 +158,31 @@ def test_generic_families_and_psl2_13():
         for row in t.rows:
             for v, c in zip(row, t.classes):
                 assert c.order % v.conductor == 0, (t.name, c.name)
+
+
+def test_cyclic_group_of_order_60_in_closed_form():
+    # GL(1,61) is cyclic of order 60 with generator g: chi_a(g^b) = zeta_60^(ab),
+    # at element orders up to 60, each with its own length-m inverse DFT
+    class_infos = [(1, 60 // gcd(b, 60), {p: p * b % 60 for p in (2, 3, 5)})
+                   for b in range(60)]
+    ids = [[a * b % 60 for b in range(60)] for a in range(60)]
+    values = [zeta(60, e) for e in range(60)]
+    closed = build_table_mapped("C60", 60, 60, class_infos, ids, values)[0]
+    assert same_character_data(character_table_dixon(group_from_spec("GL(1,61)")), closed)
+
+
+def test_each_distinct_residue_tuple_is_lifted_once(monkeypatch):
+    lifts = []
+    from_terms = dixon.from_terms
+
+    def counted(*args):
+        lifts.append(args)
+        return from_terms(*args)
+    monkeypatch.setattr(dixon, "from_terms", counted)
+    table = character_table_dixon(group_from_spec("GL(2,5)"))
+    # 576 entries share 135 tuples (chi(x^t) mod l for t < m), one lift each
+    assert len(table.rows) * len(table.classes) == 576
+    assert len(lifts) == 135
 
 
 # --- the eigenspace split, against sympy used only as an oracle -------------
