@@ -197,8 +197,9 @@ def canonical_layout(
     Individualization-refinement (McKay and Piperno, "Practical graph
     isomorphism, II", J. Symb. Comp. 60 (2014)): the key colors are refined
     by values and power maps, each class of the first tied cell is
-    individualized in turn and refined again, and the layout is the leaf with
-    the least certificate, the values and power maps in leaf order. Equal
+    individualized in turn and refined again, and the layout is the first
+    leaf with the least certificate: its rows' value ids in leaf order, row
+    by row, then each class's power classes as leaf positions. Equal
     certificates give table automorphisms; a child in the orbit of an
     explored sibling under those fixing the path is skipped, as its subtree
     gives the same certificates. Refinement is driven by a splitter queue
@@ -207,47 +208,92 @@ def canonical_layout(
     a finite automaton", 1971): the root queues every cell and a child only
     its individualized class, so a node re-signs only against the cells that
     changed.
+
+    No certificate is materialized: a leaf is kept as its (class order, row
+    order), and a new leaf is compared with the least one in one lockstep
+    pass over their rows, which also hashes its rows into a digest that
+    finds the earlier leaves it may equal. Nothing k x k outlives the call.
     """
-    cols = list(zip(*ids))
-    preimages: List[List[Tuple[int, int]]] = [[] for _ in class_keys]
-    for i, pm in enumerate(power_maps):
-        for p, j in pm:
-            preimages[j].append((p, i))
-
-    leaves: Dict[tuple, List[int]] = {}  # certificate -> first leaf's class order
-    automorphisms: List[Dict[int, int]] = []
-    best = None
-
-    def search(classes, rows, queue, path):
-        nonlocal best
-        _refine(classes, rows, queue, ids, cols, preimages)
-        if classes.tied:
-            s = min(classes.tied)
-            explored: List[int] = []
-            for v in classes.points[s:classes.end[s]]:
-                fixing = [g for g in automorphisms if all(g[x] == x for x in path)]
-                if v not in _orbit(explored, fixing):
-                    child = classes.copy()
-                    child.split(s, [x != v for x in child.points[s:child.end[s]]])
-                    search(child, rows.copy(), [(0, s)], path + [v])
-                    explored.append(v)
-            return
-        class_order = classes.points
-        # rows left tied at a leaf are identical, so their order is moot
-        get = itemgetter(*class_order)
-        cert = (tuple(get(ids[r]) for r in rows.points),
-                tuple(tuple((p, classes.color[j]) for p, j in power_maps[i])
-                      for i in class_order))
-        first = leaves.setdefault(cert, class_order)
-        if first is not class_order:
-            automorphisms.append(dict(zip(first, class_order)))
-        if best is None or cert < best[0]:
-            best = (cert, class_order, rows.points)
-
+    search = _Search(ids, power_maps)
     classes, rows = _Cells(class_keys), _Cells(row_keys)
-    search(classes, rows, [(0, s) for s in sorted(classes.end)]
-           + [(1, s) for s in sorted(rows.end)], [])
-    return best[1], best[2]
+    search.node(classes, rows, [(0, s) for s in sorted(classes.end)]
+                + [(1, s) for s in sorted(rows.end)], [])
+    return search.best
+
+
+class _Search:
+    """The search tree of one `canonical_layout` call. Its nodes recurse
+    through the instance, not through a closure that refers to itself, so
+    the id columns and the leaves are freed when the call returns."""
+
+    def __init__(self, ids, power_maps):
+        self.ids, self.power_maps = ids, power_maps
+        self.cols = list(zip(*ids))
+        self.preimages: List[List[Tuple[int, int]]] = [[] for _ in power_maps]
+        for i, pm in enumerate(power_maps):
+            for p, j in pm:
+                self.preimages[j].append((p, i))
+        self.leaves: Dict[int, List[Tuple[List[int], List[int]]]] = {}  # digest -> leaves
+        self.automorphisms: List[Dict[int, int]] = []
+        self.best: Optional[Tuple[List[int], List[int]]] = None
+
+    def node(self, classes: _Cells, rows: _Cells, queue, path: List[int]) -> None:
+        _refine(classes, rows, queue, self.ids, self.cols, self.preimages)
+        if not classes.tied:
+            # rows left tied at a leaf are identical, so their order is moot
+            self.leaf(classes.points, rows.points)
+            return
+        s = min(classes.tied)
+        explored: List[int] = []
+        for v in classes.points[s:classes.end[s]]:
+            fixing = [g for g in self.automorphisms if all(g[x] == x for x in path)]
+            if v not in _orbit(explored, fixing):
+                child = classes.copy()
+                child.split(s, [x != v for x in child.points[s:child.end[s]]])
+                self.node(child, rows.copy(), [(0, s)], path + [v])
+                explored.append(v)
+
+    def leaf(self, class_order: List[int], row_order: List[int]) -> None:
+        """Compare the leaf with the least one, row by row, then by power
+        maps; record an automorphism if an earlier leaf equals it."""
+        ids, best, leaf = self.ids, self.best, (class_order, row_order)
+        get = itemgetter(*class_order)
+        sign = 0 if best else -1  # the leaf against the least, while undecided 0
+        least = itemgetter(*best[0]) if best else None
+        digest = 0
+        for r, b in zip(row_order, best[1] if best else row_order):
+            row = get(ids[r])
+            digest = hash((digest, row))
+            if not sign:
+                other = least(ids[b])
+                if row != other:
+                    sign = -1 if row < other else 1
+        if not sign:
+            powers, other = self._powers(class_order), self._powers(best[0])
+            sign = -1 if powers < other else 1 if powers > other else 0
+        if sign:
+            same = self.leaves.setdefault(digest, [])
+            first = next((old for old in same if self._equal(old, leaf)), None)
+            if first is None:
+                same.append(leaf)
+        else:
+            first = best
+        if first is not None:
+            self.automorphisms.append(dict(zip(first[0], class_order)))
+        if sign < 0:
+            self.best = leaf
+
+    def _powers(self, class_order: List[int]) -> tuple:
+        """Each class's power classes as positions in `class_order`."""
+        position = {i: new for new, i in enumerate(class_order)}
+        return tuple(tuple((p, position[j]) for p, j in self.power_maps[i])
+                     for i in class_order)
+
+    def _equal(self, a, b) -> bool:
+        """Whether two leaves have the same certificate."""
+        get_a, get_b, ids = itemgetter(*a[0]), itemgetter(*b[0]), self.ids
+        return (all(get_a(ids[r]) == get_b(ids[s]) for r, s in zip(a[1], b[1]))
+                and self._powers(a[0]) == self._powers(b[0]))
 
 
 def _orbit(points: List[int], generators: List[Dict[int, int]]) -> set:
@@ -279,7 +325,7 @@ def build_table_mapped(
     order: int,
     exponent: int,
     class_infos: Sequence[Tuple[int, int, Dict[int, int]]],
-    ids: Sequence[Sequence[int]],
+    ids: List[List[int]],
     values: Sequence[Cyclotomic],
 ) -> Tuple[CharacterTable, List[int], List[int]]:
     """Assemble a canonical table, also returning the layout permutations
@@ -291,11 +337,16 @@ def build_table_mapped(
     Exactly one class, the identity, has element order 1 and size 1; each
     row's degree is read there. Classes and rows are permuted to the
     canonical layout and classes are named `<order><letter>`.
+
+    `ids` must be a list of lists: its rows are renumbered in place, to
+    the distinct values' order, so that the build holds no second id
+    matrix; the caller's rows hold those numbers afterwards.
     """
     distinct = sorted(set(values), key=Cyclotomic.sort_key)
     value_id = {v: i for i, v in enumerate(distinct)}
     renumber = [value_id[v] for v in values]
-    ids = [list(map(renumber.__getitem__, row)) for row in ids]
+    for row in ids:
+        row[:] = map(renumber.__getitem__, row)
     class_keys = [(co, cs) for (cs, co, _pm) in class_infos]
     identities = [i for i, key in enumerate(class_keys) if key == (1, 1)]
     if len(identities) != 1:
@@ -326,7 +377,8 @@ def build_table_mapped(
             )
         )
     new_rows = tuple(  # one object per distinct value, so equal values are identical
-        tuple(distinct[ids[r][i]] for i in class_order) for r in row_order
+        tuple(map(distinct.__getitem__, map(ids[r].__getitem__, class_order)))
+        for r in row_order
     )
     table = CharacterTable(
         name=name,

@@ -173,8 +173,16 @@ def cmd_dixon(args) -> int:
     else:
         group = smallgrp.group_from_spec(args.group, cap=args.cap)
     table = dixon.character_table_dixon(group)
-    sys.stdout.write(chartable.emit_ctb(table))
+    _write_text(chartable.emit_ctb(table))
     return 0
+
+
+def _write_text(text: str) -> None:
+    """Write text to stdout in 64 KiB slices, so that its encoder never
+    holds a copy of the whole of a large table's text."""
+    step = 1 << 16
+    for start in range(0, len(text), step):
+        sys.stdout.write(text[start:start + step])
 
 
 def _print_report(rep, machine: bool, head: str, noun: str) -> int:
@@ -196,7 +204,7 @@ def cmd_dl(args) -> int:
     fam = dl_rank1.build_family(args.family, args.q, cap=args.cap)
     status = 0
     if args.emit or not args.check:
-        sys.stdout.write(chartable.emit_ctb(fam.table))
+        _write_text(chartable.emit_ctb(fam.table))
     if args.check:
         reports = []
         if args.check in ("valuni", "all"):

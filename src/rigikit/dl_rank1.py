@@ -40,7 +40,7 @@ Label = Tuple  # ("central", a) | ("unipotent", ...) | ("split", ...) | ("nonspl
 RowLabel = Tuple
 
 # the most table entries (k^2 for k classes) `build_family` builds by
-# default: GL2(49), k = 2400, peaks at 254 MB, about 44 bytes per entry
+# default: GL2(49), k = 2400, peaks at 119 MB, about 21 bytes per entry
 DEFAULT_TABLE_CAP = 8_000_000
 
 
@@ -577,18 +577,24 @@ def torus_character_sums(fam: Rank1Family, torus: str, H, points):
 
     H is a subgroup of the torus character group, listed by its members.
     The sum vanishes whenever some theta in H is nontrivial on s. The row
-    multiplicities of the sum do not depend on s.
+    multiplicities of the sum do not depend on s; at each s they are added
+    per distinct value (the table's rows share one object per value) before
+    one `linear_sum` over those values.
     """
     n = _torus_modulus(fam, torus)
     multiplicity: Dict[int, int] = {}
     for theta in H:
         for row, coeff in dl_character(fam, torus, theta).decomposition.items():
             multiplicity[row] = multiplicity.get(row, 0) + coeff
+    rows = fam.table.rows
     for s in points:
         j = torus_element_class(fam, torus, s)
         qualified = any(_theta_exponent(fam, torus, theta, s) % n for theta in H)
-        total = linear_sum((c, fam.table.rows[r][j]) for r, c in multiplicity.items())
-        yield total, qualified
+        per_value: Dict[Cyclotomic, int] = {}
+        for r, c in multiplicity.items():
+            v = rows[r][j]
+            per_value[v] = per_value.get(v, 0) + c
+        yield linear_sum((c, v) for v, c in per_value.items()), qualified
 
 
 def vanishing_sum_report(fam: Rank1Family) -> CheckReport:

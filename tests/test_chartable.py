@@ -1,4 +1,6 @@
+import gc
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from functools import cache
@@ -370,7 +372,7 @@ def _rebuild(table, class_order, row_order=None):
 def _flat_ids(rows):
     """Ids and values with one value per entry, so equal values repeat."""
     k = len(rows[0])
-    return [range(r * k, (r + 1) * k) for r in range(len(rows))], \
+    return [list(range(r * k, (r + 1) * k)) for r in range(len(rows))], \
         [v for row in rows for v in row]
 
 
@@ -388,6 +390,39 @@ def test_build_table_needs_one_identity_class():
     for infos, found in (([(1, 2, {}), (1, 2, {})], 0), ([(1, 1, {}), (1, 1, {})], 2)):
         with pytest.raises(ValueError, match="found %d" % found):
             build_table_mapped("C2", 2, 2, infos, *_flat_ids(rows))
+
+
+# ---------------------------------------------------------------------------
+# the memory a table build holds
+
+
+def test_table_builds_leave_nothing_for_the_cycle_collector():
+    # the id matrix, its columns and the layout search's leaves are freed by
+    # reference counting as each build returns
+    gc.collect()
+    gc.disable()
+    try:
+        build_family("GL2", 7)
+        assert gc.collect() == 0
+        character_table_dixon(group_from_spec("GL(2,3)"))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_a_table_build_holds_few_k_by_k_matrices():
+    # one id matrix, the layout's id columns and the table's rows are k x k
+    # pointer matrices; the traced peak of the build of GL2(19) (k = 360)
+    # stays under 4.5 of them
+    k = 360
+    gc.collect()
+    tracemalloc.start()
+    try:
+        build_family("GL2", 19)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.5 * k * k * 8, peak / (k * k * 8)
 
 
 # ---------------------------------------------------------------------------
