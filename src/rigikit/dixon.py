@@ -62,7 +62,9 @@ def dixon_parameters(order: int, exponent: int) -> Tuple[int, int]:
 
 def _ordered_classes(group: FiniteGroup):
     """Conjugacy classes in table order (identity first) and the number of
-    the class of each element position in that order."""
+    the class of each element position in that order. Ties of order and
+    size go by the representative's integer key, which orders as the tuple
+    of its row codes, so the order is that of row-code tuples."""
     classes = conjugacy_classes(group)
     order = sorted(range(len(classes)),
                    key=lambda i: (classes[i].order != 1, classes[i].order,

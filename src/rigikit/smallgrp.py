@@ -1,24 +1,28 @@
 """Concrete finite matrix groups over prime fields.
 
 Elements are immutable matrices over GF(p), optionally taken modulo scalars
-(projective groups scale so the first nonzero entry is 1). The `key` of an
-element, a canonical identity, is the tuple of its row codes: a row v has
-the code sum v_i p^(n-1-i). Every element is keyed by the one row-code
+(projective groups scale so the first nonzero entry is 1). A row v has the
+code sum v_i p^(n-1-i), and the `key` of an element, a canonical identity,
+is the integer sum r_i P^(n-1-i) of its row codes r_i in base P = p^n: its
+entries in row-major order as base-p digits, so keys order as the tuples
+of their row codes do. Every element is keyed by the one row-code
 kernel of its (n, p, projective), `_codes`: a `GroupElement` built from
 entries takes its key from the kernel's `canonical` of its reduced rows,
 and its entries from the kernel's digits; a product or an inverse, whose
 `mat_mul`/`mat_inv` rows are reduced already, is coded without reducing
 again. `closure`, `class_orbit` and `direct_triple_count` multiply on these
-codes through lazily filled tables, the "grease" tables of Parker's
+keys through lazily filled tables, the "grease" tables of Parker's
 Meat-Axe (Computational Group Theory, Durham 1982): x g takes T_g[r] for
 each row code r of x, where T_g[c] = code(v g). A left factor needs no
 transpose: row i of g y is sum_j g_ij y_j, so a left plan maps each row of
 g y from the rows of y it reads (a lone row passes through or is scaled;
-several read a table keyed on their codes, each entry filled digit-wise
-through p x p tables of (a x + b y) % p, one per coefficient pair, with no
-loop per column). Tables grow with the rows met, never to p^n entries.
-`_RowCodes.images` applies these tables to a whole breadth-first level at
-once, one row position at a time.
+several read a table keyed on their codes in base P, each entry filled
+digit-wise through p x p tables of (a x + b y) % p, one per coefficient
+pair). Tables grow with the rows met, never to p^n entries.
+`_RowCodes.images` applies them to a whole breadth-first level of keys at
+once, one row position at a time, in C-level `map`s: each row's codes are
+divided out of the keys once and shared by `tee` copies read in step, so
+no decoded level is held.
 
 `closure` enumerates a group breadth-first, level by level, in a
 deterministic order, and keeps the key of each position, one
@@ -35,10 +39,11 @@ iff its inverse z x, and so its conjugate x z, lies in C2^-1. Quadratic
 unipotents are closed under inversion, as (y^-1 - 1)^2 = y^-2 (y - 1)^2,
 so the lemma drivers test x z with `is_quadratic_unipotent` itself. All
 members of a class share one trace, and a unipotent one has trace n, so
-the drivers state n: each x z is first summed off its row codes, through
-one lazily filled table per row position from a code to its diagonal
-digit, and only the about 1 in p products of trace n are built and tested.
-A trace is no invariant modulo scalars, so projective keys take no trace.
+the drivers state n: each x z is first summed off the row codes of x,
+through one lazily filled table per row position from a code to the
+diagonal digit of its image, and only the about 1 in p products of trace n
+are built and tested. Modulo scalars a trace is no invariant, and none is
+taken.
 """
 
 from __future__ import annotations
@@ -46,9 +51,9 @@ from __future__ import annotations
 from array import array
 from collections.abc import Sequence as SequenceABC
 from functools import cache
-from itertools import compress, islice
-from math import gcd
-from operator import getitem, mul
+from itertools import chain, compress, islice, repeat, starmap, tee
+from math import gcd, prod
+from operator import add, floordiv, getitem, mod, mul
 from typing import (
     Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple)
 
@@ -68,15 +73,14 @@ DEFAULT_ORBIT_CAP = 1_000_000
 
 
 class GroupElement:
-    """An n x n matrix over GF(p); canonical under scalars when projective."""
+    """An n x n matrix over GF(p); canonical under scalars when projective.
+    `make_element` builds one from entries, its kernel `_codes` from a key."""
 
     __slots__ = ("n", "p", "entries", "projective", "key")
 
-    def __init__(self, entries: Sequence[Sequence[int]], p: int, projective: bool = False):
-        self.n, self.p, self.projective = len(entries), p, projective
-        codes = _codes(self.n, p, projective)
-        self.key = codes.canonical(tuple(codes.code([v % p for v in row]) for row in entries))
-        self.entries = tuple(map(codes.digits.__getitem__, self.key))
+    def __init__(self, codes: _RowCodes, key: int):
+        self.n, self.p, self.projective, self.key = codes.n, codes.p, codes.projective, key
+        self.entries = tuple(map(codes.digits.__getitem__, codes.rows(key)))
 
     def __mul__(self, other: "GroupElement") -> "GroupElement":
         return _codes(self.n, self.p, self.projective).reduced(
@@ -89,11 +93,11 @@ class GroupElement:
         return mat_det(self.entries, self.p)
 
     def __eq__(self, other):
-        return (isinstance(other, GroupElement) and self.key == other.key
+        return (isinstance(other, GroupElement) and self.key == other.key and self.n == other.n
                 and self.p == other.p and self.projective == other.projective)
 
     def __hash__(self):
-        return hash(self.key)
+        return hash((self.n, self.key))
 
     def __repr__(self):
         rows = "; ".join(" ".join(str(v) for v in row) for row in self.entries)
@@ -117,14 +121,15 @@ class _Lazy(dict):
 
 class _RowCodes:
     """Products of n x n matrices over GF(p) (mod scalars when projective)
-    held as tuples of row codes, each product one table lookup per row."""
+    held as integer keys of row codes, each product one table lookup per row."""
 
     def __init__(self, n: int, p: int, projective: bool):
         self.n, self.p, self.projective = n, p, projective
         self.weights = weights = tuple(p ** (n - 1 - i) for i in range(n))
+        self.size = P = p ** n
+        self.strides = tuple(P ** (n - 1 - i) for i in range(n))  # of row i in a key
         self.digits = _Lazy(lambda c: tuple(c // w % p for w in weights))
-        # diagonal[i][c] = digit i of c: the (i, i) entry when c is row i
-        self.diagonal = [_Lazy(lambda c, w=w: c // w % p) for w in weights]
+        self.shared = _Lazy(lambda c: c)  # one int object per row code, for table values
         # mix[a, b][x][y] = (a x + b y) % p: the digit of a v + b w where v
         # has digit x and w digit y
         self.mix = _Lazy(lambda ab: [[(ab[0] * x + ab[1] * y) % p for y in range(p)]
@@ -140,6 +145,16 @@ class _RowCodes:
         """The code of a row of reduced entries."""
         return sum(map(mul, self.weights, row))
 
+    def rows(self, key: int) -> List[int]:
+        """The row codes of a key."""
+        return [key // w % self.size for w in self.strides]
+
+    def row(self, level: Sequence[int], i: int) -> Iterator[int]:
+        """The code of row i of every key in the level, in level order."""
+        w = self.strides[i]
+        codes = level if w == 1 else map(floordiv, level, repeat(w))
+        return codes if i == 0 else map(mod, codes, repeat(self.size))
+
     def right(self, entries) -> _Lazy:
         """T[c] = code(v g) for the matrix g with these entries."""
         digits, p = self.digits, self.p
@@ -152,8 +167,8 @@ class _RowCodes:
         sum_j g_ij y_j, so a step names the rows j with g_ij != 0 and maps
         their codes to the code of row i (None passes a lone row with
         coefficient 1 through; a lone other coefficient s reads the scaled
-        table; several rows read a lazy table keyed on their codes, filled
-        by `combine`)."""
+        table; several rows read a lazy table keyed on their codes in base
+        P, as in a key, filled by `combine`)."""
         plan = []
         for row in entries:
             rows = tuple(j for j, s in enumerate(row) if s)
@@ -166,59 +181,69 @@ class _RowCodes:
         return plan
 
     def combine(self, coeffs: Tuple[int, ...]) -> Callable:
-        """The map from the codes of rows y_1..y_m (m >= 2) to the code of
-        sum_k a_k y_k, for the nonzero coefficients a_k: digit-wise through
-        the mix tables of (a_1, a_2), then of (1, a_k) for each later row."""
-        digits, code = self.digits, self.code
+        """The map from the codes of rows y_1..y_m (m >= 2), in base P, to
+        the code of sum_k a_k y_k, for the nonzero coefficients a_k:
+        digit-wise through the mix tables of (a_1, a_2), then of (1, a_k)
+        for each later row."""
+        digits, code, size, m = self.digits, self.code, self.size, len(coeffs)
         mixes = [self.mix[coeffs[:2]].__getitem__]
         mixes += [self.mix[1, a].__getitem__ for a in coeffs[2:]]
 
-        def fill(cs):
+        def fill(cs):  # divmod splits the commonest case, two codes, at once
+            cs = divmod(cs, size) if m == 2 else [cs // w % size for w in self.strides[-m:]]
             rows = map(digits.__getitem__, cs)
             d = next(rows)
             for mix, e in zip(mixes, rows):
                 d = map(getitem, map(mix, d), e)
-            return code(d)
+            return self.shared[code(d)]
         return fill
 
-    def canonical(self, rows: Tuple[int, ...]) -> Tuple[int, ...]:
-        if self.projective:
-            s = self.lead[next((c for c in rows if c), 0)]
+    def canonical(self, key: int) -> int:
+        """Modulo scalars, the key of the multiple whose first nonzero entry is 1."""
+        if self.projective:  # the first nonzero row's code is the key over its stride
+            s = self.lead[key // next((w for w in self.strides if key >= w), 1)]
             if s != 1:
-                return tuple(map(self.scaled[s].__getitem__, rows))
-        return rows
+                return sum(map(mul, self.strides, map(self.scaled[s].__getitem__, self.rows(key))))
+        return key
 
-    def images(self, level: Iterable[Tuple[int, ...]], right: _Lazy,
-               left=None) -> Iterator[Tuple[int, ...]]:
-        """The canonical row codes of x g, or of h x g with the plan
-        left = `left(h)`, for every x in the level, in level order: each row
-        position maps the whole level through one table, and the keys are
-        zipped back one at a time as they are read."""
-        cols = [map(right.__getitem__, col) for col in zip(*level)]
-        if left is not None:  # a row of x g may feed several rows of h x g
-            cols = list(map(list, cols))
-            cols = [cols[rows[0]] if step is None else map(
-                step, cols[rows[0]] if len(rows) == 1 else zip(*[cols[j] for j in rows]))
-                for rows, step in left]
-        keys = zip(*cols)
-        return map(self.canonical, keys) if self.projective else keys
+    def images(self, level: Sequence[int], rights: Sequence[_Lazy],
+               lefts: Optional[Sequence] = None) -> Iterator[Tuple[int, ...]]:
+        """For every key x in the level, in level order, the canonical keys
+        of x g for the right table of each g, or of h x g with each plan
+        left = `left(h)`. Each row position maps the whole level through
+        one table: its codes are divided out of the keys once, and every
+        read of them is a `tee` copy, all read in step, so no decoded level
+        is held; the keys are encoded one at a time as they are read."""
+        teed = [tee(self.row(level, j), 1)[0] for j in range(self.n)]
 
-    def element(self, rows: Tuple[int, ...]) -> "GroupElement":
-        """The element with these (canonical) row codes."""
-        x = GroupElement.__new__(GroupElement)
-        x.n, x.p, x.projective, x.key = self.n, self.p, self.projective, rows
-        x.entries = tuple(map(self.digits.__getitem__, rows))
-        return x
+        def step(right, js, table):  # a row of h x g from the rows js of x g
+            rows = self.encode([map(right.__getitem__, teed[j].__copy__()) for j in js])
+            return rows if table is None else map(table, rows)
+        out = []
+        for right, left in zip(rights, lefts or repeat(None)):
+            plan = [((j,), None) for j in range(self.n)] if left is None else left
+            keys = self.encode([step(right, js, table) for js, table in plan])
+            out.append(map(self.canonical, keys) if self.projective else keys)
+        teed.clear()  # every read has its copy: the unread originals would hold the level
+        return zip(*out)
 
-    def reduced(self, entries: Sequence[Sequence[int]]) -> "GroupElement":
+    def encode(self, rows: List[Iterator[int]]) -> Iterator[int]:
+        """The integers with these digits in base P, most significant first."""
+        keys = rows[0]
+        for codes in rows[1:]:  # Horner's rule
+            keys = map(add, map(mul, keys, repeat(self.size)), codes)
+        return keys
+
+    def element(self, key: int) -> GroupElement:
+        """The element with this (canonical) key."""
+        return GroupElement(self, key)
+
+    def reduced(self, entries: Sequence[Sequence[int]]) -> GroupElement:
         """The element with these entries, already reduced mod p."""
-        return self.element(self.canonical(tuple(map(self.code, entries))))
+        return self.element(self.canonical(sum(map(mul, self.strides, map(self.code, entries)))))
 
 
-@cache
-def _codes(n: int, p: int, projective: bool) -> _RowCodes:
-    """The process's row-code kernel of n x n matrices over GF(p)."""
-    return _RowCodes(n, p, projective)
+_codes = cache(_RowCodes)  # the process's one row-code kernel per (n, p, projective)
 
 
 def _matrix(n: int, entries: Dict[Tuple[int, int], int]) -> List[List[int]]:
@@ -232,7 +257,7 @@ def identity(n: int, p: int, projective: bool = False) -> GroupElement:
 
 def make_element(rows: Sequence[Sequence[int]], p: int,
                  projective: bool = False) -> GroupElement:
-    return GroupElement(rows, p, projective)
+    return _codes(len(rows), p, projective).reduced([[v % p for v in row] for row in rows])
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +278,7 @@ class _Elements(SequenceABC):
 
     __slots__ = ("keys", "element")
 
-    def __init__(self, keys: List[Tuple[int, ...]], element: Callable):
+    def __init__(self, keys: List[int], element: Callable):
         self.keys, self.element = keys, element
 
     def __len__(self) -> int:
@@ -271,12 +296,11 @@ class FiniteGroup:
     `tuple.index`."""
 
     def __init__(self, kind: str, generators: Tuple[GroupElement, ...],
-                 codes: _RowCodes, keys: List[Tuple[int, ...]], index: Dict,
+                 codes: _RowCodes, keys: List[int], index: Dict[int, int],
                  right: List[array], parent: array, via: array):
         self.kind = kind  # SL | GL | SO | PSL | PGL, or "subgroup of GL" / "subgroup of PGL"
-        self.n, self.p, self.generators = codes.n, codes.p, generators
-        self.codes = codes
-        self.keys = keys  # canonical row codes by position
+        self.n, self.p, self.generators, self.codes = codes.n, codes.p, generators, codes
+        self.keys = keys  # canonical keys by position
         self.elements = _Elements(keys, codes.element)
         self.index = index  # canonical key -> position
         # right[g][u] = position of elements[u] * generators[g]
@@ -302,7 +326,7 @@ class FiniteGroup:
 def closure(generators: Sequence[GroupElement], cap: int = DEFAULT_CLOSURE_CAP,
             kind: str = "GL") -> FiniteGroup:
     """Breadth-first product closure, with its multiplication arrays and
-    tree, one level at a time on row codes; within a level, new keys are
+    tree, one level of keys at a time; within a level, new keys are
     numbered element by element and, per element, generator by generator.
     Generators must be invertible (classes need g^-1 in the group): a
     singular one raises ValueError."""
@@ -325,7 +349,7 @@ def closure(generators: Sequence[GroupElement], cap: int = DEFAULT_CLOSURE_CAP,
     while start < len(keys):
         level, first = keys[start:], start
         start = len(keys)
-        for u, ys in enumerate(zip(*[codes.images(level, t) for t in tables]), first):
+        for u, ys in enumerate(codes.images(level, tables), first):
             for gno, y in enumerate(ys):
                 v = index.get(y)
                 if v is None:
@@ -351,7 +375,7 @@ def conjugacy_classes(group: FiniteGroup) -> List[ConjugacyClass]:
     if group.classes is not None:
         return group.classes
     conj = [(r, group.left(r.index(0))) for r in group.right]
-    codes, keys, index = group.codes, group.keys, group.index
+    codes, keys, index, strides = group.codes, group.keys, group.index, group.codes.strides
     class_of = [-1] * len(keys)
     classes: List[ConjugacyClass] = []
     walks: Dict[int, Tuple[List[int], int]] = {}  # u -> (walk, t) with walk[t] == u
@@ -377,7 +401,7 @@ def conjugacy_classes(group: FiniteGroup) -> List[ConjugacyClass]:
             table, powers, x, u = codes.right(rep.entries), [0], keys[start], start
             while u:
                 powers.append(u)
-                x, = codes.images((x,), table)
+                x = codes.canonical(sum(map(mul, strides, map(table.__getitem__, codes.rows(x)))))
                 u = index[x]
             for t, u in enumerate(powers):
                 walks.setdefault(u, (powers, t))
@@ -389,26 +413,24 @@ def conjugacy_classes(group: FiniteGroup) -> List[ConjugacyClass]:
 
 
 def class_orbit(rep: GroupElement, generators: Sequence[GroupElement],
-                cap: int = DEFAULT_ORBIT_CAP) -> List[Tuple[int, ...]]:
+                cap: int = DEFAULT_ORBIT_CAP) -> List[int]:
     """Keys of the conjugation orbit of rep under the group the generators
     generate, without enumerating that group, breadth first and one level
     at a time: x -> g x g^-1 for each generator g in turn."""
     codes = _codes(rep.n, rep.p, rep.projective)
-    steps = [(codes.right(g.inverse().entries), codes.left(g.entries))
-             for g in generators]
-    orbit = [rep.key]
-    seen = {rep.key}
+    rights = [codes.right(g.inverse().entries) for g in generators]
+    lefts = [codes.left(g.entries) for g in generators]
+    orbit, seen = [rep.key], {rep.key}
     start = 0
     while start < len(orbit):
         level = orbit[start:]
         start = len(orbit)
-        for ys in zip(*[codes.images(level, r, l) for r, l in steps]):
-            for y in ys:
-                if y not in seen:
-                    seen.add(y)
-                    orbit.append(y)
-                    if len(orbit) > cap:
-                        raise GroupTooLargeError("conjugation orbit", cap)
+        for y in chain.from_iterable(codes.images(level, rights, lefts)):
+            if y not in seen:
+                seen.add(y)
+                orbit.append(y)
+                if len(orbit) > cap:
+                    raise GroupTooLargeError("conjugation orbit", cap)
     return orbit
 
 
@@ -422,13 +444,7 @@ class JordanType(NamedTuple):
     partitions: Tuple[Tuple[int, Tuple[int, ...]], ...]  # (eigenvalue, blocks desc)
 
     def partition(self, eigenvalue: int) -> Tuple[int, ...]:
-        for ev, part in self.partitions:
-            if ev == eigenvalue:
-                return part
-        return ()
-
-    def is_unipotent(self) -> bool:
-        return all(ev == 1 for ev, _ in self.partitions)
+        return dict(self.partitions).get(eigenvalue, ())
 
 
 class UnsupportedSpectrumError(ValueError):
@@ -482,7 +498,7 @@ def is_quadratic_unipotent(m: GroupElement) -> bool:
 
 
 def direct_triple_count(
-    c1_orbit: Iterable[Tuple[int, ...]],
+    c1_orbit: Sequence[int],
     c2_inverse_predicate: Callable[[GroupElement], bool],
     z: GroupElement,
     c3_size: int,
@@ -499,23 +515,23 @@ def direct_triple_count(
     count once per member, hence the c3_size factor.
 
     `trace`, when given, is the trace mod p of every member of C2^-1: a
-    product x*z with another trace is rejected off its row codes, before any
-    element is built. A trace is no class invariant modulo scalars, so a
-    projective z with a trace raises ValueError.
+    product x*z with another trace is rejected off the row codes of x,
+    before its key or element is built. A trace is no class invariant
+    modulo scalars, so a projective z with a trace raises ValueError.
     """
     if trace is not None and z.projective:
         raise ValueError("a trace is not a class invariant modulo scalars")
     codes = _codes(z.n, z.p, z.projective)
     right = codes.right(z.entries)
-    if trace is None:
-        products = codes.images(c1_orbit, right)
-    else:
-        # the rows of every x*z by position, and the sums of their diagonal digits
-        cols = [list(map(right.__getitem__, col)) for col in zip(*c1_orbit)]
-        sums = map(sum, zip(*map(map, [d.__getitem__ for d in codes.diagonal], cols)))
+    if trace is not None:
+        # diagonal[i][r]: the (i, i) entry of x z when row i of x has the code r
+        diagonal = [_Lazy(lambda r, w=w: right[r] // w % z.p) for w in codes.weights]
+        sums = map(sum, zip(*[map(d.__getitem__, codes.row(c1_orbit, i))
+                              for i, d in enumerate(diagonal)]))
         hits = set(range(trace % z.p, z.n * (z.p - 1) + 1, z.p))
-        products = compress(zip(*cols), map(hits.__contains__, sums))
-    return c3_size * sum(map(bool, map(c2_inverse_predicate, map(codes.element, products))))
+        c1_orbit = list(compress(c1_orbit, map(hits.__contains__, sums)))
+    products = codes.images(c1_orbit, [right])
+    return c3_size * sum(map(bool, map(c2_inverse_predicate, starmap(codes.element, products))))
 
 
 # ---------------------------------------------------------------------------
@@ -584,10 +600,7 @@ def so_generators(m: int, p: int) -> List[GroupElement]:
 
 
 def order_gl(n: int, q: int) -> int:
-    total = 1
-    for i in range(n):
-        total *= q ** n - q ** i
-    return total
+    return prod(q ** n - q ** i for i in range(n))
 
 
 def order_sl(n: int, q: int) -> int:
@@ -690,19 +703,15 @@ def lemma_sl_triple_count(n: int, p: int,
     z = regular_unipotent_sl(n, p)
     c3_size = sl_regular_unipotent_class_size(n, p)
     counts: Dict[str, int] = {}
-    # k: -1 eigenvalue multiplicity, even so that det stays 1
-    reps = [(k, make_element(_matrix(n, {(i, i): -1 for i in range(k)}), p))
-            for k in range(2, n + 1, 2)]
-    total = 0
-    for k, rep in reps:
+    for k in range(2, n + 1, 2):  # k: -1 eigenvalue multiplicity, even so that det stays 1
+        rep = make_element(_matrix(n, {(i, i): -1 for i in range(k)}), p)
         if k == n:
             orbit = [rep.key]  # central involution
         else:
             orbit = class_orbit(rep, gens, cap=orbit_cap)
         cnt = direct_triple_count(orbit, is_quadratic_unipotent, z, c3_size, trace=n)
         counts["involution(-1^%d)" % k] = cnt
-        total += cnt
-    counts["total"] = total
+    counts["total"] = sum(counts.values())
     return counts
 
 
@@ -716,26 +725,17 @@ def lemma_so_triple_count(m: int, p: int,
     group = closure(so_generators(m, p), cap=cap, kind="SO")
     classes = conjugacy_classes(group)
     dim = 2 * m
-    target = tuple([dim - 1, 1])
-    regs = []
-    invs = []
-    for c in classes:
-        if c.order == p:
-            jt = jordan_type(c.rep)
-            if jt.is_unipotent() and jt.partition(1) == target:
-                regs.append(c)
-        elif c.order == 2:
-            invs.append(c)
+    # an element of order p is unipotent, and regular when its blocks are (2m-1, 1)
+    regs = [c for c in classes if c.order == p and jordan_type(c.rep).partition(1) == (dim - 1, 1)]
+    invs = [c for c in classes if c.order == 2]
     if not regs:
         raise ValueError("no regular unipotent class found in SO_%d(%d)" % (dim, p))
     counts: Dict[str, int] = {}
-    total = 0
     for rno, reg in enumerate(regs):
         for ino, inv in enumerate(invs):
             orbit = [group.keys[i] for i in inv.indices]
             cnt = direct_triple_count(orbit, is_quadratic_unipotent, reg.rep, reg.size,
                                       trace=dim)
             counts["involution%d x regular%d" % (ino, rno)] = cnt
-            total += cnt
-    counts["total"] = total
+    counts["total"] = sum(counts.values())
     return counts

@@ -1,7 +1,9 @@
+import gc
 import random
 import re
+import tracemalloc
 from collections import Counter
-from itertools import permutations
+from itertools import permutations, starmap
 from math import gcd
 
 import pytest
@@ -13,6 +15,7 @@ from rigikit.modp import euler_phi
 from rigikit.rigidity import ClassTriple, frobenius_count
 from rigikit.smallgrp import (
     _codes,
+    _matrix,
     _RowCodes,
     GroupTooLargeError,
     UnsupportedSpectrumError,
@@ -303,6 +306,15 @@ def test_projective_canonicalization():
     assert a != c
 
 
+def test_equal_keys_of_different_sizes_are_different_elements():
+    # over GF(3) both keys are 28: rows (1, 0), (0, 1) are 1 * 3 + 0, 0 * 3 + 1
+    # in base 9, and rows (0, 0, 0), (0, 0, 1), (0, 0, 1) are 0, 1, 1 in base 27
+    two = identity(2, 3)
+    three = make_element([[0, 0, 0], [0, 0, 1], [0, 0, 1]], 3)
+    assert two.key == three.key == 28
+    assert two != three and len({two, three}) == 2
+
+
 def reduce_and_scale(rows, p, projective):
     """Oracle: the entries mod p, and mod scalars scaled by the inverse of
     the first nonzero entry in row-major order."""
@@ -315,6 +327,12 @@ def reduce_and_scale(rows, p, projective):
 
 def row_codes(rows, p):
     return tuple(sum(v * p ** (len(row) - 1 - i) for i, v in enumerate(row)) for row in rows)
+
+
+def integer_key(rows, p):
+    """Oracle: the entries in row-major order as the base-p digits of one integer."""
+    flat = [v for row in rows for v in row]
+    return sum(v * p ** (len(flat) - 1 - i) for i, v in enumerate(flat))
 
 
 def plain_product(a, b):
@@ -345,16 +363,16 @@ def test_elements_match_the_reduce_and_scale_oracle(data):
     a, b = make_element(a_rows, p, projective), make_element(b_rows, p, projective)
     for x, rows in ((a, a_rows), (b, b_rows)):
         assert x.entries == reduce_and_scale(rows, p, projective)
-        assert x.key == row_codes(x.entries, p)
+        assert x.key == integer_key(x.entries, p)
         built = _codes(n, p, projective).element(x.key)
         assert built == x and built.entries == x.entries
     product = a * b
     assert product.entries == reduce_and_scale(plain_product(a_rows, b_rows), p, projective)
-    assert product.key == row_codes(product.entries, p)
+    assert product.key == integer_key(product.entries, p)
     if plain_det(a_rows, p):
         inv = a.inverse()
         assert inv.entries == reduce_and_scale(inv.entries, p, projective)
-        assert inv.key == row_codes(inv.entries, p)
+        assert inv.key == integer_key(inv.entries, p)
         one = reduce_and_scale(plain_product(a_rows, inv.entries), p, projective)
         assert one == tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
@@ -441,6 +459,23 @@ def test_class_orders_of_a_cyclic_group():
     assert orders == {d: euler_phi(d) for d in range(1, 1377) if 1376 % d == 0}
 
 
+def test_a_closure_holds_one_integer_key_per_element():
+    # SO(4,5), 14400 elements: a 32-byte integer key, its pointers in keys and
+    # index, and 4 bytes in each of 9 position arrays come to about 120 bytes
+    # an element, and the closure's traced peak is 157; row-code tuple keys
+    # (88 bytes) took it to 286
+    gens = so_generators(2, 5)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        group = closure(gens)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert group.order == 14400
+    assert peak <= 180 * group.order, peak / group.order
+
+
 # --- the row-code kernel against GroupElement arithmetic ---------------------
 
 
@@ -449,10 +484,10 @@ def _check_row_codes(codes, xs, g):
     the products x g and the conjugates g x g^-1 (right table of g^-1, left
     plan of g); and the quadratic unipotent test on every x and result
     against the plain-integer oracle."""
-    products = list(map(codes.element, codes.images([x.key for x in xs],
-                                                     codes.right(g.entries))))
-    conjugates = list(map(codes.element, codes.images(
-        [x.key for x in xs], codes.right(g.inverse().entries), codes.left(g.entries))))
+    products = list(starmap(codes.element, codes.images([x.key for x in xs],
+                                                         [codes.right(g.entries)])))
+    conjugates = list(starmap(codes.element, codes.images(
+        [x.key for x in xs], [codes.right(g.inverse().entries)], [codes.left(g.entries)])))
     for x, product, conjugate in zip(xs, products, conjugates):
         assert product == x * g and product.entries == (x * g).entries
         expected = g * x * g.inverse()
@@ -477,6 +512,47 @@ def invertible(draw, n, p, projective):
     for rows in factors:
         x = x * make_element(rows, p, projective)
     return x
+
+
+def _check_keys(codes, xs, g):
+    """Integer keys against row-code tuples and GroupElement arithmetic: each
+    key rebuilds its element, keys order as the tuples of row codes do, and
+    `images` of the level of xs under g and g^-1 at once gives the keys of
+    the products x g and x g^-1."""
+    for x in xs:
+        built = codes.element(x.key)
+        assert built == x and built.entries == x.entries
+    for a in xs:
+        for b in xs:
+            ta, tb = row_codes(a.entries, codes.p), row_codes(b.entries, codes.p)
+            assert (a.key < b.key, a.key == b.key) == (ta < tb, ta == tb)
+    ginv = g.inverse()
+    images = codes.images([x.key for x in xs], [codes.right(g.entries), codes.right(ginv.entries)])
+    assert list(images) == [((x * g).key, (x * ginv).key) for x in xs]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_integer_keys_round_trip_order_and_multiply(data):
+    n = data.draw(st.integers(1, 4))
+    p = data.draw(st.sampled_from([2, 3, 5, 7, 17]))
+    projective = data.draw(st.booleans())
+    entry = st.lists(st.integers(0, p - 1), min_size=n, max_size=n)
+    xs = [make_element(rows, p, projective)
+          for rows in data.draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                                         min_size=1, max_size=4))]
+    _check_keys(_codes(n, p, projective), xs, data.draw(invertible(n, p, projective)))
+
+
+def test_keys_of_gl4_17_outgrow_64_bits():
+    # 16 as the first of 16 base-17 digits: no fixed-width integer holds the
+    # key (mod scalars the first nonzero digit is 1, and the key stays smaller)
+    for projective in (False, True):
+        g = gl_generators(4, 17, projective)
+        xs = [make_element(_matrix(4, {(0, 0): 16, (0, 3): 5}), 17, projective),
+              g[1], g[0] * g[1]]
+        assert (xs[0].key > 2 ** 63) != projective
+        _check_keys(_codes(4, 17, projective), xs, g[-1])
 
 
 @settings(max_examples=300, deadline=None)
@@ -524,8 +600,9 @@ def test_left_plans_of_the_standard_generators():
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_left_steps_match_the_reduce_and_combine_oracle(data):
-    """A left step on the codes of rows y_j gives the code of
-    sum_j a_j y_j reduced mod p, for 1 to n nonzero coefficients a_j."""
+    """A left step on the codes of rows y_j, several of them read as one
+    integer in base p^n, gives the code of sum_j a_j y_j reduced mod p, for
+    1 to n nonzero coefficients a_j."""
     n = data.draw(st.integers(2, 4))
     p = data.draw(st.sampled_from([3, 5, 7, 11]))
     m = data.draw(st.integers(1, n))
@@ -538,7 +615,7 @@ def test_left_steps_match_the_reduce_and_combine_oracle(data):
     (rows, step), = codes.left([row])
     assert rows == tuple(j for j in range(n) if row[j])
     ins = [row_codes(ys, p)[j] for j in rows]
-    arg = ins[0] if m == 1 else tuple(ins)
+    arg = sum(c * p ** (n * (m - 1 - k)) for k, c in enumerate(ins))  # base p^n
     expected, = row_codes([[sum(row[j] * y[i] for j, y in enumerate(ys)) % p
                             for i in range(n)]], p)
     assert (arg if step is None else step(arg)) == expected
