@@ -199,8 +199,8 @@ def canonical_layout(
     by values and power maps, each class of the first tied cell is
     individualized in turn and refined again, and the layout is the first
     leaf with the least certificate: its rows' value ids in leaf order, row
-    by row, then each class's power classes as leaf positions. Equal
-    certificates give table automorphisms; a child in the orbit of an
+    by row, then each class's power classes as leaf positions. A leaf equal
+    to the least one gives a table automorphism; a child in the orbit of an
     explored sibling under those fixing the path is skipped, as its subtree
     gives the same certificates. Refinement is driven by a splitter queue
     (`_refine`) with Hopcroft's rule of queueing every piece of a split cell
@@ -210,9 +210,8 @@ def canonical_layout(
     changed.
 
     No certificate is materialized: a leaf is kept as its (class order, row
-    order), and a new leaf is compared with the least one in one lockstep
-    pass over their rows, which also hashes its rows into a digest that
-    finds the earlier leaves it may equal. Nothing k x k outlives the call.
+    order), and a new leaf is compared with the least one only, in one
+    lockstep pass over their rows. Nothing k x k outlives the call.
     """
     search = _Search(ids, power_maps)
     classes, rows = _Cells(class_keys), _Cells(row_keys)
@@ -224,7 +223,7 @@ def canonical_layout(
 class _Search:
     """The search tree of one `canonical_layout` call. Its nodes recurse
     through the instance, not through a closure that refers to itself, so
-    the id columns and the leaves are freed when the call returns."""
+    the id columns are freed when the call returns."""
 
     def __init__(self, ids, power_maps):
         self.ids, self.power_maps = ids, power_maps
@@ -233,7 +232,6 @@ class _Search:
         for i, pm in enumerate(power_maps):
             for p, j in pm:
                 self.preimages[j].append((p, i))
-        self.leaves: Dict[int, List[Tuple[List[int], List[int]]]] = {}  # digest -> leaves
         self.automorphisms: List[Dict[int, int]] = []
         self.best: Optional[Tuple[List[int], List[int]]] = None
 
@@ -254,46 +252,29 @@ class _Search:
                 explored.append(v)
 
     def leaf(self, class_order: List[int], row_order: List[int]) -> None:
-        """Compare the leaf with the least one, row by row, then by power
-        maps; record an automorphism if an earlier leaf equals it."""
-        ids, best, leaf = self.ids, self.best, (class_order, row_order)
-        get = itemgetter(*class_order)
-        sign = 0 if best else -1  # the leaf against the least, while undecided 0
-        least = itemgetter(*best[0]) if best else None
-        digest = 0
-        for r, b in zip(row_order, best[1] if best else row_order):
-            row = get(ids[r])
-            digest = hash((digest, row))
-            if not sign:
-                other = least(ids[b])
-                if row != other:
-                    sign = -1 if row < other else 1
-        if not sign:
-            powers, other = self._powers(class_order), self._powers(best[0])
-            sign = -1 if powers < other else 1 if powers > other else 0
-        if sign:
-            same = self.leaves.setdefault(digest, [])
-            first = next((old for old in same if self._equal(old, leaf)), None)
-            if first is None:
-                same.append(leaf)
-        else:
-            first = best
-        if first is not None:
-            self.automorphisms.append(dict(zip(first[0], class_order)))
-        if sign < 0:
-            self.best = leaf
+        """Compare the leaf with the least one, row by row up to the first
+        row that differs, then by power maps: an equal leaf records an
+        automorphism, a lesser one becomes the least."""
+        best = self.best
+        if best is not None:
+            get, least, ids = itemgetter(*class_order), itemgetter(*best[0]), self.ids
+            for r, b in zip(row_order, best[1]):
+                mine, other = get(ids[r]), least(ids[b])
+                if mine != other:
+                    break
+            else:
+                mine, other = self._powers(class_order), self._powers(best[0])
+                if mine == other:
+                    self.automorphisms.append(dict(zip(best[0], class_order)))
+            if not mine < other:
+                return
+        self.best = (class_order, row_order)
 
     def _powers(self, class_order: List[int]) -> tuple:
         """Each class's power classes as positions in `class_order`."""
         position = {i: new for new, i in enumerate(class_order)}
         return tuple(tuple((p, position[j]) for p, j in self.power_maps[i])
                      for i in class_order)
-
-    def _equal(self, a, b) -> bool:
-        """Whether two leaves have the same certificate."""
-        get_a, get_b, ids = itemgetter(*a[0]), itemgetter(*b[0]), self.ids
-        return (all(get_a(ids[r]) == get_b(ids[s]) for r, s in zip(a[1], b[1]))
-                and self._powers(a[0]) == self._powers(b[0]))
 
 
 def _orbit(points: List[int], generators: List[Dict[int, int]]) -> set:

@@ -54,7 +54,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "character table as CTB")
     p.add_argument("group", help="group spec: SL(n,p) GL(n,p) SO(2m,p) "
                                  "PSL(n,p) PGL(n,p), or @file of generators")
-    p.add_argument("--cap", type=int, default=2_000_000)
+    p.add_argument("--cap", type=int, default=2_000_000,
+                   help="refuse a group of more than CAP elements (a spec's by its "
+                        "order, before any work)")
     p.add_argument("--projective", action="store_true",
                    help="with @file generators: take the group modulo scalars")
 
@@ -102,11 +104,13 @@ def build_parser() -> argparse.ArgumentParser:
     psl = lemma_sub.add_parser("sl", help="special linear groups")
     psl.add_argument("--n", required=True, type=int)
     psl.add_argument("--q", required=True, type=int)
-    psl.add_argument("--cap", type=int, default=1_000_000)
+    psl.add_argument("--cap", type=int, default=1_000_000,
+                     help="refuse an involution class of more than CAP elements before any work")
     pso = lemma_sub.add_parser("so", help="even orthogonal groups SO_{2m}")
     pso.add_argument("--m", required=True, type=int)
     pso.add_argument("--q", required=True, type=int)
-    pso.add_argument("--cap", type=int, default=2_000_000)
+    pso.add_argument("--cap", type=int, default=2_000_000,
+                     help="refuse a group of more than CAP elements before any work")
 
     return top
 

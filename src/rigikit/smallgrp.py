@@ -64,7 +64,7 @@ from .modp import (
 
 class GroupTooLargeError(ValueError):
     def __init__(self, what: str, cap: int):
-        super().__init__("%s exceeded the cap of %d elements" % (what, cap))
+        super().__init__("%s exceeds the cap of %d elements" % (what, cap))
         self.cap = cap
 
 
@@ -607,9 +607,16 @@ def order_sl(n: int, q: int) -> int:
     return order_gl(n, q) // (q - 1)
 
 
+def _refuse_over_cap(what: str, p_exponent: int, size: Callable[[], int], cap: int) -> None:
+    """Refuse, before any work, `size()` elements of p-part p^p_exponent over
+    `cap`; as p^e > cap once e >= cap.bit_length(), no huge power is formed."""
+    if p_exponent >= cap.bit_length() or size() > cap:
+        raise GroupTooLargeError(what, cap)
+
+
 def group_from_spec(spec: str, cap: int = DEFAULT_CLOSURE_CAP) -> FiniteGroup:
     """Build a group from a spec string: SL(n,p), GL(n,p), SO(2m,p), PSL(n,p),
-    PGL(n,p)."""
+    PGL(n,p); one of more than `cap` elements is refused by its order."""
     text = spec.strip().upper().replace(" ", "")
     for kind in ("PSL", "PGL", "SL", "GL", "SO"):
         if text.startswith(kind + "(") and text.endswith(")"):
@@ -623,18 +630,21 @@ def group_from_spec(spec: str, cap: int = DEFAULT_CLOSURE_CAP) -> FiniteGroup:
                                  % spec) from None
             if not is_prime(p):
                 raise ValueError("group spec needs a prime field: %r" % spec)
-            if kind == "SL":
-                gens = sl_generators(n, p)
-            elif kind == "GL":
-                gens = gl_generators(n, p)
-            elif kind == "PSL":
-                gens = sl_generators(n, p, projective=True)
-            elif kind == "PGL":
-                gens = gl_generators(n, p, projective=True)
-            else:
+            # below its least n, a kind's generators raise the error
+            if kind == "SO":
                 if n % 2 != 0:
                     raise ValueError("SO needs even dimension: %r" % spec)
-                gens = so_generators(n // 2, p)
+                e = n * (n - 2) // 4  # |SO_2m| = p^(m(m-1)) (p^m - 1) prod_{i<m} (p^2i - 1)
+                if n >= 4:
+                    _refuse_over_cap("group " + text, e, lambda: p ** e * (p ** (n // 2) - 1)
+                                     * prod(p ** i - 1 for i in range(2, n - 1, 2)), cap)
+                return closure(so_generators(n // 2, p), cap=cap, kind=kind)
+            special = kind.endswith("SL")
+            if n >= (2 if special else 1):  # the quotient is prime to p
+                quotient = (1 if kind == "GL" else p - 1) * (gcd(n, p - 1) if kind == "PSL" else 1)
+                _refuse_over_cap("group " + text, n * (n - 1) // 2,
+                                 lambda: order_gl(n, p) // quotient, cap)
+            gens = (sl_generators if special else gl_generators)(n, p, projective=kind[0] == "P")
             return closure(gens, cap=cap, kind=kind)
     raise ValueError("unrecognized group spec %r" % spec)
 
@@ -696,19 +706,21 @@ def lemma_sl_triple_count(n: int, p: int,
                           orbit_cap: int = DEFAULT_ORBIT_CAP) -> Dict[str, int]:
     """Exact count of (involution, quadratic unipotent, regular unipotent)
     triples with product 1 in SL_n(p), p odd, summed over all involution
-    classes. Runs on conjugation orbits; the full group is never enumerated."""
+    classes. Runs on conjugation orbits, each refused by its size over
+    `orbit_cap`; the full group is never enumerated."""
     if p == 2 or not is_prime(p):
         raise ValueError("the field size must be an odd prime, got %d" % p)
+    for k in range(2, n + 1, 2):  # the -1 eigenspace's centralizer is GL_k x GL_{n-k}
+        _refuse_over_cap("involution class (-1^%d) of SL%d(%d)" % (k, n, p), k * (n - k),
+                         lambda: order_gl(n, p) // (order_gl(k, p) * order_gl(n - k, p)),
+                         orbit_cap)
     gens = sl_generators(n, p)
     z = regular_unipotent_sl(n, p)
     c3_size = sl_regular_unipotent_class_size(n, p)
     counts: Dict[str, int] = {}
     for k in range(2, n + 1, 2):  # k: -1 eigenvalue multiplicity, even so that det stays 1
         rep = make_element(_matrix(n, {(i, i): -1 for i in range(k)}), p)
-        if k == n:
-            orbit = [rep.key]  # central involution
-        else:
-            orbit = class_orbit(rep, gens, cap=orbit_cap)
+        orbit = class_orbit(rep, gens, cap=orbit_cap)
         cnt = direct_triple_count(orbit, is_quadratic_unipotent, z, c3_size, trace=n)
         counts["involution(-1^%d)" % k] = cnt
     counts["total"] = sum(counts.values())
@@ -722,7 +734,7 @@ def lemma_so_triple_count(m: int, p: int,
     and all regular-unipotent (partition (2m-1,1)) classes."""
     if p == 2 or not is_prime(p):
         raise ValueError("the field size must be an odd prime, got %d" % p)
-    group = closure(so_generators(m, p), cap=cap, kind="SO")
+    group = group_from_spec("SO(%d,%d)" % (2 * m, p), cap=cap)
     classes = conjugacy_classes(group)
     dim = 2 * m
     # an element of order p is unipotent, and regular when its blocks are (2m-1, 1)

@@ -970,6 +970,57 @@ def test_layout_of_ties_refinement_cannot_split():
     assert layouts == {(0, 2, 5, 2, 3, 4, 4)}
 
 
+def _layout_arguments(monkeypatch, kind, key):
+    """The arguments of the `canonical_layout` call of one fresh table build."""
+    if kind == "ties":  # the table of test_layout_of_ties_refinement_cannot_split
+        power = [0, 4, 5, 4, 6, 1, 5]
+        return [(1, 1)] + [(2, 1)] * 6, [(0, 1)], [[0] * 7], [((2, y),) for y in power]
+    calls, real_layout = [], chartable.canonical_layout
+
+    def layout(*args):
+        calls.append(args)
+        return real_layout(*args)
+    with monkeypatch.context() as m:
+        m.setattr(chartable, "canonical_layout", layout)
+        source_table.__wrapped__(kind, key)
+    (arguments,) = calls
+    return arguments
+
+
+def _is_automorphism(g, ids, power_maps):
+    """Whether the class map g permutes the rows of the id matrix and
+    commutes with the power maps."""
+    k = len(power_maps)
+    return (sorted(g) == sorted(g.values()) == list(range(k))
+            and Counter(tuple(row[g[i]] for i in range(k)) for row in ids)
+            == Counter(map(tuple, ids))
+            and all(power_maps[g[i]] == tuple((p, g[j]) for p, j in power_maps[i])
+                    for i in range(k)))
+
+
+@pytest.mark.parametrize("kind,key", [("generic", ("GL2", q)) for q in (3, 4, 5, 7, 8, 9, 11, 13)]
+                         + [("generic", ("SL2", 13)), ("generic", ("PGL2", 13)),
+                            ("dixon", "GL(2,5)"), ("ties", None)], ids=str)
+def test_layout_search_records_only_table_automorphisms(monkeypatch, kind, key):
+    # the search driven as canonical_layout drives it: each map it records
+    # from a leaf equal to the least one permutes the rows and commutes
+    # with the power maps, and a transposition of the first and last
+    # classes of the layout, which is none, is rejected by the same check
+    class_keys, row_keys, ids, power_maps = _layout_arguments(monkeypatch, kind, key)
+    search = chartable._Search(ids, power_maps)
+    classes, rows = chartable._Cells(class_keys), chartable._Cells(row_keys)
+    search.node(classes, rows, [(0, s) for s in sorted(classes.end)]
+                + [(1, s) for s in sorted(rows.end)], [])
+    assert search.best == canonical_layout(class_keys, row_keys, ids, power_maps)
+    assert search.automorphisms
+    for g in search.automorphisms:
+        assert _is_automorphism(g, ids, power_maps)
+    first, last = search.best[0][0], search.best[0][-1]
+    swap = {i: i for i in range(len(power_maps))}
+    swap[first], swap[last] = last, first
+    assert not _is_automorphism(swap, ids, power_maps)
+
+
 @pytest.mark.parametrize("fixture,builds", [
     ("c2.ctb", [("dixon", "GL(1,3)")]),
     ("s3.ctb", [("dixon", "SL(2,2)")]),

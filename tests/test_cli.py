@@ -536,6 +536,11 @@ def test_top_level_reexports_resolve_on_use():
 
 @pytest.mark.parametrize("argv,out", [
     pytest.param(["dixon", "SL(3,5)", "--cap", "100"], "", id="GroupTooLargeError"),
+    # refused by their closed-form sizes before any generator is built
+    pytest.param(["dixon", "SL(40,3)"], "", id="SL40-cap"),
+    pytest.param(["dixon", "GL(1000000,3)"], "", id="GL1e6-cap"),
+    pytest.param(["lemma", "sl", "--n", "1000000", "--q", "3"], "", id="lemma-sl-1e6-cap"),
+    pytest.param(["lemma", "so", "--m", "2", "--q", "13"], "", id="lemma-so-13-cap"),
     # k = 1021^2 - 1, about 10^12 entries: refused before any work
     pytest.param(["dl", "--family", "GL2", "--q", "1021"], "", id="dl-table-cap"),
     pytest.param(["dualsym", "--pair", "GL2", "--q", "1021"], "", id="dualsym-table-cap"),
@@ -546,13 +551,16 @@ def test_top_level_reexports_resolve_on_use():
                  "", id="DescriptorError"),
 ])
 def test_domain_errors_exit_2_out_of_process(tmp_path, argv, out):
+    # under a 256 MB address-space cap and a 1 s CPU cap, so that work
+    # before the refusal fails the test instead of stalling it
     (tmp_path / "order7.ctb").write_text(
         Path(fixture_path("s3.ctb")).read_text().replace("order 6", "order 7"))
     (tmp_path / "junk.ctb").write_text("CTB 9\n")
     (tmp_path / "pool.txt").write_text("this is not a pool\n")
     env = dict(os.environ, PYTHONPATH=str(Path(rigikit.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-m", "rigikit", *argv], env=env, cwd=tmp_path,
-                          capture_output=True, text=True, timeout=60)
+                          capture_output=True, text=True, timeout=60,
+                          preexec_fn=_memory_and_cpu_caps(256 << 20, 1))
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
     assert proc.stdout == out

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rigikit import smallgrp
 from rigikit.dixon import character_table_dixon_mapped
 from rigikit.modp import euler_phi
 from rigikit.rigidity import ClassTriple, frobenius_count
@@ -267,6 +268,70 @@ def test_group_spec_errors():
     for spec in ("GL(\u0662,5)", "GL(2,1_1)"):
         with pytest.raises(ValueError, match=re.escape("integer arguments: %r" % spec)):
             group_from_spec(spec)
+
+
+class _Built(Exception):
+    """Raised in place of building generators: the size check let a group pass."""
+
+
+def _refuse_generators(monkeypatch):
+    def built(*args, **kwargs):
+        raise _Built
+    for name in ("sl_generators", "gl_generators", "so_generators"):
+        monkeypatch.setattr(smallgrp, name, built)
+
+
+@pytest.mark.parametrize("spec", ["SL(2,5)", "SL(3,3)", "GL(1,7)", "GL(2,3)", "GL(2,5)",
+                                  "PSL(2,7)", "PSL(2,11)", "PGL(2,5)", "PGL(2,7)",
+                                  "SO(4,3)", "SO(4,5)", "SO(4,7)"])
+def test_group_spec_closed_form_is_the_enumerated_order(monkeypatch, spec):
+    # refused at one element under its order, before any generator is built,
+    # and let through at its order: the closed form is the enumerated order
+    order = group_from_spec(spec).order
+    _refuse_generators(monkeypatch)
+    with pytest.raises(GroupTooLargeError, match=re.escape("group %s exceeds the cap of %d "
+                                                           % (spec, order - 1))):
+        group_from_spec(spec, cap=order - 1)
+    with pytest.raises(_Built):
+        group_from_spec(spec, cap=order)
+    if spec.startswith("SO"):  # lemma so refuses its group by the same form
+        dim, p = map(int, re.findall(r"\d+", spec))
+        with pytest.raises(GroupTooLargeError, match=re.escape("group %s " % spec)):
+            lemma_so_triple_count(dim // 2, p, cap=order - 1)
+
+
+@pytest.mark.parametrize("n,p,size", [(3, 3, 117), (3, 5, 775), (3, 7, 2793), (4, 3, 10530)])
+def test_involution_class_closed_form_is_the_orbit_size(monkeypatch, n, p, size):
+    rep = make_element(_matrix(n, {(0, 0): -1, (1, 1): -1}), p)
+    assert len(class_orbit(rep, sl_generators(n, p))) == size
+    _refuse_generators(monkeypatch)
+    with pytest.raises(GroupTooLargeError, match=re.escape(
+            "involution class (-1^2) of SL%d(%d) exceeds the cap of %d " % (n, p, size - 1))):
+        lemma_sl_triple_count(n, p, orbit_cap=size - 1)
+    with pytest.raises(_Built):
+        lemma_sl_triple_count(n, p, orbit_cap=size)
+
+
+def test_central_involution_orbit_is_one_key():
+    # lemma sl runs -I (k = n) through class_orbit like any other class
+    for n, p in ((2, 3), (4, 3), (4, 5), (6, 3)):
+        rep = make_element(_matrix(n, {(i, i): -1 for i in range(n)}), p)
+        assert class_orbit(rep, sl_generators(n, p)) == [rep.key]
+
+
+@pytest.mark.parametrize("call", [
+    lambda: group_from_spec("SL(40,3)"),
+    lambda: group_from_spec("GL(1000000,3)"),
+    lambda: group_from_spec("PSL(1000000,3)"),
+    lambda: group_from_spec("SO(2000000,3)"),
+    lambda: lemma_sl_triple_count(1000000, 3),
+    lambda: lemma_so_triple_count(1000000, 3),
+    lambda: lemma_so_triple_count(2, 13),
+], ids=["SL40", "GL1e6", "PSL1e6", "SO2e6", "lemma-sl", "lemma-so", "lemma-so-13"])
+def test_oversized_instances_are_refused_before_any_generator(monkeypatch, call):
+    _refuse_generators(monkeypatch)
+    with pytest.raises(GroupTooLargeError):
+        call()
 
 
 def test_generator_file_roundtrip():
