@@ -13,16 +13,17 @@ the cells that changed: a split cell queues all its pieces but the largest
 automaton", 1971).
 
 Orthogonality by split primes. `validate` decides row and column
-orthogonality by the residues of the values modulo primes l = 1 (mod e),
-e the lcm of the value conductors: each check is one integer Gram product
-mod l per root zeta_e -> omega^k, omega of order e in GF(l). Vanishing at
-every root of primes whose product exceeds a norm bound proves a Gram
-identity exactly. For pairwise distinct, Galois-stable rows, as in every
-character table, the root k = 1 suffices; any other table, and any table
-whose residues show a failure, is checked at every root, which also names
-the least failing pair. `_split_prime` gives the proof. (Reducing
-cyclotomic integers modulo a split prime: Breuer, "Integral bases for
-subfields of cyclotomic fields", AAECC 8 (1997).)
+orthogonality by the residues of the values modulo primes l = 1 (mod e), e
+the lcm of the value conductors: each check is one Gram product mod l, its
+rows read one at a time off `modp.mat_rows`, per root zeta_e -> omega^k,
+omega of order e in GF(l). Vanishing at every root of primes whose product
+exceeds a norm bound proves a Gram identity exactly. For pairwise
+distinct, Galois-stable rows, as in every character table, the root k = 1
+suffices; any other table, and any table whose residues show a failure, is
+checked at every root, which also names the least failing pair.
+`_split_prime` gives the proof. (Reducing cyclotomic integers modulo a
+split prime: Breuer, "Integral bases for subfields of cyclotomic fields",
+AAECC 8 (1997).)
 
 CTB input is read in one pass (`parse_ctb`) on `modp.read_lines`: the
 class lines straight into records, then each distinct value string once.
@@ -32,14 +33,14 @@ from __future__ import annotations
 
 from collections import deque
 from math import gcd, lcm, prod
-from operator import itemgetter
+from operator import itemgetter, mul
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .cyclo import Cyclotomic, cyc, format_value, parse_value, raw_embed, value_terms
 # unused here, but the benchmark's tracer wraps them in this module
 from .cyclo import raw_conjugate, raw_equals_rational, raw_mul  # noqa: F401
 from .modp import (PRIME_TEST_BOUND, InputSyntaxError as CTBSyntaxError, element_of_order,
-                   prime_factors, prime_one_mod, primitive_root, read_int, read_lines)
+                   mat_rows, prime_factors, prime_one_mod, primitive_root, read_int, read_lines)
 
 
 class ClassRecord(NamedTuple):
@@ -859,26 +860,14 @@ def _orthogonality_failure(split: _Split, weights, norms, transpose: bool):
 def _gram_failure(root, weights, norms, transpose: bool):
     """The least (a, b) whose weighted Gram entry of the rows (or,
     transposed, the columns) at `root` = (l, D^2, at, inv) is not
-    D^2 norms[a] delta_ab mod l, or None.
-
-    Each Gram row is one big-integer sum: coordinate j of every vector b is
-    packed into Y_j, b-th byte field first, and sum_j (x_j w_j mod l) * Y_j
-    holds Gram entry (a, b) exactly in field b, as a field holds the largest
-    entry, len(weights) * (l - 1)^2, and so never carries into the next.
-    """
+    D^2 norms[a] delta_ab mod l, or None. Gram row a is row a of
+    (at * diag(weights)) * inv^T, one packed product (`modp.mat_rows`)."""
     ell, dd, at, inv = root
     if transpose:
         at, inv = list(zip(*at)), list(zip(*inv))
-    width = (len(weights) * (ell - 1) ** 2).bit_length() // 8 + 1
-    packed = [int.from_bytes(b"".join(v.to_bytes(width, "little") for v in coord),
-                             "little") for coord in zip(*inv)]
-    size = width * len(inv)
-    for a, x in enumerate(at):
-        row = sum(u * w % ell * y for u, w, y in zip(x, weights, packed))
-        fields = row.to_bytes(size, "little")
-        for b in range(len(inv)):
-            entry = int.from_bytes(fields[b * width:(b + 1) * width], "little")
-            if entry % ell != (dd * norms[a] % ell if a == b else 0):
+    for a, row in enumerate(mat_rows((map(mul, x, weights) for x in at), inv, ell)):
+        for b, entry in enumerate(row):
+            if entry != (dd * norms[a] % ell if a == b else 0):
                 return a, b
     return None
 

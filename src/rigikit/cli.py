@@ -305,9 +305,9 @@ def main(argv=None) -> int:
     except (OSError, ValueError, KeyError) as exc:  # every domain error is a ValueError
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    except MemoryError:
-        print("error: out of memory: the input is too large (for example a CTB "
-              "exponent with a squarefree part in the millions)", file=sys.stderr)
+    except MemoryError as exc:  # a refusal before any work carries its reason
+        print("error: out of memory: %s" % (str(exc) or "the input is too large"),
+              file=sys.stderr)
         return 2
 
 

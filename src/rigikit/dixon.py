@@ -18,9 +18,11 @@ part the subspace (the equal-degree split of Cantor and Zassenhaus, Math.
 Comp. 36, 1981, applied to matrices). `dixon` does no polynomial arithmetic.
 Subspace bases are kept in reduced echelon form, so a vector's coordinates
 are its entries at the pivots: a class matrix restricts to a subspace
-through its pivot rows, with no solve, and each eigenvector comes out
-scaled to 1 at the identity class. Pieces stay invariant because the class
-algebra is commutative; the split does not recheck it.
+through its pivot rows (their product with the transposed basis, by
+`modp.mat_rows`, the one product under the split's matrix powers too),
+with no solve, and each eigenvector comes out scaled to 1 at the identity
+class. Pieces stay invariant because the class algebra is commutative;
+the split does not recheck it.
 
 Each value lifts to an exact cyclotomic at its own class order m: the
 multiplicities of the m-th roots of unity in chi(x) are the product of the
@@ -38,8 +40,8 @@ from typing import List, Tuple
 from .chartable import CharacterTable, build_table_mapped
 from .cyclo import from_terms
 from .modp import (
-    element_of_order, gauss_jordan, mat_add_scalar, mat_mul, mat_pow, nullspace,
-    prime_factors, prime_one_mod)
+    element_of_order, gauss_jordan, mat_add_scalar, mat_mul, mat_pow, mat_rows,
+    nullspace, prime_factors, prime_one_mod)
 from .smallgrp import FiniteGroup, conjugacy_classes
 
 PRIME_SEARCH_BOUND = 1_000_000
@@ -158,8 +160,7 @@ def character_table_dixon_mapped(group: FiniteGroup):
         while work:
             basis, pivots = work.pop()
             if len(basis) > 1:
-                pieces = _split([[sum(map(mul, mat[p], vec)) % ell for vec in basis]
-                                 for p in pivots], ell)
+                pieces = _split(tuple(mat_rows((mat[p] for p in pivots), basis, ell)), ell)
                 if pieces:
                     for piece in pieces:
                         rows = list(mat_mul(piece, basis, ell))

@@ -4,10 +4,11 @@ Deterministic Miller-Rabin primality, trial-division factoring (the
 integers factored here are group orders, exponents, element orders and
 conductors), the Euler phi function built on the factoring (both
 memoized: the same conductors are factored on every canonicalization),
-primes l = 1 (mod n) with an element of order n in GF(l), the matrix
-product, power (by repeated squaring) and scalar shift a + s*I over GF(p),
-and one Gauss-Jordan elimination over GF(p) under the matrix inverse,
-determinant, rank and nullspace.
+primes l = 1 (mod n) with an element of order n in GF(l), one packed
+matrix product over GF(p), `mat_rows` (a*bt^T by rows; under `mat_mul`,
+`mat_pow`, Dixon's split and `validate`'s Gram rows), the scalar shift
+a + s*I, and one Gauss-Jordan elimination over GF(p) under the matrix
+inverse, determinant, rank and nullspace.
 Every input file is read here: `read_lines` gives its content lines and
 `read_int` its integers, plain ASCII digits.
 """
@@ -113,10 +114,26 @@ def mat_add_scalar(a, s: int, p: int) -> Tuple[Tuple[int, ...], ...]:
                  for i, row in enumerate(a))
 
 
+def mat_rows(a, bt, p: int) -> Iterator[Tuple[int, ...]]:
+    """The rows of a*bt^T mod p, one at a time, for a any iterable of rows,
+    bt a sequence of rows and entries any integers. Coordinate j of every
+    row of bt, reduced mod p, is packed into one integer Y_j, b-th byte
+    field first, so sum_j (x_j mod p) * Y_j holds entry (x, b) in field b:
+    a field holds the largest entry, m (p - 1)^2 for rows of length m, and
+    never carries into the next. No transposed copy of bt is held."""
+    width = (len(bt[0]) * (p - 1) ** 2).bit_length() // 8 + 1
+    packed = [int.from_bytes(b"".join([(v % p).to_bytes(width, "little") for v in coord]),
+                             "little") for coord in zip(*bt)]
+    size = width * len(bt)
+    starts = range(0, size, width)
+    for x in a:
+        fields = sum(map(mul, map(p.__rmod__, x), packed)).to_bytes(size, "little")
+        yield tuple(int.from_bytes(fields[s:s + width], "little") % p for s in starts)
+
+
 def mat_mul(a, b, p: int) -> Tuple[Tuple[int, ...], ...]:
     """The product a*b mod p."""
-    bt = tuple(zip(*b))
-    return tuple(tuple(sum(map(mul, row, col)) % p for col in bt) for row in a)
+    return tuple(mat_rows(a, tuple(zip(*b)), p))
 
 
 def mat_pow(a, e: int, p: int) -> Tuple[Tuple[int, ...], ...]:

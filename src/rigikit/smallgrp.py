@@ -31,8 +31,7 @@ right-multiplication position array per generator and its search tree
 Theory, ch. 4). No `GroupElement` is kept per position: `elements` builds
 one when it is indexed. Left multiplications are read off the tree, so
 conjugacy classes run on positions; only their representatives are built,
-and their powers are walked on row codes, or read by stride off an
-earlier walk.
+and each one's powers are walked on row codes.
 
 `direct_triple_count` takes no inverses: for z in C3, x^-1 z^-1 lies in C2
 iff its inverse z x, and so its conjugate x z, lies in C2^-1. Quadratic
@@ -369,16 +368,14 @@ def conjugacy_classes(group: FiniteGroup) -> List[ConjugacyClass]:
     right[g][left(g^-1)[x]], g^-1 the position u with u g = 1.
     Representatives are enumeration-least, the only elements built. Each
     class keeps the positions of its representative's powers, walked
-    through the representative's right table, or, when an earlier walk met
-    the representative as w^t, read off that walk as w^(ts), with no
-    products; `dixon` reads inverse classes and power maps off them."""
+    through the representative's right table; `dixon` reads inverse
+    classes and power maps off them."""
     if group.classes is not None:
         return group.classes
     conj = [(r, group.left(r.index(0))) for r in group.right]
     codes, keys, index, strides = group.codes, group.keys, group.index, group.codes.strides
     class_of = [-1] * len(keys)
     classes: List[ConjugacyClass] = []
-    walks: Dict[int, Tuple[List[int], int]] = {}  # u -> (walk, t) with walk[t] == u
     for start in range(len(keys)):
         if class_of[start] >= 0:
             continue
@@ -393,18 +390,11 @@ def conjugacy_classes(group: FiniteGroup) -> List[ConjugacyClass]:
                     members.append(y)
         members.sort()
         rep = group.elements[start]
-        if start in walks:
-            walk, t = walks[start]
-            m = len(walk)
-            powers = [walk[t * s % m] for s in range(m // gcd(m, t))]
-        else:
-            table, powers, x, u = codes.right(rep.entries), [0], keys[start], start
-            while u:
-                powers.append(u)
-                x = codes.canonical(sum(map(mul, strides, map(table.__getitem__, codes.rows(x)))))
-                u = index[x]
-            for t, u in enumerate(powers):
-                walks.setdefault(u, (powers, t))
+        table, powers, x, u = codes.right(rep.entries), [0], keys[start], start
+        while u:
+            powers.append(u)
+            x = codes.canonical(sum(map(mul, strides, map(table.__getitem__, codes.rows(x)))))
+            u = index[x]
         classes.append(ConjugacyClass(
             rep=rep, size=len(members), order=len(powers),
             indices=tuple(members), powers=tuple(powers)))

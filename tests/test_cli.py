@@ -393,6 +393,7 @@ def test_huge_conductors_under_a_memory_cap(tmp_path):
             assert says in proc.stdout, (exponent, proc.stdout)
         else:
             assert proc.stdout == "" and proc.stderr.startswith("error: out of memory")
+            assert "Phi_3000009" in proc.stderr, proc.stderr
 
 
 def test_order_past_the_prime_test_fails_under_a_cpu_cap(tmp_path):
@@ -474,6 +475,20 @@ def test_huge_squarefree_conductor_exits_2_under_a_large_cap(tmp_path):
         preexec_fn=_memory_and_cpu_caps(2 << 30, 5))
     assert proc.returncode == 2, proc.stderr
     assert proc.stdout == "" and proc.stderr.startswith("error: out of memory")
+    assert "reducing mod Phi_3000009" in proc.stderr, proc.stderr
+
+
+def test_out_of_memory_without_a_reason_blames_no_ctb(monkeypatch, capsys):
+    # a bare MemoryError from a Dixon run must not name a CTB file
+    from rigikit import dixon
+
+    def exhausted(group):
+        raise MemoryError()
+
+    monkeypatch.setattr(dixon, "character_table_dixon", exhausted)
+    status, out, err = run(capsys, ["dixon", "PSL(2,7)"])
+    assert status == 2 and out == ""
+    assert err == "error: out of memory: the input is too large\n"
 
 
 # ---------------------------------------------------------------------------

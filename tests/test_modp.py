@@ -19,6 +19,7 @@ from rigikit.modp import (
     mat_mul,
     mat_pow,
     mat_rank,
+    mat_rows,
     nullspace,
     prime_factors,
     prime_one_mod,
@@ -105,8 +106,24 @@ def test_matrix_product_and_scalar_shift(data):
     p, a = data.draw(matrices(primes=WIDE_PRIMES))
     cols = data.draw(st.integers(1, 6))
     b = [[data.draw(st.integers(0, p - 1)) for _ in range(cols)] for _ in a[0]]
-    assert [list(r) for r in mat_mul(a, b, p)] == from_sympy(
-        to_sympy(a, p) * to_sympy(b, p), p)
+    product = from_sympy(to_sympy(a, p) * to_sympy(b, p), p)
+    assert [list(r) for r in mat_mul(a, b, p)] == product
+    # the same product from unreduced and negative representatives, the left
+    # factor a generator of rows and the right one given as the rows of b^T
+    lift = st.integers(-3, 3)
+    a_lifted = [[v + p * data.draw(lift) for v in row] for row in a]
+    bt_lifted = [[v + p * data.draw(lift) for v in col] for col in zip(*b)]
+    assert [list(r) for r in mat_rows((row for row in a_lifted), bt_lifted, p)] == product
+    # a row times a column and a column times a row at the widest prime,
+    # entries far outside [0, q): the fields are widest there
+    q = max(WIDE_PRIMES)
+    n = data.draw(st.integers(1, 6))
+    u, v = (data.draw(st.lists(st.integers(-q * q, q * q), min_size=n, max_size=n))
+            for _ in range(2))
+    for left, right in (([u], [[x] for x in v]), ([[x] for x in u], [v])):
+        want = from_sympy(to_sympy(left, q) * to_sympy(right, q), q)
+        assert [list(r) for r in mat_mul(left, right, q)] == want
+        assert [list(r) for r in mat_rows(iter(left), list(zip(*right)), q)] == want
     _, square = data.draw(matrices(square=True, primes=[p]))
     s = data.draw(st.integers(-2 * p, 2 * p))
     eye = DomainMatrix.eye(len(square), GF(p))
